@@ -54,7 +54,7 @@ def main(argv=None) -> int:
         (unit_norm(rng, args.m), unit_norm(rng, args.m)),
         args.m,
     )
-    reports = verify_approximant_convergence(
+    reports, _ = verify_approximant_convergence(
         default_bundle(inst), targets, inst, args.tol
     )
     write_reports_csv(reports, sys.stdout)

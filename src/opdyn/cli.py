@@ -11,8 +11,8 @@ Subcommands:
 
 Exit codes: 0 success (all verdicts decay, or the mode has no verdicts),
 1 some verdict is not decays-below, 2 schema or format violation,
-3 transport horizon or window cap exceeded, 4 iterative norm failed to
-converge.  Environment variables are never consulted.
+3 transport horizon or window cap exceeded, 4 the LAPACK SVD behind a dense
+norm did not converge.  Environment variables are never consulted.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import replace
 
 from .constructor import (
     TargetTuple,
-    construct_approximant,
     default_bundle,
     load_bundle,
     verify_approximant_convergence,
@@ -148,12 +147,12 @@ def _mode_construct_phi(scenario: Scenario):
         bundle = _load_witness_bundle(scenario, inst)
     else:
         bundle = default_bundle(inst)
-    reports = verify_approximant_convergence(bundle, targets, inst, scenario.tol)
+    reports, phis = verify_approximant_convergence(
+        bundle, targets, inst, scenario.tol
+    )
     artifacts = {
-        f"approximant_k{k:04d}.finmat": construct_approximant(
-            bundle, targets, inst, k
-        )
-        for k in range(1, bundle.k_max + 1)
+        f"approximant_k{k:04d}.finmat": phi
+        for k, phi in enumerate(phis, start=1)
     }
     return reports, artifacts
 

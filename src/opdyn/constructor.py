@@ -162,9 +162,9 @@ def verify_approximant_convergence(
     targets: TargetTuple,
     inst: CriterionInstance,
     tol: float,
-) -> list[DecayReport]:
+) -> tuple[list[DecayReport], list[FiniteMatrix]]:
     """Distances of phi_k to its two target families, plus every term of the
-    bounding decomposition:
+    bounding decomposition, and the approximants phi_1..phi_kmax themselves:
 
         ||phi_k - P_m F||        <= ||(D_k - P_m) F|| + sum_l ||S_l^{..}(G E_l)||
         ||T_l^{..}(phi_k) - P_m E_l||
@@ -225,7 +225,7 @@ def verify_approximant_convergence(
     reports = [
         make_report(label, ns, vals, tol) for label, vals in columns.items()
     ]
-    return sorted(reports, key=lambda rep: rep.quantity)
+    return sorted(reports, key=lambda rep: rep.quantity), phis
 
 
 def save_bundle(bundle: WitnessBundle, r_list: Sequence[int], dirpath) -> None:

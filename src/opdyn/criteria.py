@@ -455,10 +455,6 @@ def search_subsequence(
     return None
 
 
-def render_verdict(report: DecayReport) -> str:
-    return report.verdict.render()
-
-
 def write_reports_csv(reports: Sequence[DecayReport], fh) -> None:
     """CSV 'quantity,k,n_k,value,bound,verdict'; 17 significant digits,
     lowercase scientific, no locale dependence."""

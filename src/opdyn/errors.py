@@ -14,7 +14,7 @@ class WindowExceeded(OpdynError):
 
 
 class ConvergenceError(OpdynError):
-    """An iterative numerical routine failed to converge."""
+    """The LAPACK SVD behind a dense norm failed to converge."""
 
 
 class FormatError(OpdynError):

@@ -8,10 +8,9 @@ serialized byte, is reproducible.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -134,9 +133,6 @@ class Projection:
     def matrix(self) -> FiniteMatrix:
         return projection_matrix(self.m)
 
-    def window(self) -> range:
-        return range(-self.m, self.m + 1)
-
 
 def compose(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:
     """Matrix product a @ b."""
@@ -172,99 +168,39 @@ def is_monomial(a: FiniteMatrix) -> bool:
     return True
 
 
-def _support_seed(a: FiniteMatrix) -> int:
-    payload = repr(sorted(a._entries.keys())).encode("ascii")
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
-    return int.from_bytes(digest, "big")
-
-
-def _dense_block(a: FiniteMatrix) -> tuple[np.ndarray, list[int], list[int]]:
-    rows = a.row_indices()
-    cols = a.col_indices()
-    ri = {r: k for k, r in enumerate(rows)}
-    ci = {c: k for k, c in enumerate(cols)}
-    block = np.zeros((len(rows), len(cols)))
+def _dense_block(a: FiniteMatrix) -> np.ndarray:
+    ri = {r: k for k, r in enumerate(a.row_indices())}
+    ci = {c: k for k, c in enumerate(a.col_indices())}
+    block = np.zeros((len(ri), len(ci)))
     for (i, j), v in a.items():
         block[ri[i], ci[j]] = v
-    return block, rows, cols
+    return block
 
 
-def op_norm(
-    a: FiniteMatrix,
-    tol: float = 1e-10,
-    *,
-    max_iter: int = 1000,
-    use_fast_paths: bool = True,
-) -> float:
-    """Spectral norm by power iteration on A*A restricted to the support.
+def _singular_values(a: FiniteMatrix) -> np.ndarray:
+    """Singular values of the support block, largest first (LAPACK gesdd)."""
+    try:
+        return np.linalg.svd(_dense_block(a), compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK SVD did not converge: {exc}") from exc
 
-    The iterate is advanced with a repeatedly squared copy of A*A so that
-    near-degenerate singular values cannot stall convergence; acceptance of
-    the Rayleigh quotient is residual-based on the unsquared matrix.  The
-    starting vector is drawn from a generator seeded by a hash of the support,
-    so results are reproducible.  Monomial matrices short-circuit to the exact
-    max-|coefficient| rule unless ``use_fast_paths`` is disabled.
+
+def op_norm(a: FiniteMatrix, *, use_fast_paths: bool = True) -> float:
+    """Spectral norm: the largest singular value of the dense support block,
+    computed by LAPACK.
+
+    Monomial matrices short-circuit to the exact max-|coefficient| rule
+    unless ``use_fast_paths`` is disabled.
     """
-    if not (0.0 < tol <= 1e-2):
-        raise ValueError("tol must lie in (0, 1e-2]")
     if a.is_zero():
         return 0.0
     if use_fast_paths and is_monomial(a):
         return max(abs(v) for _, v in a.items())
-
-    block, _, cols = _dense_block(a)
-    amax = float(np.max(np.abs(block)))
-    scaled = block / amax
-    b = scaled.T @ scaled
-    d = len(cols)
-    if d == 1:
-        return amax * math.sqrt(float(b[0, 0]))
-
-    # Repeated squaring: power iteration with b^(2^16) steps per iterate.
-    c = b / float(np.max(np.abs(b)))
-    squarings = 16 if d <= 256 else 8
-    for _ in range(squarings):
-        c = c @ c
-        peak = float(np.max(np.abs(c)))
-        if peak == 0.0:
-            break
-        c = c / peak
-
-    rng = np.random.default_rng(_support_seed(a))
-    v = rng.standard_normal(d)
-    v = v / np.linalg.norm(v)
-    rho_prev = -math.inf
-    stagnant = 0
-    for _ in range(max_iter):
-        w = c @ v
-        nw = float(np.linalg.norm(w))
-        if nw > 0.0 and math.isfinite(nw):
-            v = w / nw
-        else:
-            v = np.ones(d) / math.sqrt(d)
-        bv = b @ v
-        rho = float(v @ bv)
-        residual = float(np.linalg.norm(bv - rho * v))
-        if residual <= tol * max(rho, DROP_THRESHOLD):
-            return amax * math.sqrt(max(rho, 0.0))
-        if abs(rho - rho_prev) <= 1e-16 * max(rho, DROP_THRESHOLD):
-            stagnant += 1
-            if stagnant >= 2:
-                # Machine-precision stagnation under squared stepping: the
-                # remaining defect is below the representable improvement.
-                return amax * math.sqrt(max(rho, 0.0))
-        else:
-            stagnant = 0
-        rho_prev = rho
-    raise ConvergenceError(
-        f"power iteration did not reach tol={tol} within {max_iter} iterations"
-    )
+    return float(_singular_values(a)[0])
 
 
-def trace_norm(
-    a: FiniteMatrix, *, max_sweeps: int = 60, use_fast_paths: bool = True
-) -> float:
-    """Sum of singular values via one-sided Jacobi column orthogonalization.
+def trace_norm(a: FiniteMatrix, *, use_fast_paths: bool = True) -> float:
+    """Sum of singular values of the dense support block, computed by LAPACK.
 
     For a monomial matrix the columns are already orthogonal and the result
     is the exact sum of absolute coefficients.
@@ -273,44 +209,7 @@ def trace_norm(
         return 0.0
     if use_fast_paths and is_monomial(a):
         return math.fsum(abs(v) for _, v in a.items())
-
-    block, _, _ = _dense_block(a)
-    if block.shape[1] > block.shape[0]:
-        block = block.T
-    amax = float(np.max(np.abs(block)))
-    u = block / amax
-    ncols = u.shape[1]
-    converged = False
-    for _ in range(max_sweeps):
-        rotated = False
-        for i in range(ncols - 1):
-            for j in range(i + 1, ncols):
-                ci = u[:, i].copy()
-                cj = u[:, j].copy()
-                aii = float(ci @ ci)
-                ajj = float(cj @ cj)
-                g = float(ci @ cj)
-                if aii == 0.0 or ajj == 0.0:
-                    continue
-                if abs(g) <= 1e-15 * math.sqrt(aii * ajj):
-                    continue
-                zeta = (ajj - aii) / (2.0 * g)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                cs = 1.0 / math.hypot(1.0, t)
-                sn = cs * t
-                u[:, i] = cs * ci - sn * cj
-                u[:, j] = sn * ci + cs * cj
-                rotated = True
-        if not rotated:
-            converged = True
-            break
-    if not converged:
-        raise ConvergenceError(
-            f"one-sided Jacobi did not converge within {max_sweeps} sweeps"
-        )
-    return amax * math.fsum(
-        float(np.linalg.norm(u[:, k])) for k in range(ncols)
-    )
+    return math.fsum(_singular_values(a).tolist())
 
 
 def shift_multiply(

@@ -89,15 +89,12 @@ class PermutationUnitary:
 
     ``translation`` shifts every index by a fixed nonzero step.  ``table``
     stores the bijection explicitly over a declared window; iterating past
-    the declared window is an error, never a silent extension.  For table
-    permutations ``escape_horizon`` records the caller's intended
-    certification horizon (advisory metadata only).
+    the declared window is an error, never a silent extension.
     """
 
     kind: str
     t: int = 0
     table: tuple[tuple[int, int], ...] = ()
-    escape_horizon: int = 0
 
     def __post_init__(self):
         if self.kind == "translation":
@@ -120,28 +117,24 @@ class PermutationUnitary:
         return PermutationUnitary(kind="translation", t=int(t))
 
     @staticmethod
-    def from_table(mapping, escape_horizon: int = 0) -> "PermutationUnitary":
+    def from_table(mapping) -> "PermutationUnitary":
         items = tuple(sorted((int(a), int(b)) for a, b in dict(mapping).items()))
-        return PermutationUnitary(
-            kind="table", table=items, escape_horizon=int(escape_horizon)
-        )
+        return PermutationUnitary(kind="table", table=items)
 
 
 @dataclass(frozen=True)
 class MonomialVector:
-    """A single-term vector sign * exp(log_coeff) * e_index."""
+    """A single-term vector exp(log_coeff) * e_index."""
 
     index: int
     log_coeff: float
-    sign: int = 1
 
     @property
     def value(self) -> float:
         try:
-            v = math.exp(self.log_coeff)
+            return math.exp(self.log_coeff)
         except OverflowError:
-            v = math.inf
-        return self.sign * v
+            return math.inf
 
 
 def _log_weight_sum(rule: WeightRule, start: int, count: int) -> float:
@@ -183,7 +176,7 @@ def shift_star_power_apply(
     index moved so that (W^n)* e_j lands on e_{j-n}.
     """
     base = shift_power_apply(shift, n, j - n, horizon=horizon)
-    return MonomialVector(index=j - n, log_coeff=base.log_coeff, sign=base.sign)
+    return MonomialVector(index=j - n, log_coeff=base.log_coeff)
 
 
 def unitary_power_apply(

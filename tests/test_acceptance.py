@@ -128,7 +128,7 @@ def test_acceptance_4_synthesis_with_random_targets():
     )
 
     start = time.perf_counter()
-    reports = verify_approximant_convergence(bundle, targets, inst, 1e-6)
+    reports, _ = verify_approximant_convergence(bundle, targets, inst, 1e-6)
     elapsed = time.perf_counter() - start
     by_label = {r.quantity: dict(r.values) for r in reports}
 

@@ -189,7 +189,7 @@ def test_verify_convergence_on_random_targets():
         (unit_norm_matrix(rng, 1), unit_norm_matrix(rng, 1)),
         1,
     )
-    reports = verify_approximant_convergence(b, targets, inst, 1e-6)
+    reports, _ = verify_approximant_convergence(b, targets, inst, 1e-6)
     assert all_decay(r for r in reports if r.quantity.startswith("dist("))
 
 
@@ -203,7 +203,7 @@ def test_verified_distances_obey_the_triangle_decomposition():
         1,
     )
     reports = {r.quantity: dict(r.values) for r in
-               verify_approximant_convergence(b, targets, inst, 1e-6)}
+               verify_approximant_convergence(b, targets, inst, 1e-6)[0]}
 
     for k in range(1, inst.k_max + 1):
         lhs = reports["dist(phi_k - P1 F)"][k]
@@ -241,10 +241,10 @@ def test_verified_distances_scale_with_the_targets():
     lam = -2.5
     plain = {r.quantity: dict(r.values) for r in
              verify_approximant_convergence(
-                 b, TargetTuple(f, (e1, e2), 1), inst, 1e-6)}
+                 b, TargetTuple(f, (e1, e2), 1), inst, 1e-6)[0]}
     scaled = {r.quantity: dict(r.values) for r in
               verify_approximant_convergence(
-                  b, TargetTuple(f * lam, (e1 * lam, e2 * lam), 1), inst, 1e-6)}
+                  b, TargetTuple(f * lam, (e1 * lam, e2 * lam), 1), inst, 1e-6)[0]}
     for label, vals in plain.items():
         for k, v in vals.items():
             if v == 0.0:

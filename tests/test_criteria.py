@@ -36,7 +36,6 @@ from opdyn.criteria import (
     neg_label,
     pos_label,
     render_summary,
-    render_verdict,
     search_subsequence,
     sufficient_decay_logs,
     write_reports_csv,
@@ -131,7 +130,7 @@ def test_verdict_decays_below_records_first_settled_k():
     rep = make_report("q", [1, 2, 3, 4], [1.0, 0.5, 0.01, 0.001], 0.1)
     assert rep.verdict.kind == "decays-below"
     assert rep.verdict.attained_k == 3
-    assert render_verdict(rep) == f"decays-below({0.1!r} at k=3)"
+    assert rep.verdict.render() == f"decays-below({0.1!r} at k=3)"
 
 
 def test_verdict_ignores_transient_dips():
