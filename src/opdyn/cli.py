@@ -35,9 +35,9 @@ from .criteria import (
     check_sufficient_decay,
     check_witness_conditions,
     cross_label,
-    neg_label,
-    pos_label,
+    family_chains,
     render_summary,
+    sufficient_label,
     write_reports_csv,
 )
 from .duality import (
@@ -45,8 +45,7 @@ from .duality import (
     check_dual_sufficient,
     check_dual_witness_conditions,
     default_probes,
-    dual_cross_label,
-    dual_single_label,
+    dual_label,
     verify_dual_convergence,
 )
 from .elementary import orbit, orbit_distances, write_orbit_csv
@@ -222,21 +221,13 @@ def _mode_example28(scenario: Scenario):
     reports = []
     for mm in EXAMPLE_SWEEP:
         inst = scenario.to_instance(m=mm)
-        r1, r2 = inst.r_list
         primal = {
             rep.quantity: [v for _, v in rep.values]
             for rep in check_sufficient_decay(inst, scenario.tol)
         }
-        pair_map = {
-            dual_single_label(mm, 1, r1, "+", True): pos_label(1, r1, mm),
-            dual_single_label(mm, 1, r1, "-", True): neg_label(1, r1, mm),
-            dual_single_label(mm, 2, r2, "+", True): pos_label(2, r2, mm),
-            dual_single_label(mm, 2, r2, "-", True): neg_label(2, r2, mm),
-            dual_cross_label(mm, 2, r2, 1, r1, True): cross_label(1, r1, 2, r2, mm),
-            dual_cross_label(mm, 1, r1, 2, r2, True): cross_label(2, r2, 1, r1, mm),
-        }
         bounds = {
-            dual: primal[left] for dual, left in pair_map.items()
+            dual_label(inst, chain, True): primal[sufficient_label(inst, chain)]
+            for chain in family_chains(inst.n_ops)
         }
         reports.extend(
             _attach_bounds(

@@ -232,33 +232,72 @@ def cross_label(l: int, rl: int, s: int, rs: int, m: int) -> str:
     return f"norm(W{l}^(+{rl}n) W{s}^(-{rs}n) P{m})"
 
 
-def _sufficient_quantities(inst: CriterionInstance):
-    # (label, factors) in a fixed construction order; reports get sorted by
-    # label afterwards so merged output is deterministic.
-    out = []
-    for l, (w, r) in enumerate(zip(inst.shifts, inst.r_list), start=1):
-        out.append((pos_label(l, r, inst.m), ((w, r),)))
-        out.append((neg_label(l, r, inst.m), ((w, -r),)))
-    for l, (wl, rl) in enumerate(zip(inst.shifts, inst.r_list), start=1):
-        for s, (ws, rs) in enumerate(zip(inst.shifts, inst.r_list), start=1):
-            if s == l:
-                continue
-            out.append(
-                (cross_label(l, rl, s, rs, inst.m), ((wl, rl), (ws, -rs)))
-            )
-    return out
+#: A decay family as (operator, sign) factors, leftmost outermost.  Operator
+#: l (1-based) enters with exponent sign * r_l * n.
+Chain = tuple[tuple[int, int], ...]
+
+
+def family_chains(n_ops: int) -> list[Chain]:
+    """The decay families of an n_ops-tuple, in construction order:
+    W_l^{+} and W_l^{-} for every l, then the cross term W_l^{+} W_s^{-} for
+    every ordered pair l != s.  Reports are sorted by label afterwards."""
+    ops = range(1, n_ops + 1)
+    singles = [((l, sign),) for l in ops for sign in (1, -1)]
+    crosses = [((l, 1), (s, -1)) for l in ops for s in ops if s != l]
+    return singles + crosses
+
+
+def chain_factors(
+    inst: CriterionInstance, chain: Chain, n: int
+) -> tuple[tuple[WeightedShift, int], ...]:
+    """The (shift, power) factors of a chain at iterate n."""
+    return tuple(
+        (inst.shifts[l - 1], sign * inst.r_list[l - 1] * n) for l, sign in chain
+    )
+
+
+def chain_terms(
+    inst: CriterionInstance, chain: Chain, letter: str = "W", star: bool = False
+) -> str:
+    """Label terms of a chain, e.g. ``W1^(+1n) W2^(-2n)``; ``star`` marks
+    adjoint factors as ``W1^(*+1n)``."""
+    mark = "*" if star else ""
+    return " ".join(
+        f"{letter}{l}^({mark}{'+' if sign > 0 else '-'}{inst.r_list[l - 1]}n)"
+        for l, sign in chain
+    )
+
+
+def chain_witness(
+    chain: Chain,
+    d_seq: Sequence[FiniteMatrix],
+    g_seqs: Sequence[Sequence[FiniteMatrix]],
+) -> tuple[str, Sequence[FiniteMatrix]]:
+    """Label and sequence of the witness a chain acts on: D_k when the
+    innermost sign is +, otherwise G_k^{(l)} of the innermost operator l."""
+    l, sign = chain[-1]
+    if sign > 0:
+        return "D_k", d_seq
+    return f"G{l}_k", g_seqs[l - 1]
+
+
+def sufficient_label(inst: CriterionInstance, chain: Chain) -> str:
+    return f"norm({chain_terms(inst, chain)} P{inst.m})"
 
 
 def sufficient_decay_logs(
     inst: CriterionInstance, n: int
 ) -> list[tuple[str, float]]:
     """Log-domain values of every sufficient-condition quantity at iterate n."""
-    out = []
-    for label, factors in _sufficient_quantities(inst):
-        scaled = tuple((w, p * n) for w, p in factors)
-        pn = monomial_product_norm(scaled, inst.m, horizon=inst.horizon)
-        out.append((label, pn.log_value))
-    return out
+    return [
+        (
+            sufficient_label(inst, chain),
+            monomial_product_norm(
+                chain_factors(inst, chain, n), inst.m, horizon=inst.horizon
+            ).log_value,
+        )
+        for chain in family_chains(inst.n_ops)
+    ]
 
 
 def check_sufficient_decay(
@@ -269,14 +308,14 @@ def check_sufficient_decay(
     ||W_l^{-r_l n_k} P_m|| and both ordered cross products."""
     ns = inst.n_values()
     reports = []
-    for label, factors in _sufficient_quantities(inst):
-        vals = []
-        for n in ns:
-            scaled = tuple((w, p * n) for w, p in factors)
-            vals.append(
-                monomial_product_norm(scaled, inst.m, horizon=inst.horizon).value
-            )
-        reports.append(make_report(label, ns, vals, tol))
+    for chain in family_chains(inst.n_ops):
+        vals = [
+            monomial_product_norm(
+                chain_factors(inst, chain, n), inst.m, horizon=inst.horizon
+            ).value
+            for n in ns
+        ]
+        reports.append(make_report(sufficient_label(inst, chain), ns, vals, tol))
     return sorted(reports, key=lambda r: r.quantity)
 
 
@@ -303,54 +342,23 @@ def check_witness_conditions(
 
     vals = [op_norm(d - pm) for d in d_seq]
     reports.append(make_report(f"norm(D_k - P{inst.m})", ns, vals, tol))
-
-    for l, (w, r) in enumerate(zip(inst.shifts, inst.r_list), start=1):
-        g_seq = g_seqs[l - 1]
+    for l, g_seq in enumerate(g_seqs, start=1):
         vals = [op_norm(g - pm) for g in g_seq]
         reports.append(make_report(f"norm(G{l}_k - P{inst.m})", ns, vals, tol))
 
-        vals = [
-            op_norm(
-                shift_multiply(
-                    d, w, r * n, "left",
+    for chain in family_chains(inst.n_ops):
+        witness, seq = chain_witness(chain, d_seq, g_seqs)
+        vals = []
+        for n, mat in zip(ns, seq):
+            # rightmost factor acts first
+            for shift, p in reversed(chain_factors(inst, chain, n)):
+                mat = shift_multiply(
+                    mat, shift, p, "left",
                     horizon=inst.horizon, window_cap=inst.window_cap,
                 )
-            )
-            for n, d in zip(ns, d_seq)
-        ]
-        reports.append(make_report(f"norm(W{l}^(+{r}n) D_k)", ns, vals, tol))
-
-        vals = [
-            op_norm(
-                shift_multiply(
-                    g, w, -r * n, "left",
-                    horizon=inst.horizon, window_cap=inst.window_cap,
-                )
-            )
-            for n, g in zip(ns, g_seq)
-        ]
-        reports.append(make_report(f"norm(W{l}^(-{r}n) G{l}_k)", ns, vals, tol))
-
-    for l, (wl, rl) in enumerate(zip(inst.shifts, inst.r_list), start=1):
-        for s, (ws, rs) in enumerate(zip(inst.shifts, inst.r_list), start=1):
-            if s == l:
-                continue
-            vals = []
-            for n, g in zip(ns, g_seqs[s - 1]):
-                inner = shift_multiply(
-                    g, ws, -rs * n, "left",
-                    horizon=inst.horizon, window_cap=inst.window_cap,
-                )
-                outer = shift_multiply(
-                    inner, wl, rl * n, "left",
-                    horizon=inst.horizon, window_cap=inst.window_cap,
-                )
-                vals.append(op_norm(outer))
-            reports.append(
-                make_report(
-                    f"norm(W{l}^(+{rl}n) W{s}^(-{rs}n) G{s}_k)", ns, vals, tol
-                )
-            )
+            vals.append(op_norm(mat))
+        label = f"norm({chain_terms(inst, chain)} {witness})"
+        reports.append(make_report(label, ns, vals, tol))
     return sorted(reports, key=lambda r: r.quantity)
 
 
@@ -373,21 +381,22 @@ def check_pointwise_decay(
     for idx, f in enumerate(seeds):
         f_cut = truncate_left(f, inst.m)
         f_norm = op_norm(f)
-
-        def add(label: str, powers, factors):
+        for chain in family_chains(inst.n_ops):
+            label = f"norm({chain_terms(inst, chain, 'T')} P{inst.m} F{idx})"
             vals, bounds = [], []
             for n in ns:
+                factors = chain_factors(inst, chain, n)
                 mat = f_cut
-                for op, p in powers:
+                # rightmost factor acts first
+                for (l, _), (_, p) in zip(chain[::-1], factors[::-1]):
                     mat = apply_power(
-                        op, p * n, mat,
+                        ops[l - 1], p, mat,
                         horizon=inst.horizon, window_cap=inst.window_cap,
                     )
                 value = op_norm(mat)
-                scaled = tuple((w, p * n) for w, p in factors)
                 bound = (
                     monomial_product_norm(
-                        scaled, inst.m, horizon=inst.horizon
+                        factors, inst.m, horizon=inst.horizon
                     ).value
                     * f_norm
                 )
@@ -398,30 +407,6 @@ def check_pointwise_decay(
                 vals.append(value)
                 bounds.append(bound)
             reports.append(make_report(label, ns, vals, tol, bounds=bounds))
-
-        for l, ((op, w), r) in enumerate(
-            zip(zip(ops, inst.shifts), inst.r_list), start=1
-        ):
-            add(
-                f"norm(T{l}^(+{r}n) P{inst.m} F{idx})",
-                ((op, r),),
-                ((w, r),),
-            )
-            add(
-                f"norm(T{l}^(-{r}n) P{inst.m} F{idx})",
-                ((op, -r),),
-                ((w, -r),),
-            )
-        for l, (wl, rl) in enumerate(zip(inst.shifts, inst.r_list), start=1):
-            for s, (ws, rs) in enumerate(zip(inst.shifts, inst.r_list), start=1):
-                if s == l:
-                    continue
-                # rightmost acts first: T_s^{-} then T_l^{+}
-                add(
-                    f"norm(T{l}^(+{rl}n) T{s}^(-{rs}n) P{inst.m} F{idx})",
-                    ((ops[s - 1], -rs), (ops[l - 1], rl)),
-                    ((wl, rl), (ws, -rs)),
-                )
     return sorted(reports, key=lambda r: r.quantity)
 
 

@@ -20,7 +20,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .constructor import WitnessBundle
-from .criteria import CriterionInstance, DecayReport, make_report
+from .criteria import (
+    Chain,
+    CriterionInstance,
+    DecayReport,
+    chain_factors,
+    chain_terms,
+    chain_witness,
+    family_chains,
+    make_report,
+)
 from .elementary import ElementaryOp
 from .finmat import (
     DEFAULT_WINDOW_CAP,
@@ -173,22 +182,10 @@ def dual_cross_label(m: int, s: int, rs: int, l: int, rl: int, star: bool) -> st
     )
 
 
-def _dual_quantities(inst: CriterionInstance, star: bool):
-    out = []
-    for l, (w, r) in enumerate(zip(inst.shifts, inst.r_list), start=1):
-        out.append((dual_single_label(inst.m, l, r, "+", star), ((w, r),)))
-        out.append((dual_single_label(inst.m, l, r, "-", star), ((w, -r),)))
-    for l, (wl, rl) in enumerate(zip(inst.shifts, inst.r_list), start=1):
-        for s, (ws, rs) in enumerate(zip(inst.shifts, inst.r_list), start=1):
-            if s == l:
-                continue
-            out.append(
-                (
-                    dual_cross_label(inst.m, s, rs, l, rl, star),
-                    ((ws, -rs), (wl, rl)),
-                )
-            )
-    return out
+def dual_label(inst: CriterionInstance, chain: Chain, star: bool) -> str:
+    """Label of the right-sided mirror of a family: the reversed chain cut
+    by P_m on the left."""
+    return f"norm(P{inst.m} {chain_terms(inst, chain[::-1], star=star)})"
 
 
 def check_dual_sufficient(
@@ -203,16 +200,17 @@ def check_dual_sufficient(
     """
     ns = inst.n_values()
     reports = []
-    for label, factors in _dual_quantities(inst, star):
-        vals = []
-        for n in ns:
-            scaled = tuple((w, p * n) for w, p in factors)
-            vals.append(
-                monomial_product_norm_rowcut(
-                    scaled, inst.m, star=star, horizon=inst.horizon
-                ).value
-            )
-        reports.append(make_report(label, ns, vals, tol))
+    for chain in family_chains(inst.n_ops):
+        vals = [
+            monomial_product_norm_rowcut(
+                chain_factors(inst, chain[::-1], n),
+                inst.m,
+                star=star,
+                horizon=inst.horizon,
+            ).value
+            for n in ns
+        ]
+        reports.append(make_report(dual_label(inst, chain, star), ns, vals, tol))
     return sorted(reports, key=lambda rep: rep.quantity)
 
 
@@ -241,7 +239,12 @@ def check_dual_witness_conditions(
     star: bool = True,
 ) -> list[DecayReport]:
     """Right-sided decay on explicit witnesses, plus the strong-convergence
-    proxy distances of D_k and G_k^(l) to P_n (n = the bundle window)."""
+    proxy distances of D_k and G_k^(l) to P_n (n = the bundle window).
+
+    The families are ||D_k W_l^{+r_l n_k}||, ||G_k^{(l)} W_l^{-r_l n_k}|| and
+    ||G_k^{(s)} W_s^{-r_s n_k} W_l^{+r_l n_k}||: each mirrors its primal
+    family and pairs with the same witness.
+    """
     ns = inst.n_values()
     if bundle.n_values != ns:
         raise ValueError("bundle iterates disagree with the instance")
@@ -260,48 +263,16 @@ def check_dual_witness_conditions(
             make_report(f"slim-dist(G{l}_k - P{n_win})", ns, vals, tol)
         )
 
-    for l, (w, r) in enumerate(zip(inst.shifts, inst.r_list), start=1):
-        star_mark = "*" if star else ""
+    for chain in family_chains(inst.n_ops):
+        witness, seq = chain_witness(chain, bundle.d_seq, bundle.g_seqs)
         vals = [
-            op_norm(_right_mult_chain(d, ((w, r * n),), **kwargs))
-            for n, d in zip(ns, bundle.d_seq)
+            op_norm(
+                _right_mult_chain(mat, chain_factors(inst, chain[::-1], n), **kwargs)
+            )
+            for n, mat in zip(ns, seq)
         ]
-        reports.append(
-            make_report(
-                f"norm(D_k W{l}^({star_mark}+{r}n))", ns, vals, tol
-            )
-        )
-        vals = [
-            op_norm(_right_mult_chain(g, ((w, -r * n),), **kwargs))
-            for n, g in zip(ns, bundle.g_seqs[l - 1])
-        ]
-        reports.append(
-            make_report(
-                f"norm(G{l}_k W{l}^({star_mark}-{r}n))", ns, vals, tol
-            )
-        )
-    for l, (wl, rl) in enumerate(zip(inst.shifts, inst.r_list), start=1):
-        for s, (ws, rs) in enumerate(zip(inst.shifts, inst.r_list), start=1):
-            if s == l:
-                continue
-            star_mark = "*" if star else ""
-            vals = [
-                op_norm(
-                    _right_mult_chain(
-                        g, ((ws, -rs * n), (wl, rl * n)), **kwargs
-                    )
-                )
-                for n, g in zip(ns, bundle.g_seqs[l - 1])
-            ]
-            reports.append(
-                make_report(
-                    f"norm(G{l}_k W{s}^({star_mark}-{rs}n)"
-                    f" W{l}^({star_mark}+{rl}n))",
-                    ns,
-                    vals,
-                    tol,
-                )
-            )
+        label = f"norm({witness} {chain_terms(inst, chain[::-1], star=star)})"
+        reports.append(make_report(label, ns, vals, tol))
     return sorted(reports, key=lambda rep: rep.quantity)
 
 

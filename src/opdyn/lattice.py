@@ -13,8 +13,9 @@ interest routinely span hundreds of orders of magnitude.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import HorizonExceeded, WindowExceeded
 
@@ -43,11 +44,25 @@ class WeightRule:
         for w in self._all_weights():
             if not (math.isfinite(w) and w > 0.0):
                 raise ValueError("weights must be finite and strictly positive")
-        if self.kind == "explicit":
-            indices = [j for j, _ in self.table]
-            if len(indices) != len(set(indices)):
-                raise ValueError("duplicate index in explicit weight table")
-        object.__setattr__(self, "_table_map", dict(self.table))
+        table_map = dict(self.table)
+        if len(table_map) != len(self.table):
+            raise ValueError("duplicate index in explicit weight table")
+        object.__setattr__(self, "_table_map", table_map)
+        # log w(i) is the slope of its side of zero plus, for table entries
+        # only, a departure from the default.  Prefix sums of the departures
+        # make every log-weight sum O(log table); piecewise rules have no
+        # table, so their sums are the two slope terms exactly.
+        if self.kind == "piecewise":
+            slopes, entries = (math.log(self.neg), math.log(self.nonneg)), []
+        else:
+            slopes = (math.log(self.default),) * 2
+            entries = sorted(table_map.items())
+        prefix = [0.0]
+        for _, w in entries:
+            prefix.append(prefix[-1] + (math.log(w) - slopes[0]))
+        object.__setattr__(self, "_slopes", slopes)
+        object.__setattr__(self, "_keys", tuple(j for j, _ in entries))
+        object.__setattr__(self, "_prefix", tuple(prefix))
 
     def _all_weights(self):
         if self.kind == "piecewise":
@@ -67,9 +82,6 @@ class WeightRule:
         if self.kind == "piecewise":
             return self.neg if j < 0 else self.nonneg
         return self._table_map.get(j, self.default)
-
-    def log_weight(self, j: int) -> float:
-        return math.log(self.weight(j))
 
 
 @dataclass(frozen=True)
@@ -141,11 +153,15 @@ def _log_weight_sum(rule: WeightRule, start: int, count: int) -> float:
     # Sum of log w(i) over the half-open index range [start, start + count).
     if count <= 0:
         return 0.0
-    if rule.kind == "piecewise":
-        end = start + count
-        neg = max(0, min(end, 0) - start)
-        return neg * math.log(rule.neg) + (count - neg) * math.log(rule.nonneg)
-    return math.fsum(rule.log_weight(i) for i in range(start, start + count))
+    end = start + count
+    neg = max(0, min(end, 0) - start)
+    log_neg, log_nonneg = rule._slopes
+    keys, prefix = rule._keys, rule._prefix
+    return (
+        neg * log_neg
+        + (count - neg) * log_nonneg
+        + (prefix[bisect_left(keys, end)] - prefix[bisect_left(keys, start)])
+    )
 
 
 def shift_power_apply(
@@ -268,6 +284,30 @@ def _walk_factors(
     return MonomialVector(index=index, log_coeff=lg)
 
 
+def _max_over_starts(
+    factors: Sequence[tuple[WeightedShift, int]],
+    lo: int,
+    hi: int,
+    *,
+    star: bool,
+    landing: int | None,
+    horizon: int,
+) -> ProductNorm:
+    # Largest walk coefficient over the start indices [lo, hi]; ties keep the
+    # smallest start.  ``landing`` asserts that every walk ends in
+    # [-landing, landing].
+    best_lg = -math.inf
+    best_j = lo
+    for j in range(lo, hi + 1):
+        mono = _walk_factors(factors, j, star=star, horizon=horizon)
+        if landing is not None and not -landing <= mono.index <= landing:
+            raise AssertionError("factor walk left the projected window")
+        if mono.log_coeff > best_lg:
+            best_lg = mono.log_coeff
+            best_j = j
+    return ProductNorm(log_value=best_lg, attained_at=best_j)
+
+
 def monomial_product_norm(
     factors: Sequence[tuple[WeightedShift, int]],
     m: int,
@@ -282,14 +322,9 @@ def monomial_product_norm(
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    best_lg = -math.inf
-    best_j = -m
-    for j in range(-m, m + 1):
-        mono = _walk_factors(factors, j, star=False, horizon=horizon)
-        if mono.log_coeff > best_lg:
-            best_lg = mono.log_coeff
-            best_j = j
-    return ProductNorm(log_value=best_lg, attained_at=best_j)
+    return _max_over_starts(
+        factors, -m, m, star=False, landing=None, horizon=horizon
+    )
 
 
 def monomial_product_norm_rowcut(
@@ -310,15 +345,11 @@ def monomial_product_norm_rowcut(
     if m < 0:
         raise ValueError("m must be nonnegative")
     displacement = sum((-p if star else p) for _, p in factors)
-    best_lg = -math.inf
-    best_j = None
-    lo = -m - displacement
-    hi = m - displacement
-    for j in range(lo, hi + 1):
-        mono = _walk_factors(factors, j, star=star, horizon=horizon)
-        if not -m <= mono.index <= m:
-            raise AssertionError("factor walk left the projected window")
-        if mono.log_coeff > best_lg:
-            best_lg = mono.log_coeff
-            best_j = j
-    return ProductNorm(log_value=best_lg, attained_at=best_j if best_j is not None else lo)
+    return _max_over_starts(
+        factors,
+        -m - displacement,
+        m - displacement,
+        star=star,
+        landing=m,
+        horizon=horizon,
+    )

@@ -19,7 +19,7 @@ from opdyn import (
     truncate_right,
     unit,
 )
-from opdyn.constructor import default_bundle
+from opdyn.constructor import WitnessBundle, default_bundle
 from opdyn.criteria import all_decay, check_sufficient_decay, cross_label, neg_label, pos_label
 from opdyn.duality import (
     FunctionalRep,
@@ -262,14 +262,37 @@ def test_dual_witness_conditions_reduce_to_dual_sufficient_on_projections():
         "norm(D_k W2^(*+2n))": dual_single_label(1, 2, 2, "+", True),
         "norm(G1_k W1^(*-1n))": dual_single_label(1, 1, 1, "-", True),
         "norm(G2_k W2^(*-2n))": dual_single_label(1, 2, 2, "-", True),
-        "norm(G1_k W2^(*-2n) W1^(*+1n))": dual_cross_label(1, 2, 2, 1, 1, True),
-        "norm(G2_k W1^(*-1n) W2^(*+2n))": dual_cross_label(1, 1, 1, 2, 2, True),
+        "norm(G2_k W2^(*-2n) W1^(*+1n))": dual_cross_label(1, 2, 2, 1, 1, True),
+        "norm(G1_k W1^(*-1n) W2^(*+2n))": dual_cross_label(1, 1, 1, 2, 2, True),
     }
     for wlabel, plabel in pair_map.items():
         for (k, vw), (_, vp) in zip(witness[wlabel].values, plain[plabel].values):
             assert math.isclose(vw, vp, rel_tol=1e-12)
     for label in ("slim-dist(D_k - P1)", "slim-dist(G1_k - P1)", "slim-dist(G2_k - P1)"):
         assert all(v == 0.0 for _, v in witness[label].values)
+
+
+def test_dual_witness_cross_family_pairs_with_the_inverse_operator_witness():
+    # G^(2) = P_1 / 2: the cross family under W_2^{-} is measured on G^(2),
+    # the witness of the operator whose inverse power it applies, as in the
+    # eta_k majorant and the primal cross family.
+    inst = canonical_instance(m=1, r1=1, k_max=10)
+    base = default_bundle(inst)
+    half = projection_matrix(1) * 0.5
+    bundle = WitnessBundle(
+        m=base.m,
+        n_values=base.n_values,
+        d_seq=base.d_seq,
+        g_seqs=(base.g_seqs[0], (half,) * base.k_max),
+    )
+    witness = {r.quantity: r for r in check_dual_witness_conditions(inst, bundle, 1e-6)}
+    plain = {r.quantity: r for r in check_dual_sufficient(inst, 1e-6)}
+    halved = witness["norm(G2_k W2^(*-2n) W1^(*+1n))"].values
+    for (k, vw), (_, vp) in zip(halved, plain[dual_cross_label(1, 2, 2, 1, 1, True)].values):
+        assert math.isclose(vw, 0.5 * vp, rel_tol=1e-12)
+    kept = witness["norm(G1_k W1^(*-1n) W2^(*+2n))"].values
+    for (k, vw), (_, vp) in zip(kept, plain[dual_cross_label(1, 1, 1, 2, 2, True)].values):
+        assert math.isclose(vw, vp, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Weighted shifts, permutation unitaries, and closed-form product norms."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -125,6 +126,35 @@ def test_star_power_is_the_transposed_transport(n, j):
     plain = shift_power_apply(w2(), n, j - n)
     assert starred.index == j - n
     assert starred.log_coeff == plain.log_coeff
+
+
+@given(
+    table=st.dictionaries(
+        st.integers(min_value=-40, max_value=40),
+        st.floats(min_value=0.1, max_value=10.0),
+        max_size=40,
+    ),
+    default=st.floats(min_value=0.25, max_value=4.0).filter(lambda w: w != 1.0),
+    n=st.integers(min_value=-120, max_value=120),
+    j=st.integers(min_value=-60, max_value=60),
+)
+def test_explicit_weight_powers_match_exact_fraction_walk(table, default, n, j):
+    # Ranges straddle the table edges, so both the default slope outside the
+    # table and the prefix sum over its departures are exercised.
+    shift = WeightedShift(explicit_rule(table, default=default))
+
+    def exact(i):
+        return Fraction(table.get(i, default))
+
+    frac, idx = frac_shift_power(exact, n, j)
+    mv = shift_power_apply(shift, n, j)
+    assert mv.index == idx
+    assert abs(mv.log_coeff - flog(frac)) <= 1e-10 * max(1.0, abs(flog(frac)))
+
+    frac, _ = frac_shift_power(exact, n, j - n)
+    mv = shift_star_power_apply(shift, n, j)
+    assert mv.index == j - n
+    assert abs(mv.log_coeff - flog(frac)) <= 1e-10 * max(1.0, abs(flog(frac)))
 
 
 def test_shift_power_beyond_horizon_raises():

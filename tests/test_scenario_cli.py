@@ -274,6 +274,21 @@ def test_run_builtin_example28_emits_eta_artifacts(tmp_path):
     assert "wstar-dist(eta_k - M_P1 psi)" in (out / "report.csv").read_text()
 
 
+def test_run_builtin_example28_bounds_match_values_digit_for_digit(tmp_path):
+    # Each adjoint-side row carries its plain-side mirror as the bound, and
+    # the mirror identity holds exactly, so the rendered texts agree.
+    out = tmp_path / "e28"
+    assert run_cli("run", "example28", "--out", str(out)) == 0
+    rows = [
+        line.split(",")
+        for line in (out / "report.csv").read_text().splitlines()[1:]
+        if line.startswith("norm(P")
+    ]
+    assert len(rows) == 5 * 6 * 50  # windows 0..4, six families, k_max = 50
+    for quantity, k, _, value, bound, _ in rows:
+        assert bound == value, (quantity, k)
+
+
 def test_run_orbit_mode_writes_orbit_rows(tmp_path):
     save_finmat(projection_matrix(0), tmp_path / "seed.finmat")
     text = (
