@@ -201,12 +201,8 @@ def _mode_example24(scenario: Scenario):
         r1, r2 = inst.r_list
         ns = inst.n_values()
         bounds = {
-            cross_label(1, r1, 2, r2, mm): [
-                3.0 ** (2 * mm) / 3.0 ** (r1 * n) for n in ns
-            ],
-            cross_label(2, r2, 1, r1, mm): [
-                3.0 ** (2 * mm) / 2.0 ** (r1 * n) for n in ns
-            ],
+            cross_label(1, r1, 2, r2, mm): [9.0**mm * (2 / 9) ** (r1 * n) for n in ns],
+            cross_label(2, r2, 1, r1, mm): [9.0**mm * 0.5 ** (r1 * n) for n in ns],
         }
         reports.extend(
             _attach_bounds(check_sufficient_decay(inst, scenario.tol), bounds)

@@ -25,9 +25,9 @@ from .errors import OpdynError
 from .finmat import (
     DEFAULT_WINDOW_CAP,
     FiniteMatrix,
+    _shift_chain,
     op_norm,
     projection_matrix,
-    shift_multiply,
     truncate_left,
 )
 from .lattice import (
@@ -338,6 +338,7 @@ def check_witness_conditions(
     if len(g_seqs) != inst.n_ops or any(len(g) != len(ns) for g in g_seqs):
         raise ValueError("g_seqs must be n_ops sequences of k_max members")
     pm = projection_matrix(inst.m)
+    kwargs = dict(horizon=inst.horizon, window_cap=inst.window_cap)
     reports = []
 
     vals = [op_norm(d - pm) for d in d_seq]
@@ -348,15 +349,10 @@ def check_witness_conditions(
 
     for chain in family_chains(inst.n_ops):
         witness, seq = chain_witness(chain, d_seq, g_seqs)
-        vals = []
-        for n, mat in zip(ns, seq):
-            # rightmost factor acts first
-            for shift, p in reversed(chain_factors(inst, chain, n)):
-                mat = shift_multiply(
-                    mat, shift, p, "left",
-                    horizon=inst.horizon, window_cap=inst.window_cap,
-                )
-            vals.append(op_norm(mat))
+        vals = [
+            op_norm(_shift_chain(mat, chain_factors(inst, chain, n), "left", **kwargs))
+            for n, mat in zip(ns, seq)
+        ]
         label = f"norm({chain_terms(inst, chain)} {witness})"
         reports.append(make_report(label, ns, vals, tol))
     return sorted(reports, key=lambda r: r.quantity)

@@ -35,9 +35,12 @@ from .finmat import (
     DEFAULT_WINDOW_CAP,
     FiniteMatrix,
     Projection,
+    _shift_chain,
+    _shift_move,
+    _transport,
+    _unitary_move,
     compose,
     op_norm,
-    permute_multiply,
     projection_matrix,
     shift_multiply,
     trace_norm,
@@ -107,15 +110,15 @@ def dual_apply_power(
     """
     if p == 0:
         return phi
-    a = phi.representer
-    kwargs = dict(horizon=horizon, window_cap=window_cap)
+    # a right factor moves columns as its transpose moves rows
     if op.orientation == "WFU":
-        a = permute_multiply(a, op.unitary, p, "left", **kwargs)
-        a = shift_multiply(a, op.shift, p, "right", star=star, **kwargs)
+        left = _unitary_move(op.unitary, p, horizon=horizon)
+        right = _shift_move(op.shift, p, star=not star, horizon=horizon)
     else:
-        a = shift_multiply(a, op.shift, p, "left", star=star, **kwargs)
-        a = permute_multiply(a, op.unitary, p, "right", **kwargs)
-    return FunctionalRep(a)
+        left = _shift_move(op.shift, p, star=star, horizon=horizon)
+        right = _unitary_move(op.unitary, -p, horizon=horizon)
+    moved = _transport(phi.representer, left, right, window_cap=window_cap)
+    return FunctionalRep(moved)
 
 
 @dataclass(frozen=True)
@@ -144,13 +147,19 @@ def default_probes(m: int) -> TestSet:
     return TestSet(probes=tuple(probes))
 
 
+def _probe_values(phi: FunctionalRep, probes: TestSet) -> list[float]:
+    return [eval_functional(phi, f) for f in probes.probes]
+
+
+def _distance_to(phi: FunctionalRep, target: list[float], probes: TestSet) -> float:
+    # weak_star_distance to a functional given by its probe values
+    return max(abs(eval_functional(phi, f) - t) for f, t in zip(probes.probes, target))
+
+
 def weak_star_distance(
     phi: FunctionalRep, psi: FunctionalRep, probes: TestSet
 ) -> float:
-    return max(
-        abs(eval_functional(phi, f) - eval_functional(psi, f))
-        for f in probes.probes
-    )
+    return _distance_to(phi, _probe_values(psi, probes), probes)
 
 
 def strong_limit_distance(a: FiniteMatrix, b: FiniteMatrix, window: int) -> float:
@@ -214,23 +223,6 @@ def check_dual_sufficient(
     return sorted(reports, key=lambda rep: rep.quantity)
 
 
-def _right_mult_chain(
-    mat: FiniteMatrix,
-    chain,
-    *,
-    star: bool,
-    horizon: int,
-    window_cap: int,
-) -> FiniteMatrix:
-    out = mat
-    for shift, p in chain:
-        out = shift_multiply(
-            out, shift, p, "right",
-            star=star, horizon=horizon, window_cap=window_cap,
-        )
-    return out
-
-
 def check_dual_witness_conditions(
     inst: CriterionInstance,
     bundle: WitnessBundle,
@@ -265,13 +257,12 @@ def check_dual_witness_conditions(
 
     for chain in family_chains(inst.n_ops):
         witness, seq = chain_witness(chain, bundle.d_seq, bundle.g_seqs)
+        rev = chain[::-1]
         vals = [
-            op_norm(
-                _right_mult_chain(mat, chain_factors(inst, chain[::-1], n), **kwargs)
-            )
+            op_norm(_shift_chain(mat, chain_factors(inst, rev, n), "right", **kwargs))
             for n, mat in zip(ns, seq)
         ]
-        label = f"norm({witness} {chain_terms(inst, chain[::-1], star=star)})"
+        label = f"norm({witness} {chain_terms(inst, rev, star=star)})"
         reports.append(make_report(label, ns, vals, tol))
     return sorted(reports, key=lambda rep: rep.quantity)
 
@@ -331,10 +322,15 @@ def verify_dual_convergence(
     ops = inst.elementary_ops()
     kwargs = dict(star=star, horizon=inst.horizon, window_cap=inst.window_cap)
 
-    psi_target = m_d(psi, Projection(n_win))
-    phi_targets = [m_d(phi, Projection(n_win)) for phi in phi_list]
+    # Targets enter only through their probe values, so those are taken once.
+    psi_target = _probe_values(m_d(psi, Projection(n_win)), probes)
+    phi_targets = [
+        _probe_values(m_d(phi, Projection(n_win)), probes) for phi in phi_list
+    ]
     psi_tn = trace_norm(psi.representer)
     phi_tns = [trace_norm(phi.representer) for phi in phi_list]
+    pnd_seq = [compose(pn, d) for d in bundle.d_seq]
+    png_seqs = [[compose(pn, g) for g in g_seq] for g_seq in bundle.g_seqs]
 
     etas = [
         construct_dual_approximant(bundle, psi, phi_list, inst, k, star=star)
@@ -343,16 +339,12 @@ def verify_dual_convergence(
 
     reports = []
     vals, bounds = [], []
-    for k, (n, eta) in enumerate(zip(ns, etas), start=1):
-        vals.append(weak_star_distance(eta, psi_target, probes))
-        pnd = compose(pn, bundle.d_seq[k - 1])
-        bound = psi_tn * op_norm(pnd - pn)
-        for l, (w, r, phi_tn) in enumerate(
-            zip(inst.shifts, inst.r_list, phi_tns), start=1
-        ):
-            png = compose(pn, bundle.g_seqs[l - 1][k - 1])
+    for k, (n, eta) in enumerate(zip(ns, etas)):
+        vals.append(_distance_to(eta, psi_target, probes))
+        bound = psi_tn * op_norm(pnd_seq[k] - pn)
+        for w, r, phi_tn, png in zip(inst.shifts, inst.r_list, phi_tns, png_seqs):
             bound += phi_tn * op_norm(
-                _right_mult_chain(png, ((w, -r * n),), **kwargs)
+                shift_multiply(png[k], w, -r * n, "right", **kwargs)
             )
         bounds.append(bound)
     reports.append(
@@ -364,23 +356,21 @@ def verify_dual_convergence(
     star_mark = "*" if star else ""
     for l, (op_l, rl) in enumerate(zip(ops, inst.r_list), start=1):
         vals, bounds = [], []
-        for k, (n, eta) in enumerate(zip(ns, etas), start=1):
+        for k, (n, eta) in enumerate(zip(ns, etas)):
             moved = dual_apply_power(op_l, rl * n, eta, **kwargs)
-            vals.append(weak_star_distance(moved, phi_targets[l - 1], probes))
+            vals.append(_distance_to(moved, phi_targets[l - 1], probes))
 
-            pnd = compose(pn, bundle.d_seq[k - 1])
+            wl = inst.shifts[l - 1]
             bound = psi_tn * op_norm(
-                _right_mult_chain(pnd, ((inst.shifts[l - 1], rl * n),), **kwargs)
+                shift_multiply(pnd_seq[k], wl, rl * n, "right", **kwargs)
             )
-            png = compose(pn, bundle.g_seqs[l - 1][k - 1])
-            bound += phi_tns[l - 1] * op_norm(png - pn)
+            bound += phi_tns[l - 1] * op_norm(png_seqs[l - 1][k] - pn)
             for s, (ws, rs) in enumerate(zip(inst.shifts, inst.r_list), start=1):
                 if s == l:
                     continue
-                png_s = compose(pn, bundle.g_seqs[s - 1][k - 1])
-                chain = ((ws, -rs * n), (inst.shifts[l - 1], rl * n))
+                chain = ((ws, -rs * n), (wl, rl * n))
                 bound += phi_tns[s - 1] * op_norm(
-                    _right_mult_chain(png_s, chain, **kwargs)
+                    _shift_chain(png_seqs[s - 1][k], chain, "right", **kwargs)
                 )
             bounds.append(bound)
         reports.append(

@@ -2,7 +2,8 @@
 
 Powers act entrywise: under the WFU orientation the entry at (i, j) moves to
 (i + p, pi^{-p}(j)) carrying the exact weight product picked up along the row
-path, so arbitrarily high powers cost one transport per stored entry.
+path, so arbitrarily high powers cost one transport per distinct row and
+column index, both sides in a single pass.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from typing import Iterable, Iterator, Sequence
 from .finmat import (
     DEFAULT_WINDOW_CAP,
     FiniteMatrix,
+    _shift_move,
+    _transport,
+    _unitary_move,
     op_norm,
-    permute_multiply,
-    shift_multiply,
 )
 from .lattice import DEFAULT_HORIZON, PermutationUnitary, WeightedShift
 
@@ -43,22 +45,17 @@ def apply_power(
     horizon: int = DEFAULT_HORIZON,
     window_cap: int = DEFAULT_WINDOW_CAP,
 ) -> FiniteMatrix:
-    """T^p(F) by entry transport; negative p applies the inverse power."""
+    """T^p(F) by one-pass entry transport; negative p inverts the power."""
     if p == 0:
         return f
+    # a right factor moves columns as its transpose moves rows
     if op.orientation == "WFU":
-        shifted = shift_multiply(
-            f, op.shift, p, "left", horizon=horizon, window_cap=window_cap
-        )
-        return permute_multiply(
-            shifted, op.unitary, p, "right", horizon=horizon, window_cap=window_cap
-        )
-    shifted = shift_multiply(
-        f, op.shift, p, "right", horizon=horizon, window_cap=window_cap
-    )
-    return permute_multiply(
-        shifted, op.unitary, p, "left", horizon=horizon, window_cap=window_cap
-    )
+        left = _shift_move(op.shift, p, horizon=horizon)
+        right = _unitary_move(op.unitary, -p, horizon=horizon)
+    else:
+        left = _unitary_move(op.unitary, p, horizon=horizon)
+        right = _shift_move(op.shift, p, star=True, horizon=horizon)
+    return _transport(f, left, right, window_cap=window_cap)
 
 
 def orbit(

@@ -212,6 +212,44 @@ def trace_norm(a: FiniteMatrix, *, use_fast_paths: bool = True) -> float:
     return math.fsum(_singular_values(a).tolist())
 
 
+def _shift_move(shift, p, *, star=False, horizon):
+    """Row move of W^p (or (W*)^p) multiplied on the left."""
+    step = shift_star_power_apply if star else shift_power_apply
+
+    def move(i):
+        mono = step(shift, p, i, horizon=horizon)
+        return mono.index, mono.value
+
+    return move
+
+
+def _unitary_move(unitary, p, *, horizon):
+    """Row move of U^p multiplied on the left, with coefficient 1."""
+    return lambda i: (unitary_power_apply(unitary, p, i, horizon=horizon), 1.0)
+
+
+def _transport(a, left=None, right=None, *, window_cap):
+    """The one entry loop: (i, j) -> (left(i), right(j)), scaled by both
+    coefficients.  Each distinct row and column index moves once.
+
+    A move sends an index to (new index, coefficient) and is injective, so
+    entries never collide; None keeps that side's indices.  A factor X on
+    the right moves columns as X^T moves rows (the weights are real): U^p
+    on the right is the move of U^-p, and W^p that of (W*)^p.
+    """
+    rows = {i: left(i) if left else (i, 1.0) for i in a.row_indices()}
+    cols = {j: right(j) if right else (j, 1.0) for j in a.col_indices()}
+    out: dict[tuple[int, int], float] = {}
+    for (i, j), v in a.items():
+        (i2, ci), (j2, cj) = rows[i], cols[j]
+        if abs(i2) > window_cap or abs(j2) > window_cap:
+            raise WindowExceeded(
+                f"transported index {(i2, j2)} exceeds window cap {window_cap}"
+            )
+        out[(i2, j2)] = v * ci * cj
+    return FiniteMatrix(out)
+
+
 def shift_multiply(
     a: FiniteMatrix,
     shift: WeightedShift,
@@ -229,25 +267,8 @@ def shift_multiply(
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    step = shift_star_power_apply if star else shift_power_apply
-    out: dict[tuple[int, int], float] = {}
-    for (i, j), v in a.items():
-        if side == "left":
-            mono = step(shift, p, i, horizon=horizon)
-            key = (mono.index, j)
-        else:
-            # a @ W^p sends source column j to j - p (or j + p for the
-            # adjoint); the coefficient is the weight product that lands
-            # back on j.
-            target = j + p if star else j - p
-            mono = step(shift, p, target, horizon=horizon)
-            key = (i, target)
-        if abs(key[0]) > window_cap or abs(key[1]) > window_cap:
-            raise WindowExceeded(
-                f"transported index {key} exceeds window cap {window_cap}"
-            )
-        out[key] = out.get(key, 0.0) + v * mono.value
-    return FiniteMatrix(out)
+    move = _shift_move(shift, p, star=star != (side == "right"), horizon=horizon)
+    return _transport(a, **{side: move}, window_cap=window_cap)
 
 
 def permute_multiply(
@@ -262,18 +283,16 @@ def permute_multiply(
     """Multiply by U^p on the given side by relabeling rows or columns."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    out: dict[tuple[int, int], float] = {}
-    for (i, j), v in a.items():
-        if side == "left":
-            key = (unitary_power_apply(unitary, p, i, horizon=horizon), j)
-        else:
-            key = (i, unitary_power_apply(unitary, -p, j, horizon=horizon))
-        if abs(key[0]) > window_cap or abs(key[1]) > window_cap:
-            raise WindowExceeded(
-                f"transported index {key} exceeds window cap {window_cap}"
-            )
-        out[key] = out.get(key, 0.0) + v
-    return FiniteMatrix(out)
+    move = _unitary_move(unitary, p if side == "left" else -p, horizon=horizon)
+    return _transport(a, **{side: move}, window_cap=window_cap)
+
+
+def _shift_chain(a, factors, side, **kwargs) -> FiniteMatrix:
+    """a multiplied on the given side by the product of the (shift, p)
+    factors (leftmost outermost), one factor at a time."""
+    for shift, p in reversed(factors) if side == "left" else factors:
+        a = shift_multiply(a, shift, p, side, **kwargs)
+    return a
 
 
 def write_finmat(a: FiniteMatrix, fh) -> None:

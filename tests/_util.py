@@ -31,6 +31,16 @@ def translation(t: int = 1) -> PermutationUnitary:
     return PermutationUnitary.translation(t)
 
 
+#: Window that the table unitaries of ``table_unitary`` permute: every
+#: iterate of an index inside it stays inside, whatever the power.
+TABLE_WINDOW = range(-12, 13)
+
+
+def table_unitary(perm) -> PermutationUnitary:
+    """Table permutation sending TABLE_WINDOW[k] to perm[k]."""
+    return PermutationUnitary.from_table(dict(zip(TABLE_WINDOW, perm)))
+
+
 def canonical_instance(m: int = 1, r1: int = 1, k_max: int = 40, **kw) -> CriterionInstance:
     """Two-shift doubling/tripling configuration with exponents (r1, 2 r1)."""
     return CriterionInstance(

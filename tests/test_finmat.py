@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _util import random_matrix, translation, w1, w2
+from _util import TABLE_WINDOW, random_matrix, table_unitary, translation, w1, w2
 from opdyn import (
     ConvergenceError,
     FiniteMatrix,
@@ -254,13 +254,17 @@ def test_shift_multiply_matches_dense_composition(a, p, side, star):
     small_matrices,
     st.integers(min_value=-6, max_value=6),
     st.sampled_from(["left", "right"]),
+    st.one_of(
+        st.just(translation(2)),
+        st.permutations(list(TABLE_WINDOW)).map(table_unitary),
+    ),
 )
 @settings(max_examples=60)
-def test_permute_multiply_matches_dense_composition(a, p, side):
-    u = translation(2)
+def test_permute_multiply_matches_dense_composition(a, p, side, u):
     got = permute_multiply(a, u, p, side)
     span = a.support_radius() + 2 * abs(p) + 1
-    dense = dense_unitary_power(u, p, range(-span, span + 1))
+    cols = TABLE_WINDOW if u.kind == "table" else range(-span, span + 1)
+    dense = dense_unitary_power(u, p, cols)
     want = compose(dense, a) if side == "left" else compose(a, dense)
     assert got == want
 

@@ -265,6 +265,34 @@ def test_run_builtin_example24(tmp_path):
     assert "all-decays: yes" in (out / "summary.txt").read_text()
 
 
+def test_run_builtin_example24_cross_bounds_are_the_closed_forms(tmp_path):
+    # 9^m (2/9)^n and 9^m 2^-n hold on every row and are attained for m <= 1.
+    out = tmp_path / "e24"
+    assert run_cli("run", "example24", "--out", str(out)) == 0
+    rows = [
+        line.split(",")
+        for line in (out / "report.csv").read_text().splitlines()[1:]
+    ]
+    bounded = [row for row in rows if row[4]]
+    assert len(bounded) == 5 * 2 * 40  # windows 0..4, two cross families
+    for quantity, k, n, value, bound, _ in bounded:
+        value, bound, m = float(value), float(bound), int(quantity[-2])
+        pair = quantity.split()[0]
+        want = 9.0**m * (2 / 9 if pair == "norm(W1^(+1n)" else 1 / 2) ** int(n)
+        assert bound == pytest.approx(want, rel=1e-12), (quantity, k)
+        assert value <= bound * (1 + 1e-12), (quantity, k)
+        if m <= 1:
+            assert value == pytest.approx(bound, rel=1e-12), (quantity, k)
+
+
+def test_run_builtin_example24_bounds_underflow_instead_of_overflowing(tmp_path):
+    # 3.0 ** 647 overflowed in the bound column and crashed the run.
+    out = tmp_path / "e24"
+    assert run_cli("run", "example24", "--out", str(out), "--kmax", "650") == 0
+    rows = [line.split(",") for line in (out / "report.csv").read_text().splitlines()]
+    assert sum(1 for row in rows[1:] if row[4]) == 5 * 2 * 650
+
+
 def test_run_builtin_example28_emits_eta_artifacts(tmp_path):
     out = tmp_path / "e28"
     assert run_cli("run", "example28", "--out", str(out)) == 0
