@@ -12,7 +12,9 @@ Subcommands:
 Exit codes: 0 success (all verdicts decay, or the mode has no verdicts),
 1 some verdict is not decays-below, 2 schema or format violation,
 3 transport horizon or window cap exceeded, 4 the LAPACK SVD behind a dense
-norm did not converge.  Environment variables are never consulted.
+norm did not converge, 5 a matrix entry overflowed to inf or nan, 6 an
+internal error (the traceback is printed).  Environment variables are never
+consulted.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from dataclasses import replace
 
 from .constructor import (
@@ -53,6 +56,7 @@ from .errors import (
     ConvergenceError,
     FormatError,
     HorizonExceeded,
+    NonFiniteEntry,
     ScenarioError,
     WindowExceeded,
 )
@@ -156,40 +160,41 @@ def _mode_construct_phi(scenario: Scenario):
     return reports, artifacts
 
 
-def _mode_dual(scenario: Scenario):
-    star = scenario.adjoint_weights
-    inst = scenario.to_instance()
-    reports = check_dual_sufficient(inst, scenario.tol, star=star)
-    if scenario.witnesses is not None:
-        bundle = _load_witness_bundle(scenario, inst)
-        reports.extend(
-            check_dual_witness_conditions(inst, bundle, scenario.tol, star=star)
-        )
-    else:
-        bundle = default_bundle(inst)
-    eta_reports, etas = verify_dual_convergence(
+def _dual_instance(scenario: Scenario, m: int | None = None):
+    """The instance the dual families act on: adjoint shifts when the
+    scenario acts by adjoint weights."""
+    inst = scenario.to_instance(m=m)
+    return inst.star() if scenario.adjoint_weights else inst
+
+
+def _dual_etas(scenario: Scenario, inst: CriterionInstance, bundle):
+    """Weak-* convergence of the dual approximants eta_k for psi = P_m and
+    phi_l = E_00, and the eta_k representers as artifacts."""
+    reports, etas = verify_dual_convergence(
         bundle,
-        _default_psi(inst.m),
-        _default_phis(inst.n_ops),
+        FunctionalRep(projection_matrix(inst.m)),
+        [FunctionalRep(unit(0, 0)) for _ in range(inst.n_ops)],
         inst,
         default_probes(inst.m),
         scenario.tol,
-        star=star,
     )
-    reports.extend(eta_reports)
     artifacts = {
         f"eta_k{k:04d}.finmat": eta.representer
         for k, eta in enumerate(etas, start=1)
     }
-    return sorted(reports, key=lambda rep: rep.quantity), artifacts
+    return reports, artifacts
 
 
-def _default_psi(m: int) -> FunctionalRep:
-    return FunctionalRep(projection_matrix(m))
-
-
-def _default_phis(count: int) -> list[FunctionalRep]:
-    return [FunctionalRep(unit(0, 0)) for _ in range(count)]
+def _mode_dual(scenario: Scenario):
+    inst = _dual_instance(scenario)
+    reports = check_dual_sufficient(inst, scenario.tol)
+    if scenario.witnesses is not None:
+        bundle = _load_witness_bundle(scenario, inst)
+        reports.extend(check_dual_witness_conditions(inst, bundle, scenario.tol))
+    else:
+        bundle = default_bundle(inst)
+    eta_reports, artifacts = _dual_etas(scenario, inst, bundle)
+    return sorted(reports + eta_reports, key=lambda rep: rep.quantity), artifacts
 
 
 def _mode_example24(scenario: Scenario):
@@ -217,37 +222,24 @@ def _mode_example28(scenario: Scenario):
     reports = []
     for mm in EXAMPLE_SWEEP:
         inst = scenario.to_instance(m=mm)
+        adj = _dual_instance(scenario, m=mm)
         primal = {
             rep.quantity: [v for _, v in rep.values]
             for rep in check_sufficient_decay(inst, scenario.tol)
         }
         bounds = {
-            dual_label(inst, chain, True): primal[sufficient_label(inst, chain)]
+            dual_label(adj, chain): primal[sufficient_label(inst, chain)]
             for chain in family_chains(inst.n_ops)
         }
-        reports.extend(
-            _attach_bounds(
-                check_dual_sufficient(inst, scenario.tol, star=True), bounds
-            )
-        )
+        reports.extend(_attach_bounds(check_dual_sufficient(adj, scenario.tol), bounds))
 
-    inst = scenario.to_instance()
-    bundle = default_bundle(inst)
-    eta_reports, etas = verify_dual_convergence(
-        bundle,
-        _default_psi(inst.m),
-        _default_phis(inst.n_ops),
-        inst,
-        default_probes(inst.m),
-        scenario.tol,
-        star=True,
-    )
-    reports.extend(eta_reports)
-    artifacts = {
-        f"eta_k{k:04d}.finmat": eta.representer
-        for k, eta in enumerate(etas, start=1)
-    }
-    return sorted(reports, key=lambda rep: rep.quantity), artifacts
+    inst = _dual_instance(scenario)
+    eta_reports, artifacts = _dual_etas(scenario, inst, default_bundle(inst))
+    return sorted(reports + eta_reports, key=lambda rep: rep.quantity), artifacts
+
+
+def _open_out(outdir: str, name: str):
+    return open(os.path.join(outdir, name), "w", encoding="ascii", newline="")
 
 
 def _run_orbit(scenario: Scenario, outdir: str) -> int:
@@ -270,17 +262,11 @@ def _run_orbit(scenario: Scenario, outdir: str) -> int:
                 (n, l, op_norm(mat))
                 for n, l, mat in orbit(ops, seed, n_max, **kwargs)
             )
-    with open(
-        os.path.join(outdir, "orbit.csv"), "w", encoding="ascii", newline=""
-    ) as fh:
+    with _open_out(outdir, "orbit.csv") as fh:
         write_orbit_csv(rows, fh)
-    with open(
-        os.path.join(outdir, "report.csv"), "w", encoding="ascii", newline=""
-    ) as fh:
+    with _open_out(outdir, "report.csv") as fh:
         write_reports_csv([], fh)
-    with open(
-        os.path.join(outdir, "summary.txt"), "w", encoding="ascii", newline=""
-    ) as fh:
+    with _open_out(outdir, "summary.txt") as fh:
         fh.write(f"orbit rows: {len(rows)}\n")
     return 0
 
@@ -309,13 +295,9 @@ def _cmd_run(args) -> int:
         return _run_orbit(scenario, outdir)
 
     reports, artifacts = _MODE_HANDLERS[scenario.mode](scenario)
-    with open(
-        os.path.join(outdir, "report.csv"), "w", encoding="ascii", newline=""
-    ) as fh:
+    with _open_out(outdir, "report.csv") as fh:
         write_reports_csv(reports, fh)
-    with open(
-        os.path.join(outdir, "summary.txt"), "w", encoding="ascii", newline=""
-    ) as fh:
+    with _open_out(outdir, "summary.txt") as fh:
         fh.write(render_summary(reports))
     for name, mat in sorted(artifacts.items()):
         save_finmat(mat, os.path.join(outdir, name))
@@ -382,6 +364,12 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except NonFiniteEntry as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
+    except Exception:
+        traceback.print_exc()
+        return 6
 
 
 if __name__ == "__main__":

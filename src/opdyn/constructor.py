@@ -191,6 +191,7 @@ def verify_approximant_convergence(
 
     for k, (n, phi) in enumerate(zip(ns, phis), start=1):
         d = bundle.d_seq[k - 1]
+        df = compose(d, targets.f)
         col(f"dist(phi_k - P{m} F)").append(op_norm(phi - pmf))
         col(f"norm((D_k - P{m}) F)").append(
             op_norm(compose(d - pm, targets.f))
@@ -209,7 +210,6 @@ def verify_approximant_convergence(
             col(f"dist(T{l}^(+{r}n) phi_k - P{m} E{l})").append(
                 op_norm(moved - pme[l - 1])
             )
-            df = compose(bundle.d_seq[k - 1], targets.f)
             col(f"norm(T{l}^(+{r}n) D_k F)").append(
                 op_norm(apply_power(op, r * n, df, **kwargs))
             )

@@ -17,7 +17,7 @@ alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .elementary import ElementaryOp, apply_power
@@ -141,6 +141,10 @@ class CriterionInstance:
             raise ValueError("instance has no iterate sequence")
         return tuple(self.n_seq.value(k) for k in range(1, self.k_max + 1))
 
+    def star(self) -> "CriterionInstance":
+        """The same instance with every shift replaced by its adjoint."""
+        return replace(self, shifts=tuple(w.star() for w in self.shifts))
+
     def elementary_ops(self) -> tuple[ElementaryOp, ...]:
         return tuple(
             ElementaryOp(self.unitary, w, self.orientation) for w in self.shifts
@@ -256,14 +260,12 @@ def chain_factors(
     )
 
 
-def chain_terms(
-    inst: CriterionInstance, chain: Chain, letter: str = "W", star: bool = False
-) -> str:
-    """Label terms of a chain, e.g. ``W1^(+1n) W2^(-2n)``; ``star`` marks
-    adjoint factors as ``W1^(*+1n)``."""
-    mark = "*" if star else ""
+def chain_terms(inst: CriterionInstance, chain: Chain, letter: str = "W") -> str:
+    """Label terms of a chain, e.g. ``W1^(+1n) W2^(-2n)``; a factor whose
+    shift is adjoint is marked as ``W1^(*+1n)``."""
     return " ".join(
-        f"{letter}{l}^({mark}{'+' if sign > 0 else '-'}{inst.r_list[l - 1]}n)"
+        f"{letter}{l}^({'*' if inst.shifts[l - 1].adjoint else ''}"
+        f"{'+' if sign > 0 else '-'}{inst.r_list[l - 1]}n)"
         for l, sign in chain
     )
 
@@ -279,6 +281,22 @@ def chain_witness(
     if sign > 0:
         return "D_k", d_seq
     return f"G{l}_k", g_seqs[l - 1]
+
+
+def _family_norms(inst, ns, d_seq, g_seqs, side) -> dict[Chain, list[float]]:
+    """||X A_k|| along k for every family chain, X the chain at n_k and A_k
+    the witness it pairs with; on the ``right`` side the mirrored family
+    ||A_k X'||, X' the reversed chain."""
+    kw = dict(horizon=inst.horizon, window_cap=inst.window_cap)
+    norms = {}
+    for chain in family_chains(inst.n_ops):
+        walk = chain if side == "left" else chain[::-1]
+        _, seq = chain_witness(chain, d_seq, g_seqs)
+        norms[chain] = [
+            op_norm(_shift_chain(a, chain_factors(inst, walk, n), side, **kw))
+            for n, a in zip(ns, seq)
+        ]
+    return norms
 
 
 def sufficient_label(inst: CriterionInstance, chain: Chain) -> str:
@@ -338,7 +356,6 @@ def check_witness_conditions(
     if len(g_seqs) != inst.n_ops or any(len(g) != len(ns) for g in g_seqs):
         raise ValueError("g_seqs must be n_ops sequences of k_max members")
     pm = projection_matrix(inst.m)
-    kwargs = dict(horizon=inst.horizon, window_cap=inst.window_cap)
     reports = []
 
     vals = [op_norm(d - pm) for d in d_seq]
@@ -347,12 +364,8 @@ def check_witness_conditions(
         vals = [op_norm(g - pm) for g in g_seq]
         reports.append(make_report(f"norm(G{l}_k - P{inst.m})", ns, vals, tol))
 
-    for chain in family_chains(inst.n_ops):
-        witness, seq = chain_witness(chain, d_seq, g_seqs)
-        vals = [
-            op_norm(_shift_chain(mat, chain_factors(inst, chain, n), "left", **kwargs))
-            for n, mat in zip(ns, seq)
-        ]
+    for chain, vals in _family_norms(inst, ns, d_seq, g_seqs, "left").items():
+        witness, _ = chain_witness(chain, d_seq, g_seqs)
         label = f"norm({chain_terms(inst, chain)} {witness})"
         reports.append(make_report(label, ns, vals, tol))
     return sorted(reports, key=lambda r: r.quantity)

@@ -8,15 +8,19 @@ the transpose has representer U^p A W^p.  Weak-* convergence statements are
 proxied by a finite probe set of unit-norm matrices, which is enough to
 separate finite representers but is documented as evidence, not proof.
 
-The ``star`` flag reinterprets every shift factor as its Hilbert adjoint, so
-scenarios built on the adjoint shifts reuse the same plumbing without a
-dedicated downward-step shift type.
+The transpose of an elementary operator is again elementary: trace(A W F U)
+= trace(U A W F), so the transpose of F -> W F U is A -> U A W, the same
+operator with its orientation flipped.  Scenarios that act by adjoint
+weights pass an instance whose shifts are adjoint (``CriterionInstance.
+star``); nothing here takes a flag for it.  The right-sided families
+||P_m X|| are row cuts, which the lattice measures as the column cut of
+X* by the mirror identity ||P_m X|| = ||X* P_m||.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .constructor import WitnessBundle
@@ -24,21 +28,18 @@ from .criteria import (
     Chain,
     CriterionInstance,
     DecayReport,
+    _family_norms,
     chain_factors,
     chain_terms,
     chain_witness,
     family_chains,
     make_report,
 )
-from .elementary import ElementaryOp
+from .elementary import ElementaryOp, apply_power
 from .finmat import (
     DEFAULT_WINDOW_CAP,
     FiniteMatrix,
     Projection,
-    _shift_chain,
-    _shift_move,
-    _transport,
-    _unitary_move,
     compose,
     op_norm,
     projection_matrix,
@@ -80,16 +81,15 @@ def m_d_shift_power(
     shift,
     p: int,
     *,
-    star: bool = False,
     horizon: int = DEFAULT_HORIZON,
     window_cap: int = DEFAULT_WINDOW_CAP,
 ) -> FunctionalRep:
-    """Composition with D = W^p (or the adjoint power when star), applied by
-    transport instead of materializing D."""
+    """Composition with D = W^p, applied by transport instead of
+    materializing D."""
     return FunctionalRep(
         shift_multiply(
             phi.representer, shift, p, "right",
-            star=star, horizon=horizon, window_cap=window_cap,
+            horizon=horizon, window_cap=window_cap,
         )
     )
 
@@ -99,7 +99,6 @@ def dual_apply_power(
     p: int,
     phi: FunctionalRep,
     *,
-    star: bool = False,
     horizon: int = DEFAULT_HORIZON,
     window_cap: int = DEFAULT_WINDOW_CAP,
 ) -> FunctionalRep:
@@ -107,18 +106,11 @@ def dual_apply_power(
 
     For T(F) = W F U the representer moves to U^p A W^p; negative p gives the
     transposed inverse.  The mirrored orientation U F W moves it to W^p A U^p.
+    Either way it is op^p with the orientation flipped.
     """
-    if p == 0:
-        return phi
-    # a right factor moves columns as its transpose moves rows
-    if op.orientation == "WFU":
-        left = _unitary_move(op.unitary, p, horizon=horizon)
-        right = _shift_move(op.shift, p, star=not star, horizon=horizon)
-    else:
-        left = _shift_move(op.shift, p, star=star, horizon=horizon)
-        right = _unitary_move(op.unitary, -p, horizon=horizon)
-    moved = _transport(phi.representer, left, right, window_cap=window_cap)
-    return FunctionalRep(moved)
+    flipped = replace(op, orientation="UFW" if op.orientation == "WFU" else "WFU")
+    kwargs = dict(horizon=horizon, window_cap=window_cap)
+    return FunctionalRep(apply_power(flipped, p, phi.representer, **kwargs))
 
 
 @dataclass(frozen=True)
@@ -191,18 +183,16 @@ def dual_cross_label(m: int, s: int, rs: int, l: int, rl: int, star: bool) -> st
     )
 
 
-def dual_label(inst: CriterionInstance, chain: Chain, star: bool) -> str:
+def dual_label(inst: CriterionInstance, chain: Chain) -> str:
     """Label of the right-sided mirror of a family: the reversed chain cut
     by P_m on the left."""
-    return f"norm(P{inst.m} {chain_terms(inst, chain[::-1], star=star)})"
+    return f"norm(P{inst.m} {chain_terms(inst, chain[::-1])})"
 
 
-def check_dual_sufficient(
-    inst: CriterionInstance, tol: float, *, star: bool = True
-) -> list[DecayReport]:
+def check_dual_sufficient(inst: CriterionInstance, tol: float) -> list[DecayReport]:
     """Right-sided projected norms ||P_m W_l^{+r_l n}||, ||P_m W_l^{-r_l n}||
-    and ||P_m W_s^{-r_s n} W_l^{+r_l n}|| along n_k, with every shift factor
-    starred when the scenario acts by adjoints.
+    and ||P_m W_s^{-r_s n} W_l^{+r_l n}|| along n_k; pass ``inst.star()``
+    when the scenario acts by adjoints.
 
     Joint decay is the sufficient condition for the transposed operator
     tuple to mix finite-representer functionals.
@@ -212,14 +202,11 @@ def check_dual_sufficient(
     for chain in family_chains(inst.n_ops):
         vals = [
             monomial_product_norm_rowcut(
-                chain_factors(inst, chain[::-1], n),
-                inst.m,
-                star=star,
-                horizon=inst.horizon,
+                chain_factors(inst, chain[::-1], n), inst.m, horizon=inst.horizon
             ).value
             for n in ns
         ]
-        reports.append(make_report(dual_label(inst, chain, star), ns, vals, tol))
+        reports.append(make_report(dual_label(inst, chain), ns, vals, tol))
     return sorted(reports, key=lambda rep: rep.quantity)
 
 
@@ -227,8 +214,6 @@ def check_dual_witness_conditions(
     inst: CriterionInstance,
     bundle: WitnessBundle,
     tol: float,
-    *,
-    star: bool = True,
 ) -> list[DecayReport]:
     """Right-sided decay on explicit witnesses, plus the strong-convergence
     proxy distances of D_k and G_k^(l) to P_n (n = the bundle window).
@@ -244,7 +229,6 @@ def check_dual_witness_conditions(
         raise ValueError("bundle operator count disagrees with the instance")
     n_win = bundle.m
     pn = projection_matrix(n_win)
-    kwargs = dict(star=star, horizon=inst.horizon, window_cap=inst.window_cap)
     reports = []
 
     vals = [strong_limit_distance(d, pn, n_win) for d in bundle.d_seq]
@@ -255,14 +239,10 @@ def check_dual_witness_conditions(
             make_report(f"slim-dist(G{l}_k - P{n_win})", ns, vals, tol)
         )
 
-    for chain in family_chains(inst.n_ops):
-        witness, seq = chain_witness(chain, bundle.d_seq, bundle.g_seqs)
-        rev = chain[::-1]
-        vals = [
-            op_norm(_shift_chain(mat, chain_factors(inst, rev, n), "right", **kwargs))
-            for n, mat in zip(ns, seq)
-        ]
-        label = f"norm({witness} {chain_terms(inst, rev, star=star)})"
+    norms = _family_norms(inst, ns, bundle.d_seq, bundle.g_seqs, "right")
+    for chain, vals in norms.items():
+        witness, _ = chain_witness(chain, bundle.d_seq, bundle.g_seqs)
+        label = f"norm({witness} {chain_terms(inst, chain[::-1])})"
         reports.append(make_report(label, ns, vals, tol))
     return sorted(reports, key=lambda rep: rep.quantity)
 
@@ -273,8 +253,6 @@ def construct_dual_approximant(
     phi_list: Sequence[FunctionalRep],
     inst: CriterionInstance,
     k: int,
-    *,
-    star: bool = False,
 ) -> FunctionalRep:
     """eta_k with representer A_psi P_n D_k + sum_l of the transported
     A_{phi_l} P_n G_k^(l) pulled back by the inverse transpose powers."""
@@ -292,8 +270,7 @@ def construct_dual_approximant(
             compose(phi.representer, compose(pn, g_seq[k - 1]))
         )
         moved = dual_apply_power(
-            op, -r * n, inner,
-            star=star, horizon=inst.horizon, window_cap=inst.window_cap,
+            op, -r * n, inner, horizon=inst.horizon, window_cap=inst.window_cap
         )
         rep = rep + moved.representer
     return FunctionalRep(rep)
@@ -306,21 +283,19 @@ def verify_dual_convergence(
     inst: CriterionInstance,
     probes: TestSet,
     tol: float,
-    *,
-    star: bool = True,
 ) -> tuple[list[DecayReport], list[FunctionalRep]]:
     """Weak-* distances of eta_k to its targets along k, with termwise
     trace-norm bounds, and the eta_k representers themselves.
 
     The bound column majorizes each probe distance: probe norms are at most
     one, the functional norm of a representer is at most its trace norm, and
-    right factors split off at operator norm.
+    right factors split off at operator norm.  What remains of each term is
+    a dual witness family on the witnesses cut by P_n.
     """
     ns = bundle.n_values
     n_win = bundle.m
     pn = projection_matrix(n_win)
-    ops = inst.elementary_ops()
-    kwargs = dict(star=star, horizon=inst.horizon, window_cap=inst.window_cap)
+    kwargs = dict(horizon=inst.horizon, window_cap=inst.window_cap)
 
     # Targets enter only through their probe values, so those are taken once.
     psi_target = _probe_values(m_d(psi, Projection(n_win)), probes)
@@ -331,21 +306,20 @@ def verify_dual_convergence(
     phi_tns = [trace_norm(phi.representer) for phi in phi_list]
     pnd_seq = [compose(pn, d) for d in bundle.d_seq]
     png_seqs = [[compose(pn, g) for g in g_seq] for g_seq in bundle.g_seqs]
+    fam = _family_norms(inst, ns, pnd_seq, png_seqs, "right")
 
     etas = [
-        construct_dual_approximant(bundle, psi, phi_list, inst, k, star=star)
+        construct_dual_approximant(bundle, psi, phi_list, inst, k)
         for k in range(1, bundle.k_max + 1)
     ]
 
     reports = []
     vals, bounds = [], []
-    for k, (n, eta) in enumerate(zip(ns, etas)):
+    for k, eta in enumerate(etas):
         vals.append(_distance_to(eta, psi_target, probes))
         bound = psi_tn * op_norm(pnd_seq[k] - pn)
-        for w, r, phi_tn, png in zip(inst.shifts, inst.r_list, phi_tns, png_seqs):
-            bound += phi_tn * op_norm(
-                shift_multiply(png[k], w, -r * n, "right", **kwargs)
-            )
+        for l, phi_tn in enumerate(phi_tns, start=1):
+            bound += phi_tn * fam[((l, -1),)][k]
         bounds.append(bound)
     reports.append(
         make_report(
@@ -353,29 +327,22 @@ def verify_dual_convergence(
         )
     )
 
-    star_mark = "*" if star else ""
-    for l, (op_l, rl) in enumerate(zip(ops, inst.r_list), start=1):
+    for l, (op_l, rl) in enumerate(zip(inst.elementary_ops(), inst.r_list), start=1):
         vals, bounds = [], []
         for k, (n, eta) in enumerate(zip(ns, etas)):
             moved = dual_apply_power(op_l, rl * n, eta, **kwargs)
             vals.append(_distance_to(moved, phi_targets[l - 1], probes))
 
-            wl = inst.shifts[l - 1]
-            bound = psi_tn * op_norm(
-                shift_multiply(pnd_seq[k], wl, rl * n, "right", **kwargs)
-            )
+            bound = psi_tn * fam[((l, 1),)][k]
             bound += phi_tns[l - 1] * op_norm(png_seqs[l - 1][k] - pn)
-            for s, (ws, rs) in enumerate(zip(inst.shifts, inst.r_list), start=1):
-                if s == l:
-                    continue
-                chain = ((ws, -rs * n), (wl, rl * n))
-                bound += phi_tns[s - 1] * op_norm(
-                    _shift_chain(png_seqs[s - 1][k], chain, "right", **kwargs)
-                )
+            for s, phi_tn in enumerate(phi_tns, start=1):
+                if s != l:
+                    bound += phi_tn * fam[((l, 1), (s, -1))][k]
             bounds.append(bound)
         reports.append(
             make_report(
-                f"wstar-dist(T{l}^({star_mark}+{rl}n) eta_k - M_P{n_win} phi{l})",
+                f"wstar-dist({chain_terms(inst, ((l, 1),), 'T')}"
+                f" eta_k - M_P{n_win} phi{l})",
                 ns,
                 vals,
                 tol,

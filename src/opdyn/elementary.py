@@ -54,7 +54,7 @@ def apply_power(
         right = _unitary_move(op.unitary, -p, horizon=horizon)
     else:
         left = _unitary_move(op.unitary, p, horizon=horizon)
-        right = _shift_move(op.shift, p, star=True, horizon=horizon)
+        right = _shift_move(op.shift.star(), p, horizon=horizon)
     return _transport(f, left, right, window_cap=window_cap)
 
 

@@ -13,6 +13,10 @@ class WindowExceeded(OpdynError):
     """An index left a declared window or the working window cap."""
 
 
+class NonFiniteEntry(OpdynError, ValueError):
+    """A matrix entry overflowed to inf or became nan."""
+
+
 class ConvergenceError(OpdynError):
     """The LAPACK SVD behind a dense norm failed to converge."""
 

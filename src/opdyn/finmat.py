@@ -14,13 +14,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConvergenceError, FormatError, WindowExceeded
+from .errors import ConvergenceError, FormatError, NonFiniteEntry, WindowExceeded
 from .lattice import (
     DEFAULT_HORIZON,
     PermutationUnitary,
     WeightedShift,
     shift_power_apply,
-    shift_star_power_apply,
     unitary_power_apply,
 )
 
@@ -48,7 +47,7 @@ class FiniteMatrix:
             for (i, j), v in dict(entries).items():
                 v = float(v)
                 if not math.isfinite(v):
-                    raise ValueError(f"non-finite entry at ({i}, {j})")
+                    raise NonFiniteEntry(f"non-finite entry at ({i}, {j})")
                 if abs(v) < DROP_THRESHOLD:
                     continue
                 clean[(int(i), int(j))] = v
@@ -212,12 +211,11 @@ def trace_norm(a: FiniteMatrix, *, use_fast_paths: bool = True) -> float:
     return math.fsum(_singular_values(a).tolist())
 
 
-def _shift_move(shift, p, *, star=False, horizon):
-    """Row move of W^p (or (W*)^p) multiplied on the left."""
-    step = shift_star_power_apply if star else shift_power_apply
+def _shift_move(shift, p, *, horizon):
+    """Row move of W^p multiplied on the left."""
 
     def move(i):
-        mono = step(shift, p, i, horizon=horizon)
+        mono = shift_power_apply(shift, p, i, horizon=horizon)
         return mono.index, mono.value
 
     return move
@@ -235,7 +233,8 @@ def _transport(a, left=None, right=None, *, window_cap):
     A move sends an index to (new index, coefficient) and is injective, so
     entries never collide; None keeps that side's indices.  A factor X on
     the right moves columns as X^T moves rows (the weights are real): U^p
-    on the right is the move of U^-p, and W^p that of (W*)^p.
+    on the right is the move of U^-p, and W^p that of (W*)^p, the move of
+    ``W.star()``.
     """
     rows = {i: left(i) if left else (i, 1.0) for i in a.row_indices()}
     cols = {j: right(j) if right else (j, 1.0) for j in a.col_indices()}
@@ -256,18 +255,19 @@ def shift_multiply(
     p: int,
     side: str = "left",
     *,
-    star: bool = False,
     horizon: int = DEFAULT_HORIZON,
     window_cap: int = DEFAULT_WINDOW_CAP,
 ) -> FiniteMatrix:
-    """Multiply by W^p (or (W*)^p) on the given side by entry transport.
+    """Multiply by W^p on the given side by entry transport.
 
     Every entry moves to a single new position with an exact weight
     coefficient; no dense powers are ever formed.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    move = _shift_move(shift, p, star=star != (side == "right"), horizon=horizon)
+    move = _shift_move(
+        shift.star() if side == "right" else shift, p, horizon=horizon
+    )
     return _transport(a, **{side: move}, window_cap=window_cap)
 
 
@@ -321,6 +321,8 @@ def read_finmat(fh) -> FiniteMatrix:
             i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
+        if not math.isfinite(v):
+            raise FormatError(f"line {lineno}: non-finite value {parts[2]!r}")
         if (i, j) in entries:
             raise FormatError(f"line {lineno}: duplicate entry ({i}, {j})")
         entries[(i, j)] = v

@@ -86,13 +86,19 @@ class WeightRule:
 
 @dataclass(frozen=True)
 class WeightedShift:
-    """Bilateral forward weighted shift: e_j -> rule(j) e_{j+1}.
+    """Bilateral forward weighted shift: e_j -> rule(j) e_{j+1}, or its
+    adjoint, the backward shift e_j -> rule(j-1) e_{j-1}, when ``adjoint``.
 
-    The inverse acts as e_j -> rule(j-1)^{-1} e_{j-1}; both are realized by
-    ``shift_power_apply`` with a signed power.
+    The inverse acts as e_j -> rule(j-1)^{-1} e_{j-1}; every signed power of
+    either is realized by ``shift_power_apply``.
     """
 
     rule: WeightRule
+    adjoint: bool = False
+
+    def star(self) -> "WeightedShift":
+        """The Hilbert adjoint: the same weights, walked the other way."""
+        return WeightedShift(self.rule, not self.adjoint)
 
 
 @dataclass(frozen=True)
@@ -170,29 +176,25 @@ def shift_power_apply(
     """Apply W^n to e_j.
 
     Positive n walks the forward weights w(j) ... w(j+n-1); negative n walks
-    the inverse weights 1/w(j-1) ... 1/w(j-|n|).  The coefficient is returned
-    in the log domain.
+    the inverse weights 1/w(j-1) ... 1/w(j-|n|).  For an adjoint shift,
+    (W^n)* e_j lands on e_{j-n} with the coefficient W^n picks up from
+    e_{j-n}.  The coefficient is returned in the log domain.
     """
     if abs(n) > horizon:
         raise HorizonExceeded(f"shift power {n} exceeds horizon {horizon}")
+    start = j - n if shift.adjoint else j
     if n >= 0:
-        lg = _log_weight_sum(shift.rule, j, n)
+        lg = _log_weight_sum(shift.rule, start, n)
     else:
-        lg = -_log_weight_sum(shift.rule, j + n, -n)
-    return MonomialVector(index=j + n, log_coeff=lg)
+        lg = -_log_weight_sum(shift.rule, start + n, -n)
+    return MonomialVector(index=start if shift.adjoint else j + n, log_coeff=lg)
 
 
 def shift_star_power_apply(
     shift: WeightedShift, n: int, j: int, *, horizon: int = DEFAULT_HORIZON
 ) -> MonomialVector:
-    """Apply (W*)^n to e_j for the adjoint of a forward weighted shift.
-
-    The adjoint is the backward shift e_j -> w(j-1) e_{j-1}; its n-th power
-    reuses the same weight products as ``shift_power_apply`` with the start
-    index moved so that (W^n)* e_j lands on e_{j-n}.
-    """
-    base = shift_power_apply(shift, n, j - n, horizon=horizon)
-    return MonomialVector(index=j - n, log_coeff=base.log_coeff)
+    """Apply (W*)^n to e_j."""
+    return shift_power_apply(shift.star(), n, j, horizon=horizon)
 
 
 def unitary_power_apply(
@@ -265,46 +267,24 @@ class ProductNorm:
             return math.inf
 
 
-def _walk_factors(
-    factors: Sequence[tuple[WeightedShift, int]],
-    j: int,
-    *,
-    star: bool,
-    horizon: int,
-) -> MonomialVector:
-    # Apply the operator product (leftmost factor outermost) to e_j: the
-    # rightmost factor acts first.
-    index = j
-    lg = 0.0
-    step = shift_star_power_apply if star else shift_power_apply
-    for shift, p in reversed(list(factors)):
-        mono = step(shift, p, index, horizon=horizon)
-        lg += mono.log_coeff
-        index = mono.index
-    return MonomialVector(index=index, log_coeff=lg)
-
-
-def _max_over_starts(
-    factors: Sequence[tuple[WeightedShift, int]],
-    lo: int,
-    hi: int,
-    *,
-    star: bool,
-    landing: int | None,
-    horizon: int,
+def _column_cut(
+    factors: Sequence[tuple[WeightedShift, int]], m: int, *, horizon: int
 ) -> ProductNorm:
-    # Largest walk coefficient over the start indices [lo, hi]; ties keep the
-    # smallest start.  ``landing`` asserts that every walk ends in
-    # [-landing, landing].
-    best_lg = -math.inf
-    best_j = lo
-    for j in range(lo, hi + 1):
-        mono = _walk_factors(factors, j, star=star, horizon=horizon)
-        if landing is not None and not -landing <= mono.index <= landing:
-            raise AssertionError("factor walk left the projected window")
-        if mono.log_coeff > best_lg:
-            best_lg = mono.log_coeff
-            best_j = j
+    # Largest coefficient of the operator product (leftmost factor outermost,
+    # so the rightmost acts first) over the start indices [-m, m]; ties keep
+    # the smallest start.
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    walk = list(reversed(list(factors)))
+    best_lg, best_j = -math.inf, -m
+    for j in range(-m, m + 1):
+        index, lg = j, 0.0
+        for shift, p in walk:
+            mono = shift_power_apply(shift, p, index, horizon=horizon)
+            lg += mono.log_coeff
+            index = mono.index
+        if lg > best_lg:
+            best_lg, best_j = lg, j
     return ProductNorm(log_value=best_lg, attained_at=best_j)
 
 
@@ -320,36 +300,20 @@ def monomial_product_norm(
     basis vector, so the norm is the maximum absolute weight product over
     start indices j in [-m, m].  Ties resolve to the smallest start index.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return _max_over_starts(
-        factors, -m, m, star=False, landing=None, horizon=horizon
-    )
+    return _column_cut(factors, m, horizon=horizon)
 
 
 def monomial_product_norm_rowcut(
     factors: Sequence[tuple[WeightedShift, int]],
     m: int,
     *,
-    star: bool = False,
     horizon: int = DEFAULT_HORIZON,
 ) -> ProductNorm:
-    """Norm of P_m (W_1^{p_1} ... W_r^{p_r}), optionally with every factor
-    replaced by its adjoint.
+    """Norm of P_m (W_1^{p_1} ... W_r^{p_r}).
 
-    With the projection on the left the constraint sits on the landing index,
-    so the maximum runs over the start indices whose image falls in [-m, m]
-    (a row-max weight product, mirroring the column-max rule of
-    ``monomial_product_norm``).
+    By the mirror identity ||P_m X|| = ||X* P_m||, this is the column cut of
+    the reversed chain of adjoint factors; ``attained_at`` is the row in
+    [-m, m] where the maximum lands.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    displacement = sum((-p if star else p) for _, p in factors)
-    return _max_over_starts(
-        factors,
-        -m - displacement,
-        m - displacement,
-        star=star,
-        landing=m,
-        horizon=horizon,
-    )
+    mirrored = [(shift.star(), p) for shift, p in reversed(list(factors))]
+    return _column_cut(mirrored, m, horizon=horizon)

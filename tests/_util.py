@@ -95,6 +95,32 @@ def frac_chain_norm(factor_specs, m: int) -> tuple[Fraction, int]:
     return best, best_j
 
 
+def frac_rowcut_norm(factor_specs, m: int) -> Fraction:
+    """Exact norm of P_m times a shift-power product: the largest
+    coefficient over the start indices whose walk lands in [-m, m].
+
+    ``factor_specs`` lists (weight_fn, power, adjoint) left to right.  An
+    adjoint factor (W^p)* sends e_j to e_{j-p} with the coefficient that W^p
+    picks up from e_{j-p}.  Every start within reach of the window is
+    walked, so the landing set is found by search, not by a displacement.
+    """
+    reach = sum(abs(p) for _, p, _ in factor_specs)
+    best = None
+    for j in range(-m - reach, m + reach + 1):
+        coeff = Fraction(1)
+        idx = j
+        for weight_fn, p, adjoint in reversed(list(factor_specs)):
+            if adjoint:
+                c, _ = frac_shift_power(weight_fn, p, idx - p)
+                idx -= p
+            else:
+                c, idx = frac_shift_power(weight_fn, p, idx)
+            coeff *= c
+        if -m <= idx <= m and (best is None or coeff > best):
+            best = coeff
+    return best
+
+
 def flog(fr: Fraction) -> float:
     """Natural log of a positive fraction without intermediate overflow."""
     return math.log(fr.numerator) - math.log(fr.denominator)

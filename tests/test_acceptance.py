@@ -212,7 +212,7 @@ def test_acceptance_7_adjoint_symmetry_and_weak_star_decay():
     ok = True
     for m, r1 in GRID:
         inst = canonical_instance(m=m, r1=r1, k_max=40)
-        dual = {r.quantity: r for r in check_dual_sufficient(inst, 1e-6)}
+        dual = {r.quantity: r for r in check_dual_sufficient(inst.star(), 1e-6)}
         primal = {r.quantity: r for r in check_sufficient_decay(inst, 1e-6)}
         pairs = [
             (dual_single_label(m, 1, r1, "+", True), pos_label(1, r1, m)),
@@ -231,7 +231,7 @@ def test_acceptance_7_adjoint_symmetry_and_weak_star_decay():
     psi = FunctionalRep(projection_matrix(1))
     phis = [FunctionalRep(unit(0, 0)), FunctionalRep(unit(0, 0))]
     reports, _ = verify_dual_convergence(
-        bundle, psi, phis, inst, default_probes(1), 1e-6
+        bundle, psi, phis, inst.star(), default_probes(1), 1e-6
     )
     eta_vals = dict(
         next(r for r in reports if r.quantity == "wstar-dist(eta_k - M_P1 psi)").values

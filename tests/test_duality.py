@@ -106,8 +106,9 @@ def test_m_d_composes_contravariantly(a, d1, d2):
 @settings(max_examples=40)
 def test_m_d_shift_power_is_right_multiplication(a, p, star):
     phi = FunctionalRep(a)
-    got = m_d_shift_power(phi, w2(), p, star=star).representer
-    want = shift_multiply(a, w2(), p, "right", star=star)
+    shift = w2().star() if star else w2()
+    got = m_d_shift_power(phi, shift, p).representer
+    want = shift_multiply(a, shift, p, "right")
     assert got == want
 
 
@@ -169,8 +170,8 @@ def dense_translation_matrix(t, p, span) -> FiniteMatrix:
 @given(small_matrices, st.integers(min_value=-4, max_value=4), st.sampled_from(["WFU", "UFW"]))
 @settings(max_examples=40)
 def test_starred_transposed_action_matches_dense_adjoint_product(a, p, orientation):
-    op = ElementaryOp(translation(1), w2(), orientation)
-    got = dual_apply_power(op, p, FunctionalRep(a), star=True).representer
+    op = ElementaryOp(translation(1), w2().star(), orientation)
+    got = dual_apply_power(op, p, FunctionalRep(a)).representer
     span = a.support_radius() + 3 * abs(p) + 2
     wp = dense_shift_power_matrix(w2(), p, span).transpose()  # (W^p)* for real weights
     up = dense_translation_matrix(1, p, span)
@@ -226,7 +227,7 @@ def test_strong_limit_distance_reads_columns_inside_the_window():
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_dual_sufficient_star_families_match_the_primal_families(m):
     inst = canonical_instance(m=m, r1=1, k_max=40)
-    dual = {r.quantity: r for r in check_dual_sufficient(inst, 1e-6)}
+    dual = {r.quantity: r for r in check_dual_sufficient(inst.star(), 1e-6)}
     primal = {r.quantity: r for r in check_sufficient_decay(inst, 1e-6)}
     pairs = [
         (dual_single_label(m, 1, 1, "+", True), pos_label(1, 1, m)),
@@ -245,7 +246,7 @@ def test_dual_sufficient_star_families_match_the_primal_families(m):
 
 def test_dual_sufficient_without_star_grows_for_the_doubling_weight():
     inst = canonical_instance(m=0, r1=1, k_max=10)
-    reports = {r.quantity: r for r in check_dual_sufficient(inst, 1e-6, star=False)}
+    reports = {r.quantity: r for r in check_dual_sufficient(inst, 1e-6)}
     rep = reports[dual_single_label(0, 1, 1, "+", False)]
     for k, v in rep.values:
         assert log_rel_close(v, k * math.log(2.0), 1e-10)
@@ -255,8 +256,8 @@ def test_dual_sufficient_without_star_grows_for_the_doubling_weight():
 def test_dual_witness_conditions_reduce_to_dual_sufficient_on_projections():
     inst = canonical_instance(m=1, r1=1, k_max=15)
     bundle = default_bundle(inst)
-    witness = {r.quantity: r for r in check_dual_witness_conditions(inst, bundle, 1e-6)}
-    plain = {r.quantity: r for r in check_dual_sufficient(inst, 1e-6)}
+    witness = {r.quantity: r for r in check_dual_witness_conditions(inst.star(), bundle, 1e-6)}
+    plain = {r.quantity: r for r in check_dual_sufficient(inst.star(), 1e-6)}
     pair_map = {
         "norm(D_k W1^(*+1n))": dual_single_label(1, 1, 1, "+", True),
         "norm(D_k W2^(*+2n))": dual_single_label(1, 2, 2, "+", True),
@@ -285,8 +286,8 @@ def test_dual_witness_cross_family_pairs_with_the_inverse_operator_witness():
         d_seq=base.d_seq,
         g_seqs=(base.g_seqs[0], (half,) * base.k_max),
     )
-    witness = {r.quantity: r for r in check_dual_witness_conditions(inst, bundle, 1e-6)}
-    plain = {r.quantity: r for r in check_dual_sufficient(inst, 1e-6)}
+    witness = {r.quantity: r for r in check_dual_witness_conditions(inst.star(), bundle, 1e-6)}
+    plain = {r.quantity: r for r in check_dual_sufficient(inst.star(), 1e-6)}
     halved = witness["norm(G2_k W2^(*-2n) W1^(*+1n))"].values
     for (k, vw), (_, vp) in zip(halved, plain[dual_cross_label(1, 2, 2, 1, 1, True)].values):
         assert math.isclose(vw, 0.5 * vp, rel_tol=1e-12)
@@ -336,7 +337,7 @@ def test_verify_dual_convergence_decays_and_respects_bounds():
     psi = FunctionalRep(projection_matrix(1))
     phis = [FunctionalRep(unit(0, 0)), FunctionalRep(unit(0, 0))]
     reports, etas = verify_dual_convergence(
-        bundle, psi, phis, inst, default_probes(1), 1e-6
+        bundle, psi, phis, inst.star(), default_probes(1), 1e-6
     )
     assert len(etas) == inst.k_max
     assert all_decay(reports)

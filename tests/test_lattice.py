@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from _util import (
     flog,
     frac_chain_norm,
+    frac_rowcut_norm,
     frac_shift_power,
     frac_w1,
     frac_w2,
@@ -273,9 +274,32 @@ def test_product_norm_matches_exact_fraction_chain(m, p, q):
 def test_rowcut_star_norm_equals_mirrored_column_norm(m, p, q):
     # cutting rows after adjoint factors measures the same product as
     # cutting columns before the unstarred factors in reverse order
-    rowcut = monomial_product_norm_rowcut([(w2(), -q), (w1(), p)], m, star=True)
+    rowcut = monomial_product_norm_rowcut([(w2().star(), -q), (w1().star(), p)], m)
     colcut = monomial_product_norm([(w1(), p), (w2(), -q)], m)
     assert rowcut.log_value == colcut.log_value
+
+
+@given(
+    m=st.integers(min_value=0, max_value=4),
+    specs=st.lists(
+        st.tuples(
+            st.sampled_from([1, 2]),
+            st.integers(min_value=-20, max_value=20),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_rowcut_norm_matches_exact_fraction_landing_search(m, specs):
+    shifts = {1: (w1(), frac_w1), 2: (w2(), frac_w2)}
+    factors = [
+        (shifts[w][0].star() if adjoint else shifts[w][0], p)
+        for w, p, adjoint in specs
+    ]
+    got = monomial_product_norm_rowcut(factors, m)
+    want = flog(frac_rowcut_norm([(shifts[w][1], p, a) for w, p, a in specs], m))
+    assert abs(got.log_value - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def test_rowcut_without_star_cuts_rows_of_the_plain_product():

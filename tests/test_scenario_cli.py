@@ -238,6 +238,45 @@ def test_run_convergence_failure_exits_four(tmp_path, monkeypatch):
     assert run_cli("run", path, "--out", str(tmp_path / "o")) == 4
 
 
+def test_run_overflowing_orbit_exits_five(tmp_path, capsys):
+    # W^n e_0 = 2^n overflows past n = 1023: a numeric failure, not a
+    # family that failed to decay
+    save_finmat(projection_matrix(0), tmp_path / "seed.finmat")
+    text = (
+        "opdyn-scenario v1\nname = o\nmode = orbit\n"
+        "unitary = translation 1\nweight1 = piecewise 1/2 2\nr_list = 1\n"
+        "m = 0\nk_max = 1100\nseeds = seed.finmat\n"
+    )
+    path = write_scenario(tmp_path, text)
+    assert run_cli("run", path, "--out", str(tmp_path / "o")) == 5
+    assert "non-finite entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_run_non_finite_matrix_file_exits_two(tmp_path, capsys, value):
+    (tmp_path / "seed.finmat").write_text(f"finmat v1\n0 0 {value}\n")
+    text = (
+        "opdyn-scenario v1\nname = o\nmode = orbit\n"
+        + CANONICAL_LINES
+        + "m = 0\nk_max = 4\nseeds = seed.finmat\n"
+    )
+    path = write_scenario(tmp_path, text)
+    assert run_cli("run", path, "--out", str(tmp_path / "o")) == 2
+    assert "line 2: non-finite value" in capsys.readouterr().err
+
+
+def test_run_internal_error_exits_six_with_traceback(tmp_path, monkeypatch, capsys):
+    import opdyn.cli as cli
+
+    def explode(scenario):
+        raise KeyError("bug")
+
+    monkeypatch.setitem(cli._MODE_HANDLERS, "corollary", explode)
+    path = write_scenario(tmp_path, corollary_text())
+    assert run_cli("run", path, "--out", str(tmp_path / "o")) == 6
+    assert "Traceback" in capsys.readouterr().err
+
+
 def test_run_tol_and_kmax_overrides(tmp_path):
     path = write_scenario(tmp_path, corollary_text(m=0, k_max=30))
     out = tmp_path / "o"
