@@ -37,7 +37,6 @@ from .criteria import (
     check_pointwise_decay,
     check_sufficient_decay,
     check_witness_conditions,
-    cross_label,
     family_chains,
     render_summary,
     sufficient_label,
@@ -203,11 +202,15 @@ def _mode_example24(scenario: Scenario):
     reports = []
     for mm in EXAMPLE_SWEEP:
         inst = scenario.to_instance(m=mm)
-        r1, r2 = inst.r_list
+        r1 = inst.r_list[0]
         ns = inst.n_values()
         bounds = {
-            cross_label(1, r1, 2, r2, mm): [9.0**mm * (2 / 9) ** (r1 * n) for n in ns],
-            cross_label(2, r2, 1, r1, mm): [9.0**mm * 0.5 ** (r1 * n) for n in ns],
+            sufficient_label(inst, ((1, 1), (2, -1))): [
+                9.0**mm * (2 / 9) ** (r1 * n) for n in ns
+            ],
+            sufficient_label(inst, ((2, 1), (1, -1))): [
+                9.0**mm * 0.5 ** (r1 * n) for n in ns
+            ],
         }
         reports.extend(
             _attach_bounds(check_sufficient_decay(inst, scenario.tol), bounds)

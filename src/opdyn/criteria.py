@@ -224,18 +224,6 @@ def all_decay(reports: Iterable[DecayReport]) -> bool:
     return all(r.verdict.kind == "decays-below" for r in reports)
 
 
-def pos_label(l: int, r: int, m: int) -> str:
-    return f"norm(W{l}^(+{r}n) P{m})"
-
-
-def neg_label(l: int, r: int, m: int) -> str:
-    return f"norm(W{l}^(-{r}n) P{m})"
-
-
-def cross_label(l: int, rl: int, s: int, rs: int, m: int) -> str:
-    return f"norm(W{l}^(+{rl}n) W{s}^(-{rs}n) P{m})"
-
-
 #: A decay family as (operator, sign) factors, leftmost outermost.  Operator
 #: l (1-based) enters with exponent sign * r_l * n.
 Chain = tuple[tuple[int, int], ...]

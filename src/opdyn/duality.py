@@ -7,6 +7,8 @@ representer by two-sided transport: for T(F) = W F U the image of phi_A under
 the transpose has representer U^p A W^p.  Weak-* convergence statements are
 proxied by a finite probe set of unit-norm matrices, which is enough to
 separate finite representers but is documented as evidence, not proof.
+A ``TestSet`` indexes its probe entries once, by the representer position
+each pairs with, so one walk over a representer pairs it with every probe.
 
 The transpose of an elementary operator is again elementary: trace(A W F U)
 = trace(U A W F), so the transpose of F -> W F U is A -> U A W, the same
@@ -20,7 +22,7 @@ X* by the mirror identity ||P_m X|| = ||X* P_m||.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .constructor import WitnessBundle
@@ -121,13 +123,20 @@ class TestSet:
     __test__ = False
 
     probes: tuple[FiniteMatrix, ...]
+    # (p, q) -> [(probe number, F[q, p])]: the probe entries that the
+    # representer entry A[p, q] pairs with under trace(A F)
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.probes:
             raise ValueError("probe set must be nonempty")
-        for mat in self.probes:
+        index = {}
+        for k, mat in enumerate(self.probes):
             if op_norm(mat) > 1.0 + 1e-12:
                 raise ValueError("probe operator norm exceeds 1")
+            for (q, p), w in mat.items():
+                index.setdefault((p, q), []).append((k, w))
+        object.__setattr__(self, "_index", index)
 
 
 def default_probes(m: int) -> TestSet:
@@ -140,12 +149,20 @@ def default_probes(m: int) -> TestSet:
 
 
 def _probe_values(phi: FunctionalRep, probes: TestSet) -> list[float]:
-    return [eval_functional(phi, f) for f in probes.probes]
+    """[eval_functional(phi, f) for f in probes.probes] in one walk over the
+    representer.  Each probe gets the same products in the same order, so
+    every value is bit-identical."""
+    terms: list[list[float]] = [[] for _ in probes.probes]
+    index = probes._index
+    for key, v in phi.representer.items():
+        for k, w in index.get(key, ()):
+            terms[k].append(v * w)
+    return [math.fsum(t) for t in terms]
 
 
 def _distance_to(phi: FunctionalRep, target: list[float], probes: TestSet) -> float:
     # weak_star_distance to a functional given by its probe values
-    return max(abs(eval_functional(phi, f) - t) for f, t in zip(probes.probes, target))
+    return max(abs(v - t) for v, t in zip(_probe_values(phi, probes), target))
 
 
 def weak_star_distance(
@@ -164,22 +181,6 @@ def strong_limit_distance(a: FiniteMatrix, b: FiniteMatrix, window: int) -> floa
     return max(
         (math.sqrt(s) for j, s in sq.items() if abs(j) <= window),
         default=0.0,
-    )
-
-
-def _exp_label(r: int, sign: str, star: bool) -> str:
-    mark = "*" if star else ""
-    return f"({mark}{sign}{r}n)"
-
-
-def dual_single_label(m: int, l: int, r: int, sign: str, star: bool) -> str:
-    return f"norm(P{m} W{l}^{_exp_label(r, sign, star)})"
-
-
-def dual_cross_label(m: int, s: int, rs: int, l: int, rl: int, star: bool) -> str:
-    return (
-        f"norm(P{m} W{s}^{_exp_label(rs, '-', star)}"
-        f" W{l}^{_exp_label(rl, '+', star)})"
     )
 
 
@@ -276,6 +277,19 @@ def construct_dual_approximant(
     return FunctionalRep(rep)
 
 
+def _majorant_norms(inst: CriterionInstance, bundle: WitnessBundle):
+    """The norms in verify_dual_convergence's bound column, on the witnesses
+    cut by P_n: ||P_n D_k - P_n|| and ||P_n G_k^(l) - P_n|| along k, and the
+    right-sided witness families.  The cut witnesses are not kept."""
+    pn = projection_matrix(bundle.m)
+    pnd_seq = [compose(pn, d) for d in bundle.d_seq]
+    png_seqs = [[compose(pn, g) for g in g_seq] for g_seq in bundle.g_seqs]
+    d_gaps = [op_norm(a - pn) for a in pnd_seq]
+    g_gaps = [[op_norm(a - pn) for a in seq] for seq in png_seqs]
+    fam = _family_norms(inst, bundle.n_values, pnd_seq, png_seqs, "right")
+    return d_gaps, g_gaps, fam
+
+
 def verify_dual_convergence(
     bundle: WitnessBundle,
     psi: FunctionalRep,
@@ -294,7 +308,6 @@ def verify_dual_convergence(
     """
     ns = bundle.n_values
     n_win = bundle.m
-    pn = projection_matrix(n_win)
     kwargs = dict(horizon=inst.horizon, window_cap=inst.window_cap)
 
     # Targets enter only through their probe values, so those are taken once.
@@ -304,9 +317,7 @@ def verify_dual_convergence(
     ]
     psi_tn = trace_norm(psi.representer)
     phi_tns = [trace_norm(phi.representer) for phi in phi_list]
-    pnd_seq = [compose(pn, d) for d in bundle.d_seq]
-    png_seqs = [[compose(pn, g) for g in g_seq] for g_seq in bundle.g_seqs]
-    fam = _family_norms(inst, ns, pnd_seq, png_seqs, "right")
+    d_gaps, g_gaps, fam = _majorant_norms(inst, bundle)
 
     etas = [
         construct_dual_approximant(bundle, psi, phi_list, inst, k)
@@ -317,7 +328,7 @@ def verify_dual_convergence(
     vals, bounds = [], []
     for k, eta in enumerate(etas):
         vals.append(_distance_to(eta, psi_target, probes))
-        bound = psi_tn * op_norm(pnd_seq[k] - pn)
+        bound = psi_tn * d_gaps[k]
         for l, phi_tn in enumerate(phi_tns, start=1):
             bound += phi_tn * fam[((l, -1),)][k]
         bounds.append(bound)
@@ -334,7 +345,7 @@ def verify_dual_convergence(
             vals.append(_distance_to(moved, phi_targets[l - 1], probes))
 
             bound = psi_tn * fam[((l, 1),)][k]
-            bound += phi_tns[l - 1] * op_norm(png_seqs[l - 1][k] - pn)
+            bound += phi_tns[l - 1] * g_gaps[l - 1][k]
             for s, phi_tn in enumerate(phi_tns, start=1):
                 if s != l:
                     bound += phi_tn * fam[((l, 1), (s, -1))][k]

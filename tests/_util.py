@@ -157,3 +157,35 @@ def unit_norm_matrix(rng: random.Random, m: int) -> FiniteMatrix:
 
     a = random_matrix(rng, m, density=1.0, scale=1.0)
     return a * (1.0 / op_norm(a))
+
+
+# Report labels, spelled out by hand as an independent check on the labels
+# that ``criteria.chain_terms`` builds from family chains.
+
+
+def pos_label(l: int, r: int, m: int) -> str:
+    return f"norm(W{l}^(+{r}n) P{m})"
+
+
+def neg_label(l: int, r: int, m: int) -> str:
+    return f"norm(W{l}^(-{r}n) P{m})"
+
+
+def cross_label(l: int, rl: int, s: int, rs: int, m: int) -> str:
+    return f"norm(W{l}^(+{rl}n) W{s}^(-{rs}n) P{m})"
+
+
+def _exp_label(r: int, sign: str, star: bool) -> str:
+    mark = "*" if star else ""
+    return f"({mark}{sign}{r}n)"
+
+
+def dual_single_label(m: int, l: int, r: int, sign: str, star: bool) -> str:
+    return f"norm(P{m} W{l}^{_exp_label(r, sign, star)})"
+
+
+def dual_cross_label(m: int, s: int, rs: int, l: int, rl: int, star: bool) -> str:
+    return (
+        f"norm(P{m} W{s}^{_exp_label(rs, '-', star)}"
+        f" W{l}^{_exp_label(rl, '+', star)})"
+    )

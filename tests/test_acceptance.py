@@ -11,10 +11,15 @@ from fractions import Fraction
 
 from _util import (
     canonical_instance,
+    cross_label,
+    dual_cross_label,
+    dual_single_label,
     flog,
     frac_chain_norm,
     frac_w1,
     frac_w2,
+    neg_label,
+    pos_label,
     translation,
     unit_norm_matrix,
     w1,
@@ -42,14 +47,12 @@ from opdyn.constructor import (
     default_bundle,
     verify_approximant_convergence,
 )
-from opdyn.criteria import check_sufficient_decay, cross_label, neg_label, pos_label
+from opdyn.criteria import check_sufficient_decay
 from opdyn.duality import (
     FunctionalRep,
     check_dual_sufficient,
     default_probes,
     dual_apply_power,
-    dual_cross_label,
-    dual_single_label,
     eval_functional,
     verify_dual_convergence,
 )

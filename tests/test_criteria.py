@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 
 from _util import (
     canonical_instance,
+    cross_label,
     flog,
     frac_chain_norm,
     frac_w1,
     frac_w2,
     log_le,
     log_rel_close,
+    neg_label,
+    pos_label,
     random_matrix,
     translation,
     w1,
@@ -31,10 +34,7 @@ from opdyn.criteria import (
     check_pointwise_decay,
     check_sufficient_decay,
     check_witness_conditions,
-    cross_label,
     make_report,
-    neg_label,
-    pos_label,
     render_summary,
     search_subsequence,
     sufficient_decay_logs,

@@ -7,7 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _util import canonical_instance, log_rel_close, random_matrix, translation, w1, w2
+from _util import (
+    canonical_instance,
+    cross_label,
+    dual_cross_label,
+    dual_single_label,
+    log_rel_close,
+    neg_label,
+    pos_label,
+    random_matrix,
+    translation,
+    unit_norm_matrix,
+    w1,
+    w2,
+)
 from opdyn import (
     CriterionInstance,
     FiniteMatrix,
@@ -16,21 +29,21 @@ from opdyn import (
     compose,
     op_norm,
     projection_matrix,
+    trace_norm,
     truncate_right,
     unit,
 )
 from opdyn.constructor import WitnessBundle, default_bundle
-from opdyn.criteria import all_decay, check_sufficient_decay, cross_label, neg_label, pos_label
+from opdyn.criteria import all_decay, check_sufficient_decay
 from opdyn.duality import (
     FunctionalRep,
     TestSet,
+    _probe_values,
     check_dual_sufficient,
     check_dual_witness_conditions,
     construct_dual_approximant,
     default_probes,
     dual_apply_power,
-    dual_cross_label,
-    dual_single_label,
     eval_functional,
     m_d,
     m_d_shift_power,
@@ -211,6 +224,47 @@ def test_weak_star_distance_examples():
     assert weak_star_distance(phi, zero, probes) == 1.0
 
 
+@st.composite
+def overlapping_probe_sets(draw):
+    """Probe sets on a window [-m, m] whose supports overlap: projections,
+    scaled matrix units and scaled dense probes, each pick possibly repeated."""
+    m = draw(st.integers(min_value=0, max_value=2))
+    rng = draw(st.randoms(use_true_random=False))
+    pool = [projection_matrix(j) for j in range(m + 1)]
+    pool += [
+        unit(i, j, rng.choice([1.0, -1.0, rng.uniform(-1.0, 1.0)]))
+        for i in range(-m, m + 1)
+        for j in range(-m, m + 1)
+    ]
+    for _ in range(3):
+        dense = random_matrix(rng, m, density=1.0, scale=1.0)
+        if op_norm(dense) > 1e-6:
+            pool.append(dense * (rng.uniform(0.1, 1.0) / op_norm(dense)))
+    picks = draw(
+        st.lists(st.integers(min_value=0, max_value=len(pool) - 1), min_size=1, max_size=16)
+    )
+    return TestSet(probes=tuple(pool[i] for i in picks))
+
+
+# representers reach up to two indices past every probe's window
+wide_functionals = st.builds(
+    lambda rng, m, scale: FunctionalRep(random_matrix(rng, m, scale=scale)),
+    rng=st.randoms(use_true_random=False),
+    m=st.integers(min_value=0, max_value=4),
+    scale=st.sampled_from([1e-3, 4.0, 1e6]),
+)
+
+
+@given(overlapping_probe_sets(), wide_functionals, wide_functionals)
+@settings(max_examples=80)
+def test_one_pass_probe_values_equal_the_per_probe_pairings(probes, phi, psi):
+    per_probe = [eval_functional(phi, f) for f in probes.probes]
+    assert _probe_values(phi, probes) == per_probe
+    assert weak_star_distance(phi, psi, probes) == max(
+        abs(v - eval_functional(psi, f)) for v, f in zip(per_probe, probes.probes)
+    )
+
+
 def test_strong_limit_distance_reads_columns_inside_the_window():
     a = projection_matrix(2)
     assert strong_limit_distance(a, a, 2) == 0.0
@@ -345,3 +399,77 @@ def test_verify_dual_convergence_decays_and_respects_bounds():
         assert rep.bounds is not None
         for (k, v), (_, b) in zip(rep.values, rep.bounds):
             assert v <= b + 1e-8
+
+
+def test_verify_dual_convergence_rows_equal_the_per_probe_spelling():
+    """Rows and bounds of the one-pass verifier against eval_functional,
+    probe by probe, on perturbed witnesses and a probe set that is not
+    closed under transposition, so a transposed pairing shows."""
+    rng = random.Random(7)
+    inst = canonical_instance(m=2, r1=1, k_max=8).star()
+    ns = inst.n_values()
+    pn = projection_matrix(2)
+    bundle = WitnessBundle(
+        m=2,
+        n_values=ns,
+        d_seq=tuple(pn + random_matrix(rng, 2, scale=4.0**-k) for k in ns),
+        g_seqs=tuple(
+            tuple(pn + random_matrix(rng, 2, scale=4.0**-k) for k in ns) for _ in range(2)
+        ),
+    )
+    psi = FunctionalRep(random_matrix(rng, 2))
+    phis = [FunctionalRep(random_matrix(rng, 2)) for _ in range(2)]
+    probes = TestSet(
+        probes=tuple(projection_matrix(j) for j in range(3))
+        + tuple(unit(i, j) for i in range(-2, 3) for j in range(i, 3))
+        + (unit_norm_matrix(rng, 2),)
+    )
+    reports, etas = verify_dual_convergence(bundle, psi, phis, inst, probes, 1e-6)
+
+    def dist(phi, target):
+        return max(
+            abs(eval_functional(phi, f) - eval_functional(target, f)) for f in probes.probes
+        )
+
+    cut = WitnessBundle(
+        m=2,
+        n_values=ns,
+        d_seq=tuple(compose(pn, d) for d in bundle.d_seq),
+        g_seqs=tuple(tuple(compose(pn, g) for g in seq) for seq in bundle.g_seqs),
+    )
+    fam = {
+        r.quantity: [v for _, v in r.values]
+        for r in check_dual_witness_conditions(inst, cut, 1e-6)
+    }
+    psi_tn = trace_norm(psi.representer)
+    phi_tns = [trace_norm(phi.representer) for phi in phis]
+    r = inst.r_list
+    ops = inst.elementary_ops()
+
+    vals = [dist(eta, m_d(psi, Projection(2))) for eta in etas]
+    bounds = []
+    for k in range(inst.k_max):
+        bound = psi_tn * op_norm(cut.d_seq[k] - pn)
+        for l in (1, 2):
+            bound += phi_tns[l - 1] * fam[f"norm(G{l}_k W{l}^(*-{r[l - 1]}n))"][k]
+        bounds.append(bound)
+    expected = [(vals, bounds)]
+    for l, s in ((1, 2), (2, 1)):
+        target = m_d(phis[l - 1], Projection(2))
+        vals = [
+            dist(dual_apply_power(ops[l - 1], r[l - 1] * n, eta), target)
+            for n, eta in zip(ns, etas)
+        ]
+        cross = f"norm(G{s}_k W{s}^(*-{r[s - 1]}n) W{l}^(*+{r[l - 1]}n))"
+        bounds = [
+            psi_tn * fam[f"norm(D_k W{l}^(*+{r[l - 1]}n))"][k]
+            + phi_tns[l - 1] * op_norm(cut.g_seqs[l - 1][k] - pn)
+            + phi_tns[s - 1] * fam[cross][k]
+            for k in range(inst.k_max)
+        ]
+        expected.append((vals, bounds))
+
+    assert len(reports) == 3
+    for rep, (vals, bounds) in zip(reports, expected):
+        assert [v for _, v in rep.values] == vals
+        assert [b for _, b in rep.bounds] == bounds
