@@ -1,9 +1,13 @@
 """Finite-rank operators as sparse real matrices over the integer lattice.
 
-Entries live in a dict keyed by (row, col); everything downstream relies on
-construction-time canonicalization (sorted keys, sub-denormal magnitudes
-dropped) so that iteration order, and hence every accumulated float and every
-serialized byte, is reproducible.
+A matrix is three numpy columns in (row, col) order: int64 rows, int64
+columns and float64 values, each key once, sub-denormal magnitudes dropped.
+Everything downstream relies on that canonical form, so that iteration
+order, and hence every accumulated float and every serialized byte, is
+reproducible.  Every operation works on the columns as arrays and does the
+same float operations in the same order as a walk over the entries would:
+several products landing on one key are summed sequentially in the order
+the walk meets them.
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ from .lattice import (
     DEFAULT_HORIZON,
     PermutationUnitary,
     WeightedShift,
-    shift_power_apply,
-    unitary_power_apply,
+    _exp,
+    _shift_power_logs,
+    _unitary_power_indices,
 )
 
 #: Magnitudes below this are dropped at construction.
@@ -31,84 +36,181 @@ DEFAULT_WINDOW_CAP = 1 << 20
 
 FINMAT_HEADER = "finmat v1"
 
+#: Range of a stored index (int64).
+_INDEX_MIN, _INDEX_MAX = -(1 << 63), (1 << 63) - 1
+
+#: Products may overflow to inf (or give inf * 0): that is reported as a
+#: NonFiniteEntry, as a float loop would, not warned about.
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
 
 class FiniteMatrix:
     """Sparse real matrix indexed by pairs of (possibly negative) integers.
 
-    Immutable by convention: no method mutates the entry dict after
+    Immutable by convention: no method mutates the columns after
     construction.  Scalars are IEEE doubles; non-finite entries are rejected.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_rows", "_cols", "_vals")
 
     def __init__(self, entries=None):
-        clean = {}
-        if entries:
-            for (i, j), v in dict(entries).items():
-                v = float(v)
-                if not math.isfinite(v):
-                    raise NonFiniteEntry(f"non-finite entry at ({i}, {j})")
-                if abs(v) < DROP_THRESHOLD:
-                    continue
-                clean[(int(i), int(j))] = v
-        self._entries = dict(sorted(clean.items()))
+        entries = dict(entries) if entries else {}
+        keys = list(entries)
+        vals = np.fromiter(map(float, entries.values()), np.float64, len(keys))
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            i, j = keys[int(np.argmax(bad))]
+            raise NonFiniteEntry(f"non-finite entry at ({i}, {j})")
+        try:
+            idx = np.array(keys, dtype=np.int64).reshape(len(keys), 2)
+        except OverflowError as exc:
+            raise ValueError("matrix index does not fit int64") from exc
+        keep = np.abs(vals) >= DROP_THRESHOLD
+        if not keep.all():
+            idx, vals = idx[keep], vals[keep]
+        rows, cols = idx[:, 0], idx[:, 1]
+        order, new = _key_order(rows, cols)
+        if not new.all():
+            # keys that are equal as integers keep the value given last
+            last = np.ones(len(new), dtype=bool)
+            last[:-1] = new[1:]
+            order = order[last]
+        self._rows, self._cols, self._vals = rows[order], cols[order], vals[order]
+
+    @classmethod
+    def _of(cls, rows, cols, vals) -> "FiniteMatrix":
+        # columns already canonical
+        a = object.__new__(cls)
+        a._rows, a._cols, a._vals = rows, cols, vals
+        return a
 
     def entry(self, i: int, j: int) -> float:
-        return self._entries.get((i, j), 0.0)
+        rows, cols = self._rows, self._cols
+        lo, hi = rows.searchsorted(i), rows.searchsorted(i, "right")
+        k = lo + cols[lo:hi].searchsorted(j)
+        return float(self._vals[k]) if k < hi and cols[k] == j else 0.0
 
     def items(self) -> Iterator[tuple[tuple[int, int], float]]:
-        return iter(self._entries.items())
+        keys = zip(self._rows.tolist(), self._cols.tolist())
+        return zip(keys, self._vals.tolist())
 
     @property
     def nnz(self) -> int:
-        return len(self._entries)
+        return len(self._vals)
 
     def is_zero(self) -> bool:
-        return not self._entries
+        return not len(self._vals)
 
     def row_indices(self) -> list[int]:
-        return sorted({i for i, _ in self._entries})
+        return _distinct(self._rows)[0].tolist()
 
     def col_indices(self) -> list[int]:
-        return sorted({j for _, j in self._entries})
+        return _distinct(self._cols)[0].tolist()
 
     def support_radius(self) -> int:
-        if not self._entries:
+        if self.is_zero():
             return 0
-        return max(max(abs(i), abs(j)) for i, j in self._entries)
+        return int(max(np.abs(self._rows).max(), np.abs(self._cols).max()))
 
     def transpose(self) -> "FiniteMatrix":
-        return FiniteMatrix({(j, i): v for (i, j), v in self._entries.items()})
+        order = np.lexsort((self._rows, self._cols))
+        return FiniteMatrix._of(
+            self._cols[order], self._rows[order], self._vals[order]
+        )
 
     def __add__(self, other: "FiniteMatrix") -> "FiniteMatrix":
-        out = dict(self._entries)
-        for key, v in other._entries.items():
-            out[key] = out.get(key, 0.0) + v
-        return FiniteMatrix(out)
+        return _summed(self, other, other._vals)
 
     def __sub__(self, other: "FiniteMatrix") -> "FiniteMatrix":
-        out = dict(self._entries)
-        for key, v in other._entries.items():
-            out[key] = out.get(key, 0.0) - v
-        return FiniteMatrix(out)
+        return _summed(self, other, -other._vals)
 
     def __neg__(self) -> "FiniteMatrix":
-        return FiniteMatrix({k: -v for k, v in self._entries.items()})
+        return FiniteMatrix._of(self._rows, self._cols, -self._vals)
 
+    @_quiet
     def __mul__(self, scalar: float) -> "FiniteMatrix":
-        return FiniteMatrix({k: v * scalar for k, v in self._entries.items()})
+        return _checked(self._rows, self._cols, self._vals * float(scalar))
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteMatrix):
             return NotImplemented
-        return self._entries == other._entries
+        return (
+            np.array_equal(self._rows, other._rows)
+            and np.array_equal(self._cols, other._cols)
+            and np.array_equal(self._vals, other._vals)
+        )
 
     __hash__ = None
 
     def __repr__(self) -> str:
         return f"FiniteMatrix(nnz={self.nnz})"
+
+
+def _run_starts(s: np.ndarray) -> np.ndarray:
+    """Mask of the positions where a run of equal values of s begins."""
+    new = np.empty(len(s), dtype=bool)
+    new[:1] = True
+    np.not_equal(s[1:], s[:-1], out=new[1:])
+    return new
+
+
+def _key_order(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable (row, col) order of the keys, and a mask over the sorted keys
+    that marks the first of each run of equal keys."""
+    order = np.lexsort((cols, rows))
+    return order, _run_starts(rows[order]) | _run_starts(cols[order])
+
+
+def _sorted(x: np.ndarray) -> np.ndarray:
+    # lexsort, which key ordering needs anyway, rather than np.sort: the
+    # first np.sort call maps ~0.4 MB more of numpy's sort kernels
+    return x[np.lexsort((x,))]
+
+
+def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of x, and the position of each x among them."""
+    s = _sorted(x)
+    values = s[_run_starts(s)]
+    return values, values.searchsorted(x)
+
+
+def _checked(rows, cols, vals, met=None) -> FiniteMatrix:
+    """Matrix of distinct keys in (row, col) order: a non-finite value
+    raises NonFiniteEntry at the key met first (``met`` ranks the keys, array
+    order when None), and magnitudes below DROP_THRESHOLD are dropped."""
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        k = np.flatnonzero(bad)
+        k = k[np.argmin(met[k])] if met is not None else k[0]
+        raise NonFiniteEntry(f"non-finite entry at ({rows[k]}, {cols[k]})")
+    keep = np.abs(vals) >= DROP_THRESHOLD
+    if not keep.all():
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    return FiniteMatrix._of(rows, cols, vals)
+
+
+def _sum_by_key(rows, cols, vals) -> FiniteMatrix:
+    """Matrix of the sums of ``vals`` per (row, col) key.  Each sum starts at
+    0.0 and adds its terms in array order, as a dict accumulating the terms
+    in that order would; a non-finite sum is reported at the key that dict
+    would have met first."""
+    order, new = _key_order(rows, cols)
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    sums = np.bincount(group, weights=vals, minlength=int(new.sum()))
+    first = order[new]
+    return _checked(rows[first], cols[first], sums, met=first)
+
+
+def _summed(a: FiniteMatrix, b: FiniteMatrix, b_vals: np.ndarray) -> FiniteMatrix:
+    # a + b with b's values replaced by b_vals: a's terms come first
+    return _sum_by_key(
+        np.concatenate((a._rows, b._rows)),
+        np.concatenate((a._cols, b._cols)),
+        np.concatenate((a._vals, b_vals)),
+    )
 
 
 def unit(i: int, j: int, value: float = 1.0) -> FiniteMatrix:
@@ -133,46 +235,42 @@ class Projection:
         return projection_matrix(self.m)
 
 
+@_quiet
 def compose(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:
     """Matrix product a @ b."""
-    b_rows: dict[int, list[tuple[int, float]]] = {}
-    for (i, j), v in b.items():
-        b_rows.setdefault(i, []).append((j, v))
-    out: dict[tuple[int, int], float] = {}
-    for (i, k), va in a.items():
-        for j, vb in b_rows.get(k, ()):
-            key = (i, j)
-            out[key] = out.get(key, 0.0) + va * vb
-    return FiniteMatrix(out)
+    # every product a[i, k] * b[k, j] in (i, k, j) order, summed per (i, j)
+    lo = b._rows.searchsorted(a._cols)
+    count = b._rows.searchsorted(a._cols, "right") - lo
+    ai = np.repeat(np.arange(len(count)), count)
+    bi = np.arange(len(ai)) + np.repeat(lo - (np.cumsum(count) - count), count)
+    return _sum_by_key(a._rows[ai], b._cols[bi], a._vals[ai] * b._vals[bi])
 
 
 def truncate_left(a: FiniteMatrix, m: int) -> FiniteMatrix:
     """P_m @ a: keep only the rows in [-m, m]."""
-    return FiniteMatrix({(i, j): v for (i, j), v in a.items() if -m <= i <= m})
+    lo, hi = a._rows.searchsorted(-m), a._rows.searchsorted(m, "right")
+    return FiniteMatrix._of(a._rows[lo:hi], a._cols[lo:hi], a._vals[lo:hi])
 
 
 def truncate_right(a: FiniteMatrix, m: int) -> FiniteMatrix:
     """a @ P_m: keep only the columns in [-m, m]."""
-    return FiniteMatrix({(i, j): v for (i, j), v in a.items() if -m <= j <= m})
+    keep = np.abs(a._cols) <= m
+    return FiniteMatrix._of(a._rows[keep], a._cols[keep], a._vals[keep])
 
 
 def is_monomial(a: FiniteMatrix) -> bool:
     """True when every row and every column holds at most one nonzero."""
-    rows, cols = set(), set()
-    for (i, j), _ in a.items():
-        if i in rows or j in cols:
-            return False
-        rows.add(i)
-        cols.add(j)
-    return True
+    if a.nnz < 2:
+        return True
+    rows, cols = a._rows, _sorted(a._cols)
+    return not ((rows[1:] == rows[:-1]).any() or (cols[1:] == cols[:-1]).any())
 
 
 def _dense_block(a: FiniteMatrix) -> np.ndarray:
-    ri = {r: k for k, r in enumerate(a.row_indices())}
-    ci = {c: k for k, c in enumerate(a.col_indices())}
-    block = np.zeros((len(ri), len(ci)))
-    for (i, j), v in a.items():
-        block[ri[i], ci[j]] = v
+    rows, at_row = _distinct(a._rows)
+    cols, at_col = _distinct(a._cols)
+    block = np.zeros((len(rows), len(cols)))
+    block[at_row, at_col] = a._vals
     return block
 
 
@@ -194,7 +292,7 @@ def op_norm(a: FiniteMatrix, *, use_fast_paths: bool = True) -> float:
     if a.is_zero():
         return 0.0
     if use_fast_paths and is_monomial(a):
-        return max(abs(v) for _, v in a.items())
+        return float(np.abs(a._vals).max())
     return float(_singular_values(a)[0])
 
 
@@ -207,46 +305,65 @@ def trace_norm(a: FiniteMatrix, *, use_fast_paths: bool = True) -> float:
     if a.is_zero():
         return 0.0
     if use_fast_paths and is_monomial(a):
-        return math.fsum(abs(v) for _, v in a.items())
+        return math.fsum(np.abs(a._vals).tolist())
     return math.fsum(_singular_values(a).tolist())
 
 
 def _shift_move(shift, p, *, horizon):
-    """Row move of W^p multiplied on the left."""
+    """Row move of W^p multiplied on the left: landing indices and
+    coefficients for an array of indices."""
 
-    def move(i):
-        mono = shift_power_apply(shift, p, i, horizon=horizon)
-        return mono.index, mono.value
+    def move(idx):
+        to, lg = _shift_power_logs(shift, p, idx, horizon=horizon)
+        return to, np.fromiter(map(_exp, lg.tolist()), np.float64, len(lg))
 
     return move
 
 
 def _unitary_move(unitary, p, *, horizon):
-    """Row move of U^p multiplied on the left, with coefficient 1."""
-    return lambda i: (unitary_power_apply(unitary, p, i, horizon=horizon), 1.0)
+    """Row move of U^p multiplied on the left, with coefficient 1 (None)."""
+    return lambda idx: (_unitary_power_indices(unitary, p, idx, horizon=horizon), None)
 
 
+def _moved(idx, move):
+    """One side's indices and coefficients (or None) after ``move``, each
+    distinct index moved once."""
+    if move is None:
+        return idx, None
+    distinct, at = _distinct(idx)
+    to, coeff = move(distinct)
+    return to[at], None if coeff is None else coeff[at]
+
+
+@_quiet
 def _transport(a, left=None, right=None, *, window_cap):
-    """The one entry loop: (i, j) -> (left(i), right(j)), scaled by both
-    coefficients.  Each distinct row and column index moves once.
+    """The one entry transport: (i, j) -> (left(i), right(j)), scaled by
+    both coefficients.  Each distinct row and column index moves once, the
+    rows first, in ascending order.
 
-    A move sends an index to (new index, coefficient) and is injective, so
-    entries never collide; None keeps that side's indices.  A factor X on
-    the right moves columns as X^T moves rows (the weights are real): U^p
-    on the right is the move of U^-p, and W^p that of (W*)^p, the move of
-    ``W.star()``.
+    A move sends an index array to (new indices, coefficients or None) and
+    is injective, so entries never collide; None keeps that side's indices.
+    A factor X on the right moves columns as X^T moves rows (the weights are
+    real): U^p on the right is the move of U^-p, and W^p that of (W*)^p, the
+    move of ``W.star()``.
     """
-    rows = {i: left(i) if left else (i, 1.0) for i in a.row_indices()}
-    cols = {j: right(j) if right else (j, 1.0) for j in a.col_indices()}
-    out: dict[tuple[int, int], float] = {}
-    for (i, j), v in a.items():
-        (i2, ci), (j2, cj) = rows[i], cols[j]
-        if abs(i2) > window_cap or abs(j2) > window_cap:
-            raise WindowExceeded(
-                f"transported index {(i2, j2)} exceeds window cap {window_cap}"
-            )
-        out[(i2, j2)] = v * ci * cj
-    return FiniteMatrix(out)
+    if a.is_zero():
+        return a
+    rows, ci = _moved(a._rows, left)
+    cols, cj = _moved(a._cols, right)
+    out = (np.abs(rows) > window_cap) | (np.abs(cols) > window_cap)
+    if out.any():
+        k = int(np.argmax(out))
+        position = (int(rows[k]), int(cols[k]))
+        raise WindowExceeded(
+            f"transported index {position} exceeds window cap {window_cap}"
+        )
+    vals = a._vals
+    for coeff in (ci, cj):
+        if coeff is not None:
+            vals = vals * coeff
+    order = np.lexsort((cols, rows))
+    return _checked(rows[order], cols[order], vals[order], met=order)
 
 
 def shift_multiply(
@@ -302,8 +419,7 @@ def write_finmat(a: FiniteMatrix, fh) -> None:
     round-trips the double bit-exactly.
     """
     fh.write(FINMAT_HEADER + "\n")
-    for (i, j), v in a.items():
-        fh.write(f"{i} {j} {v!r}\n")
+    fh.write("".join(f"{i} {j} {v!r}\n" for (i, j), v in a.items()))
 
 
 def read_finmat(fh) -> FiniteMatrix:
@@ -321,6 +437,8 @@ def read_finmat(fh) -> FiniteMatrix:
             i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
+        if not (_INDEX_MIN <= i <= _INDEX_MAX and _INDEX_MIN <= j <= _INDEX_MAX):
+            raise FormatError(f"line {lineno}: index does not fit int64")
         if not math.isfinite(v):
             raise FormatError(f"line {lineno}: non-finite value {parts[2]!r}")
         if (i, j) in entries:

@@ -8,19 +8,41 @@ cut by the projection onto span{e_{-m}, ..., e_m} have operator norms that are
 exact maxima of weight products along index paths.  Coefficients are
 accumulated in the natural-log domain throughout because the products of
 interest routinely span hundreds of orders of magnitude.
+
+Every walk is an array operation over all the indices that share a power:
+``_shift_power_logs`` sums log weights for a whole index array at once, and
+a table permutation indexes its orbits once, so pi^n(j) is a lookup.
+Indices are int64.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import HorizonExceeded, WindowExceeded
 
 #: Largest transport power any single operation will walk, unless overridden.
 DEFAULT_HORIZON = 10_000
+
+
+def _index_array(values, what: str) -> np.ndarray:
+    """Lattice indices as an int64 array; ValueError when one does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"{what} does not fit int64") from exc
+
+
+def _exp(log_value: float) -> float:
+    """exp into the linear domain, inf on overflow."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -61,8 +83,9 @@ class WeightRule:
         for _, w in entries:
             prefix.append(prefix[-1] + (math.log(w) - slopes[0]))
         object.__setattr__(self, "_slopes", slopes)
-        object.__setattr__(self, "_keys", tuple(j for j, _ in entries))
-        object.__setattr__(self, "_prefix", tuple(prefix))
+        keys = _index_array([j for j, _ in entries], "weight table index")
+        object.__setattr__(self, "_keys", keys)
+        object.__setattr__(self, "_prefix", np.array(prefix))
 
     def _all_weights(self):
         if self.kind == "piecewise":
@@ -118,6 +141,7 @@ class PermutationUnitary:
         if self.kind == "translation":
             if self.t == 0:
                 raise ValueError("translation step must be nonzero")
+            _index_array(self.t, "translation step")
         elif self.kind == "table":
             forward = dict(self.table)
             if len(forward) != len(self.table):
@@ -125,8 +149,10 @@ class PermutationUnitary:
             values = list(forward.values())
             if len(set(values)) != len(values):
                 raise ValueError("permutation table is not injective")
-            object.__setattr__(self, "_forward", forward)
-            object.__setattr__(self, "_inverse", {v: k for k, v in forward.items()})
+            nodes, info, seq = _orbits(forward)
+            object.__setattr__(self, "_nodes", _index_array(nodes, "permutation table index"))
+            object.__setattr__(self, "_info", np.array(info, dtype=np.int64))
+            object.__setattr__(self, "_seq", np.array(seq, dtype=np.int64))
         else:
             raise ValueError(f"unknown permutation kind {self.kind!r}")
 
@@ -140,6 +166,46 @@ class PermutationUnitary:
         return PermutationUnitary(kind="table", table=items)
 
 
+#: Modulus of a position on a path: larger than any position a walk can
+#: reach, so a path never wraps around.
+_PATH = 1 << 62
+
+
+def _orbits(forward: dict[int, int]):
+    """Index the orbits of a table permutation once.
+
+    Returns the sorted indices the table touches, one row (first, modulus,
+    length, position) per index, and the orbits laid end to end: the orbit
+    starts at ``first`` and has ``length`` members.  A cycle wraps modulo its
+    length; a path, from an index without preimage to the first iterate
+    outside the table, does not (its modulus is ``_PATH``).
+    """
+    inverse = {v: k for k, v in forward.items()}
+    seq: list[int] = []
+    info: dict[int, tuple[int, int, int, int]] = {}
+
+    def record(orbit, cyclic):
+        first, length = len(seq), len(orbit)
+        seq.extend(orbit)
+        for pos, j in enumerate(orbit):
+            info[j] = (first, length if cyclic else _PATH, length, pos)
+
+    for j in sorted(forward):
+        if j not in inverse:
+            path = [j]
+            while path[-1] in forward:
+                path.append(forward[path[-1]])
+            record(path, False)
+    for j in sorted(forward):
+        if j not in info:
+            cycle = [j]
+            while forward[cycle[-1]] != j:
+                cycle.append(forward[cycle[-1]])
+            record(cycle, True)
+    nodes = sorted(info)
+    return nodes, [info[j] for j in nodes], seq
+
+
 @dataclass(frozen=True)
 class MonomialVector:
     """A single-term vector exp(log_coeff) * e_index."""
@@ -149,25 +215,38 @@ class MonomialVector:
 
     @property
     def value(self) -> float:
-        try:
-            return math.exp(self.log_coeff)
-        except OverflowError:
-            return math.inf
+        return _exp(self.log_coeff)
 
 
-def _log_weight_sum(rule: WeightRule, start: int, count: int) -> float:
-    # Sum of log w(i) over the half-open index range [start, start + count).
+def _log_weight_sums(rule: WeightRule, starts: np.ndarray, count: int) -> np.ndarray:
+    # Sum of log w(i) over the half-open range [s, s + count) for every
+    # start s: the two slope terms, plus the table departures by prefix sums.
     if count <= 0:
-        return 0.0
-    end = start + count
-    neg = max(0, min(end, 0) - start)
+        return np.zeros(len(starts))
+    ends = starts + count
+    neg = np.maximum(0, np.minimum(ends, 0) - starts)
     log_neg, log_nonneg = rule._slopes
+    lg = neg * log_neg + (count - neg) * log_nonneg
     keys, prefix = rule._keys, rule._prefix
-    return (
-        neg * log_neg
-        + (count - neg) * log_nonneg
-        + (prefix[bisect_left(keys, end)] - prefix[bisect_left(keys, start)])
-    )
+    if len(keys):
+        # without a table the departure term is +0.0, and lg is never -0.0
+        lg += prefix[np.searchsorted(keys, ends)] - prefix[np.searchsorted(keys, starts)]
+    return lg
+
+
+def _shift_power_logs(
+    shift: WeightedShift, n: int, idx: np.ndarray, *, horizon: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """W^n on e_j for every j in ``idx``: landing indices and log
+    coefficients (see ``shift_power_apply``)."""
+    if abs(n) > horizon:
+        raise HorizonExceeded(f"shift power {n} exceeds horizon {horizon}")
+    start = idx - n if shift.adjoint else idx
+    if n >= 0:
+        lg = _log_weight_sums(shift.rule, start, n)
+    else:
+        lg = -_log_weight_sums(shift.rule, start + n, -n)
+    return (start if shift.adjoint else idx + n), lg
 
 
 def shift_power_apply(
@@ -180,14 +259,10 @@ def shift_power_apply(
     (W^n)* e_j lands on e_{j-n} with the coefficient W^n picks up from
     e_{j-n}.  The coefficient is returned in the log domain.
     """
-    if abs(n) > horizon:
-        raise HorizonExceeded(f"shift power {n} exceeds horizon {horizon}")
-    start = j - n if shift.adjoint else j
-    if n >= 0:
-        lg = _log_weight_sum(shift.rule, start, n)
-    else:
-        lg = -_log_weight_sum(shift.rule, start + n, -n)
-    return MonomialVector(index=start if shift.adjoint else j + n, log_coeff=lg)
+    index, lg = _shift_power_logs(
+        shift, n, _index_array([j], "index"), horizon=horizon
+    )
+    return MonomialVector(index=int(index[0]), log_coeff=float(lg[0]))
 
 
 def shift_star_power_apply(
@@ -197,24 +272,46 @@ def shift_star_power_apply(
     return shift_power_apply(shift.star(), n, j, horizon=horizon)
 
 
-def unitary_power_apply(
-    unitary: PermutationUnitary, n: int, j: int, *, horizon: int = DEFAULT_HORIZON
-) -> int:
-    """Return pi^n(j).  Table permutations iterate step by step and raise
-    WindowExceeded as soon as an iterate leaves the declared window."""
+def _unitary_power_indices(
+    unitary: PermutationUnitary, n: int, idx: np.ndarray, *, horizon: int
+) -> np.ndarray:
+    """pi^n(j) for every j in ``idx``.  A table permutation raises
+    WindowExceeded for the first j whose walk leaves the declared window,
+    naming the index it left from, as a step-by-step walk would."""
     if abs(n) > horizon:
         raise HorizonExceeded(f"permutation power {n} exceeds horizon {horizon}")
     if unitary.kind == "translation":
-        return j + n * unitary.t
-    table = unitary._forward if n >= 0 else unitary._inverse
-    cur = j
-    for _ in range(abs(n)):
-        if cur not in table:
-            raise WindowExceeded(
-                f"index {cur} left the declared permutation window"
-            )
-        cur = table[cur]
-    return cur
+        return idx + n * unitary.t
+    if n == 0 or not len(idx):
+        return idx
+    nodes = unitary._nodes
+    if not len(nodes):
+        raise WindowExceeded(f"index {idx[0]} left the declared permutation window")
+    at = np.minimum(np.searchsorted(nodes, idx), len(nodes) - 1)
+    first, modulus, length, pos = unitary._info[at].T
+    pos = (pos + n) % modulus
+    bad = (nodes[at] != idx) | (pos >= length)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if nodes[at[k]] != idx[k]:
+            gone = idx[k]
+        else:
+            # a path is left at its start walking back, at its end forward
+            gone = unitary._seq[first[k] + (0 if n < 0 else length[k] - 1)]
+        raise WindowExceeded(f"index {gone} left the declared permutation window")
+    return unitary._seq[first + pos]
+
+
+def unitary_power_apply(
+    unitary: PermutationUnitary, n: int, j: int, *, horizon: int = DEFAULT_HORIZON
+) -> int:
+    """Return pi^n(j).  A table permutation looks the power up on the orbit
+    of j and raises WindowExceeded when the walk leaves the declared
+    window."""
+    index = _unitary_power_indices(
+        unitary, n, _index_array([j], "index"), horizon=horizon
+    )
+    return int(index[0])
 
 
 def escape_index(
@@ -232,15 +329,14 @@ def escape_index(
         raise ValueError("m must be nonnegative")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    points = list(range(-m, m + 1))
-    current = list(points)
+    current = np.arange(-m, m + 1)
     last_hit = 0
     for n in range(1, horizon + 1):
         try:
-            current = [unitary_power_apply(unitary, 1, j, horizon=horizon) for j in current]
+            current = _unitary_power_indices(unitary, 1, current, horizon=horizon)
         except WindowExceeded:
             return None
-        if any(-m <= x <= m for x in current):
+        if (np.abs(current) <= m).any():
             last_hit = n
     if last_hit == horizon:
         return None
@@ -261,10 +357,7 @@ class ProductNorm:
 
     @property
     def value(self) -> float:
-        try:
-            return math.exp(self.log_value)
-        except OverflowError:
-            return math.inf
+        return _exp(self.log_value)
 
 
 def _column_cut(
@@ -273,19 +366,15 @@ def _column_cut(
     # Largest coefficient of the operator product (leftmost factor outermost,
     # so the rightmost acts first) over the start indices [-m, m]; ties keep
     # the smallest start.
+    # All starts walk together, one array step per factor.
     if m < 0:
         raise ValueError("m must be nonnegative")
-    walk = list(reversed(list(factors)))
-    best_lg, best_j = -math.inf, -m
-    for j in range(-m, m + 1):
-        index, lg = j, 0.0
-        for shift, p in walk:
-            mono = shift_power_apply(shift, p, index, horizon=horizon)
-            lg += mono.log_coeff
-            index = mono.index
-        if lg > best_lg:
-            best_lg, best_j = lg, j
-    return ProductNorm(log_value=best_lg, attained_at=best_j)
+    index, lg = np.arange(-m, m + 1), np.zeros(2 * m + 1)
+    for shift, p in reversed(list(factors)):
+        index, step = _shift_power_logs(shift, p, index, horizon=horizon)
+        lg += step
+    best = int(np.argmax(lg))
+    return ProductNorm(log_value=float(lg[best]), attained_at=best - m)
 
 
 def monomial_product_norm(

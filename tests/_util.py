@@ -2,21 +2,33 @@
 
 The fraction-based helpers recompute weight products with unbounded
 precision so that float results produced by the package can be judged
-against an independent route.
+against an independent route.  The dict-based helpers are the per-entry
+spelling of the matrix and lattice operations, which the array forms in
+the package must reproduce bit for bit.
 """
 
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
+from hypothesis import strategies as st
 
 from opdyn import (
     CriterionInstance,
     FiniteMatrix,
+    HorizonExceeded,
     NSeq,
     PermutationUnitary,
     WeightedShift,
     WeightRule,
+    WindowExceeded,
 )
+from opdyn.errors import NonFiniteEntry
+from opdyn.finmat import DROP_THRESHOLD
+from opdyn.lattice import MonomialVector, ProductNorm
 
 
 def w1() -> WeightedShift:
@@ -189,3 +201,218 @@ def dual_cross_label(m: int, s: int, rs: int, l: int, rl: int, star: bool) -> st
         f"norm(P{m} W{s}^{_exp_label(rs, '-', star)}"
         f" W{l}^{_exp_label(rl, '+', star)})"
     )
+
+
+# ---------------------------------------------------------------------------
+# Per-entry oracles.  Matrices are dicts keyed by (row, col) in sorted order,
+# and every index walks on its own; each helper does the float operations of
+# the array form in the order a plain walk meets them.
+
+
+def outcome(fn, *args, **kwargs):
+    """("ok", result) or (exception type, message): lets a test compare an
+    operation and its oracle whether or not they raise."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except (ValueError, HorizonExceeded, WindowExceeded) as exc:
+        return type(exc), str(exc)
+
+
+def dict_canonical(entries) -> dict:
+    """What FiniteMatrix(entries) stores: finite floats keyed by int pairs,
+    sorted, sub-threshold magnitudes dropped, the first non-finite entry in
+    input order rejected."""
+    clean = {}
+    if entries:
+        for (i, j), v in dict(entries).items():
+            v = float(v)
+            if not math.isfinite(v):
+                raise NonFiniteEntry(f"non-finite entry at ({i}, {j})")
+            if abs(v) < DROP_THRESHOLD:
+                continue
+            clean[(int(i), int(j))] = v
+    return dict(sorted(clean.items()))
+
+
+def dict_of(a: FiniteMatrix) -> dict:
+    return dict(a.items())
+
+
+def dict_compose(a: dict, b: dict) -> dict:
+    b_rows: dict[int, list[tuple[int, float]]] = {}
+    for (i, j), v in b.items():
+        b_rows.setdefault(i, []).append((j, v))
+    out: dict[tuple[int, int], float] = {}
+    for (i, k), va in a.items():
+        for j, vb in b_rows.get(k, ()):
+            key = (i, j)
+            out[key] = out.get(key, 0.0) + va * vb
+    return dict_canonical(out)
+
+
+def dict_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, v in b.items():
+        out[key] = out.get(key, 0.0) + v
+    return dict_canonical(out)
+
+
+def dict_sub(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, v in b.items():
+        out[key] = out.get(key, 0.0) - v
+    return dict_canonical(out)
+
+
+def dict_transport(a: dict, left=None, right=None, *, window_cap: int) -> dict:
+    """Entry transport with scalar moves i -> (new index, coefficient)."""
+    rows = {i: left(i) if left else (i, 1.0) for i in sorted({i for i, _ in a})}
+    cols = {j: right(j) if right else (j, 1.0) for j in sorted({j for _, j in a})}
+    out: dict[tuple[int, int], float] = {}
+    for (i, j), v in a.items():
+        (i2, ci), (j2, cj) = rows[i], cols[j]
+        if abs(i2) > window_cap or abs(j2) > window_cap:
+            raise WindowExceeded(
+                f"transported index {(i2, j2)} exceeds window cap {window_cap}"
+            )
+        out[(i2, j2)] = v * ci * cj
+    return dict_canonical(out)
+
+
+def dict_dense_block(a: dict) -> np.ndarray:
+    ri = {r: k for k, r in enumerate(sorted({i for i, _ in a}))}
+    ci = {c: k for k, c in enumerate(sorted({j for _, j in a}))}
+    block = np.zeros((len(ri), len(ci)))
+    for (i, j), v in a.items():
+        block[ri[i], ci[j]] = v
+    return block
+
+
+@lru_cache(maxsize=None)
+def _log_table(rule: WeightRule):
+    # slopes, sorted table indices and prefix sums of the departures from
+    # the negative-side slope, rebuilt from the rule's public fields
+    if rule.kind == "piecewise":
+        slopes, entries = (math.log(rule.neg), math.log(rule.nonneg)), []
+    else:
+        slopes = (math.log(rule.default),) * 2
+        entries = sorted(rule.table)
+    prefix = [0.0]
+    for _, w in entries:
+        prefix.append(prefix[-1] + (math.log(w) - slopes[0]))
+    return slopes, [j for j, _ in entries], prefix
+
+
+def scalar_log_weight_sum(rule: WeightRule, start: int, count: int) -> float:
+    """Sum of log w(i) over [start, start + count), one start at a time."""
+    if count <= 0:
+        return 0.0
+    (log_neg, log_nonneg), keys, prefix = _log_table(rule)
+    end = start + count
+    neg = max(0, min(end, 0) - start)
+    return (
+        neg * log_neg
+        + (count - neg) * log_nonneg
+        + (prefix[bisect_left(keys, end)] - prefix[bisect_left(keys, start)])
+    )
+
+
+def scalar_shift_power(shift: WeightedShift, n: int, j: int, horizon: int) -> MonomialVector:
+    if abs(n) > horizon:
+        raise HorizonExceeded(f"shift power {n} exceeds horizon {horizon}")
+    start = j - n if shift.adjoint else j
+    if n >= 0:
+        lg = scalar_log_weight_sum(shift.rule, start, n)
+    else:
+        lg = -scalar_log_weight_sum(shift.rule, start + n, -n)
+    return MonomialVector(index=start if shift.adjoint else j + n, log_coeff=lg)
+
+
+def scalar_column_cut(factors, m: int, horizon: int) -> ProductNorm:
+    """Largest coefficient of the product (rightmost factor first) over the
+    starts [-m, m], one start and one factor at a time; ties keep the
+    smallest start."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    walk = list(reversed(list(factors)))
+    best_lg, best_j = -math.inf, -m
+    for j in range(-m, m + 1):
+        index, lg = j, 0.0
+        for shift, p in walk:
+            mono = scalar_shift_power(shift, p, index, horizon)
+            lg += mono.log_coeff
+            index = mono.index
+        if lg > best_lg:
+            best_lg, best_j = lg, j
+    return ProductNorm(log_value=best_lg, attained_at=best_j)
+
+
+def step_walk(unitary: PermutationUnitary, n: int, j: int, horizon: int) -> int:
+    """pi^n(j) one step per unit of power; a table walk raises as soon as
+    an iterate leaves the declared window."""
+    if abs(n) > horizon:
+        raise HorizonExceeded(f"permutation power {n} exceeds horizon {horizon}")
+    if unitary.kind == "translation":
+        return j + n * unitary.t
+    forward = dict(unitary.table)
+    table = forward if n >= 0 else {v: k for k, v in forward.items()}
+    cur = j
+    for _ in range(abs(n)):
+        if cur not in table:
+            raise WindowExceeded(f"index {cur} left the declared permutation window")
+        cur = table[cur]
+    return cur
+
+
+def scalar_shift_move(shift: WeightedShift, p: int, horizon: int):
+    def move(i):
+        mono = scalar_shift_power(shift, p, i, horizon)
+        return mono.index, mono.value
+
+    return move
+
+
+def scalar_unitary_move(unitary: PermutationUnitary, p: int, horizon: int):
+    return lambda i: (step_walk(unitary, p, i, horizon), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Strategies shared by the oracle tests
+
+#: Values that exercise the drop threshold, underflowing products and
+#: overflowing sums as well as ordinary magnitudes.
+awkward_values = st.one_of(
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.sampled_from([
+        0.0, 5e-324, -1e-301, DROP_THRESHOLD, -DROP_THRESHOLD,
+        1e-160, -1e-160, 1e200, 1.5e308, -1.5e308,
+    ]),
+)
+#: Lists of entries with negative indices, repeated keys (the last one
+#: given wins) and the empty list.
+entry_lists = st.lists(
+    st.tuples(
+        st.tuples(st.integers(-5, 5), st.integers(-5, 5)), awkward_values
+    ),
+    max_size=30,
+)
+
+
+@st.composite
+def table_unitaries(draw):
+    """Table permutations whose orbits are cycles, paths that leave the
+    declared window, or both: a permutation of a small window with some
+    arrows cut or sent outside the window, or a random partial injection."""
+    window = list(range(-6, 7))
+    table = dict(zip(window, draw(st.permutations(window))))
+    for j in draw(st.lists(st.sampled_from(window), unique=True, max_size=4)):
+        del table[j]
+    for k, j in enumerate(draw(st.lists(st.sampled_from(window), unique=True, max_size=2))):
+        if j in table:
+            table[j] = 7 + k
+    if draw(st.booleans()):
+        src = draw(st.lists(st.integers(-8, 8), unique=True, max_size=14))
+        dst = draw(st.lists(st.integers(-10, 10), unique=True,
+                            min_size=len(src), max_size=len(src)))
+        table = dict(zip(src, dst))
+    return PermutationUnitary.from_table(table)

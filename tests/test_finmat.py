@@ -9,12 +9,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _util import TABLE_WINDOW, random_matrix, table_unitary, translation, w1, w2
+from _util import (
+    TABLE_WINDOW,
+    awkward_values,
+    dict_add,
+    dict_canonical,
+    dict_compose,
+    dict_dense_block,
+    dict_of,
+    dict_sub,
+    entry_lists,
+    outcome,
+    random_matrix,
+    table_unitary,
+    translation,
+    w1,
+    w2,
+)
 from opdyn import (
     ConvergenceError,
+    ElementaryOp,
     FiniteMatrix,
     FormatError,
     WindowExceeded,
+    apply_power,
     compose,
     op_norm,
     projection_matrix,
@@ -24,8 +42,11 @@ from opdyn import (
     truncate_right,
     unit,
 )
+from opdyn.errors import NonFiniteEntry
 from opdyn.finmat import (
+    DROP_THRESHOLD,
     Projection,
+    _dense_block,
     is_monomial,
     permute_multiply,
     read_finmat,
@@ -92,6 +113,99 @@ def test_arithmetic_and_equality():
 
 def test_projection_window_and_matrix():
     assert Projection(2).matrix() == projection_matrix(2)
+
+
+def test_non_finite_entry_is_named_at_the_first_bad_entry_in_input_order():
+    entries = {(3, 0): 1.0, (1, 0): math.inf, (0, 0): math.nan}
+    with pytest.raises(NonFiniteEntry, match=r"^non-finite entry at \(1, 0\)$"):
+        FiniteMatrix(entries)
+
+
+def test_items_yield_python_ints_and_floats():
+    a = FiniteMatrix({(np.int64(-2), 3): np.float64(0.5), (1, 1): 2})
+    assert [tuple(map(type, (i, j, v))) for (i, j), v in a.items()] == [
+        (int, int, float)
+    ] * 2
+    assert a.entry(-2, 3) == 0.5 and a.entry(1, 1) == 2.0 and a.entry(1, 2) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the array storage against the per-entry dict spelling
+
+def listed(fn):
+    return outcome(lambda: list(fn().items()))
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+            st.one_of(awkward_values, st.sampled_from([math.inf, -math.inf, math.nan])),
+        ),
+        max_size=30,
+    )
+)
+def test_construction_matches_the_dict_spelling(entries):
+    assert listed(lambda: FiniteMatrix(entries)) == listed(
+        lambda: dict_canonical(entries)
+    )
+
+
+@given(entry_lists, entry_lists)
+@settings(max_examples=150)
+def test_compose_add_and_sub_match_the_dict_spelling(x, y):
+    a, b = FiniteMatrix(x), FiniteMatrix(y)
+    da, db = dict_of(a), dict_of(b)
+    assert listed(lambda: compose(a, b)) == listed(lambda: dict_compose(da, db))
+    assert listed(lambda: a + b) == listed(lambda: dict_add(da, db))
+    assert listed(lambda: a - b) == listed(lambda: dict_sub(da, db))
+
+
+@given(small_matrices, small_matrices)
+def test_dense_products_sum_in_the_order_of_the_walk(a, b):
+    # several products per key: the sum order shows in the last bits
+    assert list(compose(a, b).items()) == list(
+        dict_compose(dict_of(a), dict_of(b)).items()
+    )
+
+
+def test_overflowing_product_is_named_at_the_key_met_first():
+    # the walk meets (0, 5) through k = 0 before (0, 3) through k = 1
+    a = FiniteMatrix({(0, 0): 1e200, (0, 1): 1e200})
+    b = FiniteMatrix({(0, 5): 1e200, (1, 3): 1e200})
+    with pytest.raises(NonFiniteEntry, match=r"^non-finite entry at \(0, 5\)$"):
+        compose(a, b)
+
+
+@given(entry_lists, st.integers(min_value=-1, max_value=4))
+def test_queries_and_cuts_match_the_dict_spelling(x, m):
+    a = FiniteMatrix(x)
+    d = dict_of(a)
+    block = _dense_block(a)
+    want = dict_dense_block(d)
+    assert block.shape == want.shape and np.array_equal(block, want)
+    assert a.row_indices() == sorted({i for i, _ in d})
+    assert a.col_indices() == sorted({j for _, j in d})
+    assert a.nnz == len(d)
+    assert a.support_radius() == max((max(abs(i), abs(j)) for i, j in d), default=0)
+    assert all(a.entry(i, j) == d.get((i, j), 0.0)
+               for i in range(-6, 7) for j in range(-6, 7))
+    rows = [i for i, _ in d]
+    cols = [j for _, j in d]
+    assert is_monomial(a) == (len(set(rows)) == len(rows) and len(set(cols)) == len(cols))
+    assert list(a.transpose().items()) == list(
+        dict_canonical({(j, i): v for (i, j), v in d.items()}).items()
+    )
+    assert list(truncate_left(a, m).items()) == [
+        (k, v) for k, v in d.items() if -m <= k[0] <= m
+    ]
+    assert list(truncate_right(a, m).items()) == [
+        (k, v) for k, v in d.items() if -m <= k[1] <= m
+    ]
+    assert list((-a).items()) == [(k, -v) for k, v in d.items()]
+    assert listed(lambda: a * 1e200) == listed(
+        lambda: dict_canonical({k: v * 1e200 for k, v in d.items()})
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +390,23 @@ def test_shift_multiply_window_cap():
         permute_multiply(unit(0, 0), translation(1), 20, "left", window_cap=10)
 
 
+def test_transport_past_the_window_cap_names_the_final_position():
+    a = unit(0, 0) + unit(1, 0)
+    with pytest.raises(
+        WindowExceeded, match=r"^transported index \(11, 0\) exceeds window cap 10$"
+    ):
+        shift_multiply(a, w1(), 10, "left", window_cap=10)
+
+
+def test_empty_matrix_moved_beyond_the_horizon_stays_empty():
+    # no index moves, so nothing checks the power
+    empty = FiniteMatrix()
+    u = table_unitary(list(TABLE_WINDOW))
+    assert shift_multiply(empty, w1(), 50, "right", horizon=10).is_zero()
+    assert permute_multiply(empty, u, -50, "left", horizon=10).is_zero()
+    assert apply_power(ElementaryOp(u, w2()), 50, empty, horizon=10).is_zero()
+
+
 def test_shift_multiply_rejects_unknown_side():
     with pytest.raises(ValueError):
         shift_multiply(unit(0, 0), w1(), 1, "above")
@@ -321,3 +452,12 @@ def test_finmat_header_line():
 def test_read_finmat_rejects_malformed_input(text):
     with pytest.raises(FormatError):
         read_finmat(io.StringIO(text))
+
+
+@pytest.mark.parametrize("line", ["9223372036854775808 0 1.0", "0 -9223372036854775809 1.0"])
+def test_read_finmat_rejects_indices_beyond_int64_with_the_line(line):
+    text = f"finmat v1\n0 0 1.0\n{line}\n"
+    with pytest.raises(FormatError, match="^line 3: index does not fit int64$"):
+        read_finmat(io.StringIO(text))
+    edge = "finmat v1\n9223372036854775807 -9223372036854775808 1.0\n"
+    assert read_finmat(io.StringIO(edge)).nnz == 1

@@ -3,8 +3,9 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _util import (
@@ -15,6 +16,11 @@ from _util import (
     frac_w1,
     frac_w2,
     log_rel_close,
+    outcome,
+    scalar_column_cut,
+    scalar_shift_power,
+    step_walk,
+    table_unitaries,
     translation,
     w1,
     w2,
@@ -32,6 +38,7 @@ from opdyn import (
     shift_star_power_apply,
     unitary_power_apply,
 )
+from opdyn.lattice import _unitary_power_indices
 
 
 def explicit_rule(mapping, default=1.0) -> WeightRule:
@@ -195,6 +202,50 @@ def test_table_departure_raises_window_exceeded():
         unitary_power_apply(u, 2, 0)
 
 
+@given(
+    table_unitaries(),
+    st.integers(min_value=-30, max_value=30),
+    st.lists(st.integers(min_value=-12, max_value=12), min_size=1, max_size=8),
+    st.sampled_from([20, 10_000]),
+)
+@settings(max_examples=200)
+def test_table_powers_are_the_step_by_step_walk(u, n, js, horizon):
+    for j in js:
+        assert outcome(unitary_power_apply, u, n, j, horizon=horizon) == outcome(
+            step_walk, u, n, j, horizon
+        )
+    # the array form raises for the first index, in array order, that leaves
+    idx = sorted(set(js))
+    want = []
+    for j in idx:
+        got = outcome(step_walk, u, n, j, horizon)
+        if got[0] != "ok":
+            want = got
+            break
+        want.append(got[1])
+    else:
+        want = ("ok", want)
+    got = outcome(
+        lambda: _unitary_power_indices(u, n, np.array(idx), horizon=horizon).tolist()
+    )
+    assert got == want
+
+
+def test_table_walks_name_the_index_they_leave_from():
+    # 0 -> 1 -> 2 leaves at 2 forward and at 0 walking back; 5 is unknown
+    u = PermutationUnitary.from_table({0: 1, 1: 2, 3: 4, 4: 3})
+    assert unitary_power_apply(u, 7, 3) == 4
+    with pytest.raises(WindowExceeded, match="^index 2 left"):
+        unitary_power_apply(u, 3, 0)
+    with pytest.raises(WindowExceeded, match="^index 0 left"):
+        unitary_power_apply(u, -3, 2)
+    with pytest.raises(WindowExceeded, match="^index 5 left"):
+        unitary_power_apply(u, 1, 5)
+    assert unitary_power_apply(u, 0, 5) == 5
+    with pytest.raises(HorizonExceeded):
+        unitary_power_apply(u, -11, 5, horizon=10)
+
+
 # ---------------------------------------------------------------------------
 # escape index
 
@@ -307,3 +358,68 @@ def test_rowcut_without_star_cuts_rows_of_the_plain_product():
     got = monomial_product_norm_rowcut([(w1(), 2)], 0)
     frac, _ = frac_shift_power(frac_w1, 2, -2)
     assert log_rel_close(got.value, flog(frac), 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the array column cut against the scalar walk
+
+weight_rules = st.one_of(
+    st.builds(
+        WeightRule.piecewise,
+        st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+        st.sampled_from([0.5, 1.0, 1.0 / 3.0]),
+    ),
+    st.builds(
+        WeightRule.explicit,
+        st.dictionaries(
+            st.integers(min_value=-15, max_value=15),
+            st.sampled_from([0.5, 0.75, 1.0, 2.0]),
+            max_size=8,
+        ),
+        default=st.sampled_from([0.5, 1.0, 2.0]),
+    ),
+)
+#: 1-3 plain or adjoint factors; weights drawn from a few values, so ties
+#: between starts are common.
+factor_lists = st.lists(
+    st.tuples(
+        st.builds(WeightedShift, weight_rules, st.booleans()),
+        st.integers(min_value=-12, max_value=12),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def bits(result):
+    kind, value = result
+    if kind != "ok":
+        return result
+    return kind, value.log_value.hex(), value.attained_at
+
+
+@given(factor_lists, st.integers(min_value=0, max_value=6), st.sampled_from([10, 10_000]))
+@settings(max_examples=200)
+def test_column_cut_matches_the_scalar_walk(factors, m, horizon):
+    assert bits(outcome(monomial_product_norm, factors, m, horizon=horizon)) == bits(
+        outcome(scalar_column_cut, factors, m, horizon)
+    )
+    mirrored = [(shift.star(), p) for shift, p in reversed(factors)]
+    assert bits(outcome(monomial_product_norm_rowcut, factors, m, horizon=horizon)) == bits(
+        outcome(scalar_column_cut, mirrored, m, horizon)
+    )
+
+
+@given(
+    st.builds(WeightedShift, weight_rules, st.booleans()),
+    st.integers(min_value=-25, max_value=25),
+    st.integers(min_value=-20, max_value=20),
+)
+def test_one_index_shift_power_matches_the_scalar_walk(shift, n, j):
+    def mono_bits(result):
+        kind, mono = result
+        return result if kind != "ok" else (type(mono.index), mono.index, mono.log_coeff.hex())
+
+    assert mono_bits(outcome(shift_power_apply, shift, n, j, horizon=20)) == mono_bits(
+        outcome(scalar_shift_power, shift, n, j, 20)
+    )

@@ -265,6 +265,18 @@ def test_run_non_finite_matrix_file_exits_two(tmp_path, capsys, value):
     assert "line 2: non-finite value" in capsys.readouterr().err
 
 
+def test_run_matrix_file_index_beyond_int64_exits_two(tmp_path, capsys):
+    (tmp_path / "seed.finmat").write_text("finmat v1\n0 0 1.0\n0 9223372036854775808 1.0\n")
+    text = (
+        "opdyn-scenario v1\nname = o\nmode = orbit\n"
+        + CANONICAL_LINES
+        + "m = 0\nk_max = 4\nseeds = seed.finmat\n"
+    )
+    path = write_scenario(tmp_path, text)
+    assert run_cli("run", path, "--out", str(tmp_path / "o")) == 2
+    assert "line 3: index does not fit int64" in capsys.readouterr().err
+
+
 def test_run_internal_error_exits_six_with_traceback(tmp_path, monkeypatch, capsys):
     import opdyn.cli as cli
 

@@ -12,9 +12,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _util import TABLE_WINDOW, random_matrix, table_unitary, translation, w1, w2
+from _util import (
+    TABLE_WINDOW,
+    dict_of,
+    dict_transport,
+    entry_lists,
+    outcome,
+    random_matrix,
+    scalar_shift_move,
+    scalar_unitary_move,
+    table_unitaries,
+    table_unitary,
+    translation,
+    w1,
+    w2,
+)
 from opdyn import (
+    FiniteMatrix,
     PermutationUnitary,
+    WeightedShift,
+    WeightRule,
     WindowExceeded,
     apply_power,
     dual_apply_power,
@@ -25,7 +42,13 @@ from opdyn import (
 from opdyn.cli import main
 from opdyn.duality import FunctionalRep
 from opdyn.elementary import ElementaryOp
-from opdyn.finmat import projection_matrix, save_finmat
+from opdyn.finmat import (
+    _shift_move,
+    _transport,
+    _unitary_move,
+    projection_matrix,
+    save_finmat,
+)
 
 small_matrices = st.builds(
     random_matrix,
@@ -110,3 +133,62 @@ def test_run_exits_three_when_an_orbit_leaves_the_table_window(tmp_path):
         ["run", str(tmp_path / "leaky.scenario"), "--out", str(tmp_path / "o")]
     )
     assert code == 3
+
+
+# ---------------------------------------------------------------------------
+# the array transport against the per-entry dict spelling
+
+transport_shifts = st.builds(
+    WeightedShift,
+    st.sampled_from([
+        w1().rule,
+        w2().rule,
+        WeightRule.explicit({-2: 4.0, 0: 0.25, 3: 1e-3}, default=1.5),
+    ]),
+    st.booleans(),
+)
+transport_unitaries = st.one_of(
+    st.integers(min_value=-3, max_value=3).filter(bool).map(translation),
+    table_unitaries(),
+)
+
+
+@given(
+    entry_lists,
+    st.one_of(st.none(), st.tuples(transport_shifts, st.integers(-15, 15))),
+    st.one_of(st.none(), st.tuples(transport_unitaries, st.integers(-15, 15))),
+    st.booleans(),
+    st.sampled_from([6, 12, 1 << 20]),
+    st.sampled_from([10, 10_000]),
+)
+@settings(max_examples=200)
+def test_transport_matches_the_dict_spelling(
+    entries, shift_factor, unitary_factor, swap, window_cap, horizon
+):
+    a = FiniteMatrix(entries)
+    new, old = [None, None], [None, None]
+    if shift_factor:
+        shift, p = shift_factor
+        new[0] = _shift_move(shift, p, horizon=horizon)
+        old[0] = scalar_shift_move(shift, p, horizon)
+    if unitary_factor:
+        u, p = unitary_factor
+        new[1] = _unitary_move(u, p, horizon=horizon)
+        old[1] = scalar_unitary_move(u, p, horizon)
+    if swap:
+        new.reverse()
+        old.reverse()
+    got = outcome(lambda: list(_transport(a, *new, window_cap=window_cap).items()))
+    want = outcome(
+        lambda: list(dict_transport(dict_of(a), *old, window_cap=window_cap).items())
+    )
+    assert got == want
+
+
+def test_overflowing_transport_is_named_at_the_first_source_entry():
+    # the table swaps columns 1 and 2, so the entry (-5, 1) met first lands
+    # at (-4, 2), after (-4, 1) in (row, col) order; W1 doubles row -5
+    op = ElementaryOp(PermutationUnitary.from_table({1: 2, 2: 1}), w1())
+    a = FiniteMatrix({(-5, 1): 1.5e308, (-5, 2): 1.5e308})
+    with pytest.raises(ValueError, match=r"^non-finite entry at \(-4, 2\)$"):
+        apply_power(op, 1, a)
