@@ -29,19 +29,22 @@ from .finmat import (
     op_norm,
     projection_matrix,
     truncate_left,
+    truncate_right,
 )
 from .lattice import (
     DEFAULT_HORIZON,
     PermutationUnitary,
     WeightedShift,
     monomial_product_norm,
+    monomial_product_norm_rowcut,
 )
 
 DEFAULT_TOL = 1e-6
 DEFAULT_K_MAX = 50
 
-#: Absolute slack allowed when measured norms are compared with their
-#: monomial upper bounds.
+#: Slack allowed when measured norms are compared with their monomial upper
+#: bounds: relative, for values far from 1, plus absolute, for values near 0.
+BOUND_RTOL = 1e-12
 BOUND_SLACK = 1e-8
 
 
@@ -364,22 +367,28 @@ def check_pointwise_decay(
     seeds: Sequence[FiniteMatrix],
     tol: float = DEFAULT_TOL,
 ) -> list[DecayReport]:
-    """Orbit decay of the operators themselves on left-truncated seeds.
+    """Orbit decay of the operators themselves on truncated seeds.
 
-    For each seed F the families ||T_l^{+r_l n_k}(P_m F)||,
-    ||T_s^{-r_s n_k}(P_m F)|| and ||T_l^{+r_l n_k} T_s^{-r_s n_k}(P_m F)||
-    are measured and checked against the corresponding projected
-    weight-product bound times ||F||; a violation raises, since it would mean
-    the transport and the closed-form norms disagree.
+    For each seed F the families ||T_l^{+r_l n_k}(S)||, ||T_s^{-r_s n_k}(S)||
+    and ||T_l^{+r_l n_k} T_s^{-r_s n_k}(S)|| are measured and checked against
+    the corresponding projected weight-product bound times ||F||; a violation
+    raises, since it would mean the transport and the closed-form norms
+    disagree.  Under WFU the shifts multiply the seed S = P_m F on the left,
+    and the bound is ||W_l^p W_s^q P_m||; under UFW they multiply S = F P_m
+    on the right, and the bound is ||P_m W_s^q W_l^p||.
     """
     ns = inst.n_values()
     ops = inst.elementary_ops()
+    ufw = inst.orientation == "UFW"
     reports = []
     for idx, f in enumerate(seeds):
-        f_cut = truncate_left(f, inst.m)
+        if ufw:
+            f_cut, seed = truncate_right(f, inst.m), f"F{idx} P{inst.m}"
+        else:
+            f_cut, seed = truncate_left(f, inst.m), f"P{inst.m} F{idx}"
         f_norm = op_norm(f)
         for chain in family_chains(inst.n_ops):
-            label = f"norm({chain_terms(inst, chain, 'T')} P{inst.m} F{idx})"
+            label = f"norm({chain_terms(inst, chain, 'T')} {seed})"
             vals, bounds = [], []
             for n in ns:
                 factors = chain_factors(inst, chain, n)
@@ -391,13 +400,16 @@ def check_pointwise_decay(
                         horizon=inst.horizon, window_cap=inst.window_cap,
                     )
                 value = op_norm(mat)
-                bound = (
-                    monomial_product_norm(
+                if ufw:
+                    cut = monomial_product_norm_rowcut(
+                        factors[::-1], inst.m, horizon=inst.horizon
+                    )
+                else:
+                    cut = monomial_product_norm(
                         factors, inst.m, horizon=inst.horizon
-                    ).value
-                    * f_norm
-                )
-                if value > bound + BOUND_SLACK:
+                    )
+                bound = cut.value * f_norm
+                if value > bound * (1.0 + BOUND_RTOL) + BOUND_SLACK:
                     raise OpdynError(
                         f"{label}: measured {value} exceeds bound {bound}"
                     )

@@ -41,7 +41,6 @@ from .elementary import ElementaryOp, apply_power
 from .finmat import (
     DEFAULT_WINDOW_CAP,
     FiniteMatrix,
-    Projection,
     compose,
     op_norm,
     projection_matrix,
@@ -70,11 +69,9 @@ def eval_functional(phi: FunctionalRep, f: FiniteMatrix) -> float:
     return math.fsum(terms)
 
 
-def m_d(phi: FunctionalRep, d: FiniteMatrix | Projection) -> FunctionalRep:
+def m_d(phi: FunctionalRep, d: FiniteMatrix) -> FunctionalRep:
     """Composition with the fixed left factor D: F maps to phi(D F), whose
     representer is A D."""
-    if isinstance(d, Projection):
-        return FunctionalRep(truncate_right(phi.representer, d.m))
     return FunctionalRep(compose(phi.representer, d))
 
 
@@ -311,9 +308,12 @@ def verify_dual_convergence(
     kwargs = dict(horizon=inst.horizon, window_cap=inst.window_cap)
 
     # Targets enter only through their probe values, so those are taken once.
-    psi_target = _probe_values(m_d(psi, Projection(n_win)), probes)
-    phi_targets = [
-        _probe_values(m_d(phi, Projection(n_win)), probes) for phi in phi_list
+    # The representer of phi(P_n F) is A P_n.
+    psi_target, *phi_targets = [
+        _probe_values(
+            FunctionalRep(truncate_right(phi.representer, n_win)), probes
+        )
+        for phi in (psi, *phi_list)
     ]
     psi_tn = trace_norm(psi.representer)
     phi_tns = [trace_norm(phi.representer) for phi in phi_list]

@@ -13,7 +13,6 @@ the walk meets them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -225,16 +224,6 @@ def projection_matrix(m: int) -> FiniteMatrix:
     return FiniteMatrix({(j, j): 1.0 for j in range(-m, m + 1)})
 
 
-@dataclass(frozen=True)
-class Projection:
-    """Symbolic window projection P_m; idempotent and self-adjoint."""
-
-    m: int
-
-    def matrix(self) -> FiniteMatrix:
-        return projection_matrix(self.m)
-
-
 @_quiet
 def compose(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:
     """Matrix product a @ b."""
@@ -282,21 +271,20 @@ def _singular_values(a: FiniteMatrix) -> np.ndarray:
         raise ConvergenceError(f"LAPACK SVD did not converge: {exc}") from exc
 
 
-def op_norm(a: FiniteMatrix, *, use_fast_paths: bool = True) -> float:
+def op_norm(a: FiniteMatrix) -> float:
     """Spectral norm: the largest singular value of the dense support block,
     computed by LAPACK.
 
-    Monomial matrices short-circuit to the exact max-|coefficient| rule
-    unless ``use_fast_paths`` is disabled.
+    Monomial matrices short-circuit to the exact max-|coefficient| rule.
     """
     if a.is_zero():
         return 0.0
-    if use_fast_paths and is_monomial(a):
+    if is_monomial(a):
         return float(np.abs(a._vals).max())
     return float(_singular_values(a)[0])
 
 
-def trace_norm(a: FiniteMatrix, *, use_fast_paths: bool = True) -> float:
+def trace_norm(a: FiniteMatrix) -> float:
     """Sum of singular values of the dense support block, computed by LAPACK.
 
     For a monomial matrix the columns are already orthogonal and the result
@@ -304,7 +292,7 @@ def trace_norm(a: FiniteMatrix, *, use_fast_paths: bool = True) -> float:
     """
     if a.is_zero():
         return 0.0
-    if use_fast_paths and is_monomial(a):
+    if is_monomial(a):
         return math.fsum(np.abs(a._vals).tolist())
     return math.fsum(_singular_values(a).tolist())
 

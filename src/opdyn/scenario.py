@@ -4,7 +4,8 @@ A scenario file is line-oriented: the first non-blank line must be the
 marker ``opdyn-scenario v1``; every following line is ``key = value`` with
 ``#`` starting a comment.  Numbers accept decimals, scientific notation and
 exact fractions like ``1/3``.  Unknown keys are rejected so typos cannot
-silently change a run.
+silently change a run.  Every key has one entry in a table that gives its
+converter and the value it takes when absent.
 
 Example::
 
@@ -50,30 +51,6 @@ MODES = (
     "example28",
 )
 
-_KNOWN_KEYS = frozenset(
-    {
-        "name",
-        "mode",
-        "orientation",
-        "unitary",
-        "r_list",
-        "n_seq",
-        "m",
-        "k_max",
-        "tol",
-        "horizon",
-        "window_cap",
-        "adjoint_weights",
-        "targets",
-        "seeds",
-        "witnesses",
-    }
-)
-
-#: Modes whose operator block is pinned to the canonical two-shift setup.
-_CANONICAL_MODES = ("example24", "example28")
-
-
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -107,272 +84,232 @@ class Scenario:
         )
 
 
-def _parse_number(tok: str) -> float:
-    if "/" in tok:
-        return float(Fraction(tok))
-    return float(tok)
+# Converters: each turns the raw value of one key into its field, or raises
+# ValueError with the diagnostic text that follows "<key>: ".
 
 
-class _Parser:
-    def __init__(self, text: str, base_dir: str):
-        self.base_dir = base_dir
-        self.diags: list[str] = []
-        self.fields: dict[str, str] = {}
-        self.weight_fields: dict[int, str] = {}
-        self._scan(text)
+def _number(tok: str) -> float:
+    try:
+        return float(Fraction(tok)) if "/" in tok else float(tok)
+    except ZeroDivisionError as exc:
+        raise ValueError(str(exc)) from None
 
-    def diag(self, msg: str) -> None:
-        self.diags.append(msg)
 
-    def _scan(self, text: str) -> None:
-        lines = text.splitlines()
-        body: list[tuple[int, str]] = []
-        for no, raw in enumerate(lines, start=1):
-            stripped = raw.split("#", 1)[0].strip()
-            if stripped:
-                body.append((no, stripped))
-        if not body:
-            self.diag(f"missing header line {SCENARIO_HEADER!r}")
-            return
-        first_no, first = body[0]
-        if first != SCENARIO_HEADER:
-            self.diag(
-                f"line {first_no}: first line must be {SCENARIO_HEADER!r}"
-            )
-            return
-        for no, line in body[1:]:
-            if "=" not in line:
-                self.diag(f"line {no}: expected 'key = value'")
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not value:
-                self.diag(f"line {no}: empty value for {key!r}")
-                continue
-            if key.startswith("weight") and key[6:].isdigit():
-                idx = int(key[6:])
-                if idx in self.weight_fields:
-                    self.diag(f"line {no}: duplicate key {key!r}")
-                    continue
-                self.weight_fields[idx] = value
-                continue
-            if key not in _KNOWN_KEYS:
-                self.diag(f"line {no}: unknown key {key!r}")
-                continue
-            if key in self.fields:
-                self.diag(f"line {no}: duplicate key {key!r}")
-                continue
-            self.fields[key] = value
+def _ints(toks, raw: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in toks)
+    except ValueError:
+        raise ValueError(f"expected integers: {raw!r}") from None
 
-    # typed getters; each returns None and records a diagnostic on failure
 
-    def get_int(self, key: str, minimum: int):
-        raw = self.fields.get(key)
-        if raw is None:
-            return None
+def _integer(minimum: int):
+    def convert(raw: str) -> int:
         try:
             value = int(raw)
         except ValueError:
-            self.diag(f"{key}: not an integer: {raw!r}")
-            return None
+            raise ValueError(f"not an integer: {raw!r}") from None
         if value < minimum:
-            self.diag(f"{key}: must be at least {minimum}")
-            return None
+            raise ValueError(f"must be at least {minimum}")
         return value
 
-    def get_number(self, key: str):
-        raw = self.fields.get(key)
-        if raw is None:
-            return None
+    return convert
+
+
+def _tol(raw: str) -> float:
+    try:
+        value = _number(raw)
+    except ValueError:
+        raise ValueError(f"not a number: {raw!r}") from None
+    if not value > 0.0:
+        raise ValueError("must be strictly positive")
+    return value
+
+
+def _one_of(choices: dict, message: str):
+    """Converter of the keys of choices to their values; message formats
+    the raw value it rejects."""
+
+    def convert(raw: str):
         try:
-            return _parse_number(raw)
-        except (ValueError, ZeroDivisionError):
-            self.diag(f"{key}: not a number: {raw!r}")
-            return None
+            return choices[raw]
+        except KeyError:
+            raise ValueError(message.format(raw)) from None
 
-    def get_bool(self, key: str):
-        raw = self.fields.get(key)
-        if raw is None:
-            return None
-        if raw == "true":
-            return True
-        if raw == "false":
-            return False
-        self.diag(f"{key}: expected true or false, got {raw!r}")
-        return None
+    return convert
 
-    def get_unitary(self):
-        raw = self.fields.get("unitary")
-        if raw is None:
-            return None
-        toks = raw.split()
-        if toks[0] == "translation":
-            if len(toks) != 2:
-                self.diag("unitary: translation takes exactly one integer")
-                return None
-            try:
-                t = int(toks[1])
-            except ValueError:
-                self.diag(f"unitary: bad translation step {toks[1]!r}")
-                return None
-            try:
-                return PermutationUnitary.translation(t)
-            except ValueError as exc:
-                self.diag(f"unitary: {exc}")
-                return None
-        if toks[0] == "table":
-            mapping = {}
-            for tok in toks[1:]:
-                left, sep, right = tok.partition(":")
-                if not sep:
-                    self.diag(f"unitary: bad table pair {tok!r}")
-                    return None
-                try:
-                    src, dst = int(left), int(right)
-                except ValueError:
-                    self.diag(f"unitary: bad table pair {tok!r}")
-                    return None
-                if src in mapping:
-                    self.diag(f"unitary: duplicate table index {src}")
-                    return None
-                mapping[src] = dst
-            if not mapping:
-                self.diag("unitary: table needs at least one pair")
-                return None
-            try:
-                return PermutationUnitary.from_table(mapping)
-            except ValueError as exc:
-                self.diag(f"unitary: {exc}")
-                return None
-        self.diag(f"unitary: unknown form {toks[0]!r}")
-        return None
 
-    def get_weight_rule(self, idx: int):
-        raw = self.weight_fields[idx]
-        toks = raw.split()
-        key = f"weight{idx}"
-        if toks[0] == "piecewise":
-            if len(toks) != 3:
-                self.diag(f"{key}: piecewise takes two numbers")
-                return None
-            try:
-                neg, nonneg = _parse_number(toks[1]), _parse_number(toks[2])
-            except (ValueError, ZeroDivisionError):
-                self.diag(f"{key}: bad piecewise weights {raw!r}")
-                return None
-            try:
-                return WeightRule.piecewise(neg, nonneg)
-            except ValueError as exc:
-                self.diag(f"{key}: {exc}")
-                return None
-        if toks[0] == "explicit":
-            if len(toks) < 2:
-                self.diag(f"{key}: explicit needs a default weight")
-                return None
-            try:
-                default = _parse_number(toks[1])
-            except (ValueError, ZeroDivisionError):
-                self.diag(f"{key}: bad default weight {toks[1]!r}")
-                return None
-            table = {}
-            for tok in toks[2:]:
-                left, sep, right = tok.partition(":")
-                try:
-                    j = int(left)
-                    w = _parse_number(right) if sep else None
-                except (ValueError, ZeroDivisionError):
-                    w = None
-                if w is None:
-                    self.diag(f"{key}: bad table pair {tok!r}")
-                    return None
-                if j in table:
-                    self.diag(f"{key}: duplicate table index {j}")
-                    return None
-                table[j] = w
-            try:
-                return WeightRule.explicit(table, default=default)
-            except ValueError as exc:
-                self.diag(f"{key}: {exc}")
-                return None
-        self.diag(f"{key}: unknown form {toks[0]!r}")
-        return None
-
-    def get_int_list(self, key: str):
-        raw = self.fields.get(key)
-        if raw is None:
-            return None
+def _pairs(toks, value) -> dict:
+    """``i:v`` tokens as a table from the integer i to value(v).  A token
+    without ``:`` leaves v empty, which neither int nor _number accepts."""
+    table = {}
+    for tok in toks:
+        left, _, right = tok.partition(":")
         try:
-            return tuple(int(tok) for tok in raw.split())
+            i, v = int(left), value(right)
         except ValueError:
-            self.diag(f"{key}: expected integers: {raw!r}")
-            return None
-
-    def get_paths(self, key: str):
-        raw = self.fields.get(key)
-        if raw is None:
-            return ()
-        return tuple(
-            os.path.normpath(os.path.join(self.base_dir, tok))
-            for tok in raw.split()
-        )
-
-    def get_n_seq(self):
-        raw = self.fields.get("n_seq")
-        if raw is None:
-            return NSeq.all_k()
-        toks = raw.split()
-        if toks[0] == "all-k":
-            if len(toks) != 1:
-                self.diag("n_seq: all-k takes no arguments")
-                return None
-            return NSeq.all_k()
-        if toks[0] == "arithmetic":
-            if len(toks) != 3:
-                self.diag("n_seq: arithmetic takes two integers")
-                return None
-            try:
-                a, b = int(toks[1]), int(toks[2])
-                return NSeq.arithmetic(a, b)
-            except ValueError as exc:
-                self.diag(f"n_seq: {exc}")
-                return None
-        if toks[0] == "explicit":
-            try:
-                values = [int(tok) for tok in toks[1:]]
-            except ValueError:
-                self.diag(f"n_seq: expected integers: {raw!r}")
-                return None
-            if any(y <= x for x, y in zip(values, values[1:])):
-                self.diag("n_seq: not strictly increasing")
-                return None
-            try:
-                return NSeq.explicit(values)
-            except ValueError as exc:
-                self.diag(f"n_seq: {exc}")
-                return None
-        self.diag(f"n_seq: unknown rule {toks[0]!r}")
-        return None
+            raise ValueError(f"bad table pair {tok!r}") from None
+        if i in table:
+            raise ValueError(f"duplicate table index {i}")
+        table[i] = v
+    return table
 
 
-def _canonical_weights() -> tuple[WeightRule, WeightRule]:
-    return (
+def _unitary(raw: str) -> PermutationUnitary:
+    form, *args = raw.split()
+    if form == "translation":
+        if len(args) != 1:
+            raise ValueError("translation takes exactly one integer")
+        try:
+            t = int(args[0])
+        except ValueError:
+            raise ValueError(f"bad translation step {args[0]!r}") from None
+        return PermutationUnitary.translation(t)
+    if form == "table":
+        mapping = _pairs(args, int)
+        if not mapping:
+            raise ValueError("table needs at least one pair")
+        return PermutationUnitary.from_table(mapping)
+    raise ValueError(f"unknown form {form!r}")
+
+
+def _weight_rule(raw: str) -> WeightRule:
+    form, *args = raw.split()
+    if form == "piecewise":
+        if len(args) != 2:
+            raise ValueError("piecewise takes two numbers")
+        try:
+            neg, nonneg = map(_number, args)
+        except ValueError:
+            raise ValueError(f"bad piecewise weights {raw!r}") from None
+        return WeightRule.piecewise(neg, nonneg)
+    if form == "explicit":
+        if not args:
+            raise ValueError("explicit needs a default weight")
+        try:
+            default = _number(args[0])
+        except ValueError:
+            raise ValueError(f"bad default weight {args[0]!r}") from None
+        return WeightRule.explicit(_pairs(args[1:], _number), default=default)
+    raise ValueError(f"unknown form {form!r}")
+
+
+def _n_seq(raw: str) -> NSeq:
+    rule, *args = raw.split()
+    if rule == "all-k":
+        if args:
+            raise ValueError("all-k takes no arguments")
+        return NSeq.all_k()
+    if rule == "arithmetic":
+        if len(args) != 2:
+            raise ValueError("arithmetic takes two integers")
+        return NSeq.arithmetic(int(args[0]), int(args[1]))
+    if rule == "explicit":
+        values = _ints(args, raw)
+        if any(y <= x for x, y in zip(values, values[1:])):
+            raise ValueError("not strictly increasing")
+        return NSeq.explicit(values)
+    raise ValueError(f"unknown rule {rule!r}")
+
+
+#: Every key but the weights: its converter, and its value when absent.
+#: None marks a key that must be given (name, mode, and the operator keys
+#: outside example24/example28), or adjoint_weights, which example28 fills.
+_KEYS = {
+    "name": (str, None),
+    "mode": (_one_of(dict(zip(MODES, MODES)), "unknown mode {!r}"), None),
+    "orientation": (
+        _one_of({"WFU": "WFU", "UFW": "UFW"}, "must be WFU or UFW, got {!r}"),
+        "WFU",
+    ),
+    "unitary": (_unitary, None),
+    "r_list": (lambda raw: _ints(raw.split(), raw), None),
+    "n_seq": (_n_seq, NSeq.all_k()),
+    "m": (_integer(0), None),
+    "k_max": (_integer(1), DEFAULT_K_MAX),
+    "tol": (_tol, DEFAULT_TOL),
+    "horizon": (_integer(1), DEFAULT_HORIZON),
+    "window_cap": (_integer(1), DEFAULT_WINDOW_CAP),
+    "adjoint_weights": (
+        _one_of({"true": True, "false": False}, "expected true or false, got {!r}"),
+        None,
+    ),
+    "targets": (str.split, ()),
+    "seeds": (str.split, ()),
+    "witnesses": (str.split, ()),
+}
+
+#: The operator keys every mode but example24/example28 must be given, and
+#: what those two fill in when they are not.
+_CANONICAL = {
+    "unitary": PermutationUnitary.translation(1),
+    "weights": (
         WeightRule.piecewise(2.0, 0.5),
         WeightRule.piecewise(3.0, 1.0 / 3.0),
+    ),
+    "r_list": (1, 2),
+    "m": 1,
+}
+
+#: The path key a mode cannot run without, and how its diagnostic names it.
+_MODE_NEEDS = {
+    "criterion-pointwise": ("seeds", "seeds are"),
+    "orbit": ("seeds", "seeds are"),
+    "construct-phi": ("targets", "targets are"),
+    "theorem": ("witnesses", "witnesses directory is"),
+}
+
+
+def _scan(text: str):
+    """Split the text into key fields and weight fields by index, with the
+    line-level diagnostics."""
+    fields: dict[str, str] = {}
+    weights: dict[int, str] = {}
+    diags: list[str] = []
+    body = [
+        (no, stripped)
+        for no, raw in enumerate(text.splitlines(), start=1)
+        if (stripped := raw.split("#", 1)[0].strip())
+    ]
+    if not body:
+        return fields, weights, [f"missing header line {SCENARIO_HEADER!r}"]
+    first_no, first = body[0]
+    if first != SCENARIO_HEADER:
+        return fields, weights, [
+            f"line {first_no}: first line must be {SCENARIO_HEADER!r}"
+        ]
+    for no, line in body[1:]:
+        if "=" not in line:
+            diags.append(f"line {no}: expected 'key = value'")
+            continue
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not value:
+            diags.append(f"line {no}: empty value for {key!r}")
+            continue
+        if key.startswith("weight") and key[6:].isdigit():
+            table, slot = weights, int(key[6:])
+        elif key in _KEYS:
+            table, slot = fields, key
+        else:
+            diags.append(f"line {no}: unknown key {key!r}")
+            continue
+        if slot in table:
+            diags.append(f"line {no}: duplicate key {key!r}")
+            continue
+        table[slot] = value
+    return fields, weights, diags
+
+
+def _is_canonical(v: dict) -> bool:
+    r_list = v["r_list"]
+    return (
+        v["weights"] == _CANONICAL["weights"]
+        and v["unitary"] == _CANONICAL["unitary"]
+        and len(r_list) == 2
+        and r_list[1] == 2 * r_list[0]
+        and v["orientation"] == "WFU"
+        and v["n_seq"] == NSeq.all_k()
     )
-
-
-def _is_canonical(scn_weights, unitary, r_list, orientation, n_seq) -> bool:
-    want = _canonical_weights()
-    if scn_weights != want:
-        return False
-    if unitary.kind != "translation" or unitary.t != 1:
-        return False
-    if len(r_list) != 2 or r_list[1] != 2 * r_list[0]:
-        return False
-    if orientation != "WFU":
-        return False
-    return n_seq == NSeq.all_k()
 
 
 def analyze_scenario(text: str, base_dir: str = ".") -> tuple[Scenario | None, list[str]]:
@@ -380,146 +317,95 @@ def analyze_scenario(text: str, base_dir: str = ".") -> tuple[Scenario | None, l
 
     The scenario is only returned when the diagnostics list is empty.
     """
-    p = _Parser(text, base_dir)
-    if p.diags:
-        return None, p.diags
+    fields, weight_fields, diags = _scan(text)
+    if diags:
+        return None, diags
 
-    name = p.fields.get("name")
-    if name is None:
-        p.diag("name is required")
-    mode = p.fields.get("mode")
-    if mode is None:
-        p.diag("mode is required")
-    elif mode not in MODES:
-        p.diag(f"mode: unknown mode {mode!r}")
-        mode = None
+    def convert(key, converter, raw):
+        try:
+            return converter(raw)
+        except ValueError as exc:
+            diags.append(f"{key}: {exc}")
+            return None
 
-    orientation = p.fields.get("orientation", "WFU")
-    if orientation not in ("WFU", "UFW"):
-        p.diag(f"orientation: must be WFU or UFW, got {orientation!r}")
-        orientation = "WFU"
+    v = {
+        key: convert(key, converter, fields[key]) if key in fields else absent
+        for key, (converter, absent) in _KEYS.items()
+    }
+    # weights: None when absent, else the rules that converted
+    v["weights"] = None
+    if weight_fields:
+        indices = sorted(weight_fields)
+        if indices != list(range(1, len(indices) + 1)):
+            diags.append("weight keys must be weight1..weightN without gaps")
+            indices = []
+        rules = (
+            convert(f"weight{i}", _weight_rule, weight_fields[i]) for i in indices
+        )
+        v["weights"] = tuple(rule for rule in rules if rule is not None)
 
-    canonical = mode in _CANONICAL_MODES if mode else False
-
-    unitary = p.get_unitary()
-    weights: list[WeightRule] = []
-    if p.weight_fields:
-        expected = list(range(1, len(p.weight_fields) + 1))
-        if sorted(p.weight_fields) != expected:
-            p.diag("weight keys must be weight1..weightN without gaps")
-        else:
-            for idx in expected:
-                rule = p.get_weight_rule(idx)
-                if rule is not None:
-                    weights.append(rule)
-    r_list = p.get_int_list("r_list")
-    n_seq = p.get_n_seq()
-    m = p.get_int("m", 0)
-    k_max = p.get_int("k_max", 1)
-    tol = p.get_number("tol")
-    horizon = p.get_int("horizon", 1)
-    window_cap = p.get_int("window_cap", 1)
-    adjoint = p.get_bool("adjoint_weights")
-    targets = p.get_paths("targets")
-    seeds = p.get_paths("seeds")
-    witnesses = p.get_paths("witnesses")
-
+    for key in ("name", "mode"):
+        if key not in fields:
+            diags.append(f"{key} is required")
+    mode = v["mode"]
+    canonical = mode in ("example24", "example28")
     if canonical:
-        if unitary is None and "unitary" not in p.fields:
-            unitary = PermutationUnitary.translation(1)
-        if not p.weight_fields:
-            weights = list(_canonical_weights())
-        if r_list is None:
-            r_list = (1, 2)
-        if m is None and "m" not in p.fields:
-            m = 1
-        if mode == "example28" and adjoint is None:
-            adjoint = True
+        # a key that failed to convert is filled too; its diagnostic stands
+        fill = {**_CANONICAL, "adjoint_weights": mode == "example28"}
+        for key, value in fill.items():
+            if v[key] is None:
+                v[key] = value
     else:
-        for key, present in (
-            ("unitary", unitary is not None),
-            ("m", m is not None),
-            ("r_list", r_list is not None),
-        ):
-            if not present and key not in p.fields:
-                p.diag(f"{key} is required for mode {mode!r}")
-        if not p.weight_fields:
-            p.diag(f"at least weight1 is required for mode {mode!r}")
+        for key in _CANONICAL:
+            if v[key] is None and key not in fields:
+                what = "at least weight1" if key == "weights" else key
+                diags.append(f"{what} is required for mode {mode!r}")
 
-    if k_max is None and "k_max" not in p.fields:
-        k_max = DEFAULT_K_MAX
-    if tol is None and "tol" not in p.fields:
-        tol = DEFAULT_TOL
-    elif tol is not None and not tol > 0.0:
-        p.diag("tol: must be strictly positive")
-        tol = None
-    if horizon is None and "horizon" not in p.fields:
-        horizon = DEFAULT_HORIZON
-    if window_cap is None and "window_cap" not in p.fields:
-        window_cap = DEFAULT_WINDOW_CAP
-    if adjoint is None and "adjoint_weights" not in p.fields:
-        adjoint = False
-
+    r_list, weights, m = v["r_list"], v["weights"], v["m"]
     if r_list is not None:
         if any(r < 1 for r in r_list):
-            p.diag("r_list: entries must be positive")
+            diags.append("r_list: entries must be positive")
         elif any(y <= x for x, y in zip(r_list, r_list[1:])):
-            p.diag("r_list: not strictly increasing")
+            diags.append("r_list: not strictly increasing")
         elif weights and len(r_list) != len(weights):
-            p.diag("r_list: must pair with weight1..weightN")
+            diags.append("r_list: must pair with weight1..weightN")
 
-    if m is not None and window_cap is not None and window_cap < m:
-        p.diag("window_cap: smaller than m")
+    if m is not None and v["window_cap"] is not None and v["window_cap"] < m:
+        diags.append("window_cap: smaller than m")
 
-    if len(witnesses) > 1:
-        p.diag("witnesses: expected a single directory")
+    if len(v["witnesses"]) > 1:
+        diags.append("witnesses: expected a single directory")
 
-    if mode == "criterion-pointwise" and not seeds:
-        p.diag("seeds are required for mode 'criterion-pointwise'")
-    if mode == "orbit" and not seeds:
-        p.diag("seeds are required for mode 'orbit'")
-    if mode == "construct-phi" and not targets:
-        p.diag("targets are required for mode 'construct-phi'")
-    if mode == "theorem" and not witnesses:
-        p.diag("witnesses directory is required for mode 'theorem'")
+    if mode in _MODE_NEEDS:
+        key, what = _MODE_NEEDS[mode]
+        if not v[key]:
+            diags.append(f"{what} required for mode {mode!r}")
     if (
         mode == "construct-phi"
-        and targets
+        and v["targets"]
         and r_list is not None
-        and len(targets) != len(r_list) + 1
+        and len(v["targets"]) != len(r_list) + 1
     ):
-        p.diag("targets: need one F file plus one E file per operator")
+        diags.append("targets: need one F file plus one E file per operator")
 
-    if canonical and not p.diags:
-        if not _is_canonical(tuple(weights), unitary, r_list, orientation, n_seq):
-            p.diag(
+    if canonical and not diags:
+        if not _is_canonical(v):
+            diags.append(
                 f"mode {mode!r} requires the canonical two-shift configuration"
             )
-        if mode == "example28" and adjoint is not True:
-            p.diag("mode 'example28' requires adjoint_weights = true")
+        if mode == "example28" and v["adjoint_weights"] is not True:
+            diags.append("mode 'example28' requires adjoint_weights = true")
 
-    if p.diags:
-        return None, sorted(set(p.diags))
+    if diags:
+        return None, sorted(set(diags))
 
-    scenario = Scenario(
-        name=name,
-        mode=mode,
-        orientation=orientation,
-        unitary=unitary,
-        weights=tuple(weights),
-        r_list=tuple(r_list),
-        n_seq=n_seq,
-        m=m,
-        k_max=k_max,
-        tol=tol,
-        horizon=horizon,
-        window_cap=window_cap,
-        adjoint_weights=bool(adjoint),
-        targets=targets,
-        seeds=seeds,
-        witnesses=witnesses[0] if witnesses else None,
-    )
-    return scenario, []
+    for key in ("targets", "seeds", "witnesses"):
+        v[key] = tuple(
+            os.path.normpath(os.path.join(base_dir, tok)) for tok in v[key]
+        )
+    v["witnesses"] = v["witnesses"][0] if v["witnesses"] else None
+    v["adjoint_weights"] = bool(v["adjoint_weights"])
+    return Scenario(**v), []
 
 
 def parse_scenario(text: str, base_dir: str = ".") -> Scenario:

@@ -40,6 +40,7 @@ from opdyn.criteria import (
     sufficient_decay_logs,
     write_reports_csv,
 )
+from opdyn.errors import OpdynError
 from opdyn.lattice import WeightedShift, WeightRule
 
 
@@ -325,6 +326,58 @@ def test_pointwise_random_seed_decays():
     inst = canonical_instance(m=1, r1=1, k_max=40)
     reports = check_pointwise_decay(inst, [random_matrix(rng, 1, density=1.0)])
     assert all_decay(reports)
+
+
+def test_pointwise_ufw_cuts_the_seed_on_the_right_and_bounds_by_the_row_cut():
+    # F -> U F W: the shifts multiply F P_m on the right, so the bound is
+    # ||P_m W_s^q W_l^p|| ||F||, which the projection seed P_m attains
+    inst = canonical_instance(m=1, r1=1, k_max=5, orientation="UFW")
+    reports = check_pointwise_decay(inst, [projection_matrix(1)])
+    assert [r.quantity for r in reports] == [
+        "norm(T1^(+1n) F0 P1)",
+        "norm(T1^(+1n) T2^(-2n) F0 P1)",
+        "norm(T1^(-1n) F0 P1)",
+        "norm(T2^(+2n) F0 P1)",
+        "norm(T2^(+2n) T1^(-1n) F0 P1)",
+        "norm(T2^(-2n) F0 P1)",
+    ]
+    assert [v for _, v in reports[0].values][:2] == [2.0, 4.0]
+    for rep in reports:
+        for (_, v), (_, b) in zip(rep.values, rep.bounds):
+            assert math.isclose(v, b, rel_tol=1e-12)
+
+
+def single_shift_instance(k_max=25) -> CriterionInstance:
+    return CriterionInstance(
+        shifts=(WeightedShift(WeightRule.piecewise(3.0, 3.0)),),
+        unitary=translation(1),
+        r_list=(1,),
+        n_seq=NSeq.all_k(),
+        m=1,
+        k_max=k_max,
+    )
+
+
+def pointwise_seed():
+    return unit(0, 0, 0.3) + unit(0, 1, 0.5) + unit(1, 0, 0.5)
+
+
+def test_pointwise_bound_slack_is_relative_at_large_values():
+    # values reach 3^25 * ||F||, where the dense norm of the seed and the
+    # measured norm may differ in the last ulp
+    reports = check_pointwise_decay(single_shift_instance(), [pointwise_seed()])
+    assert max(v for rep in reports for _, v in rep.values) > 7e8
+
+
+def test_pointwise_real_violation_still_raises(monkeypatch):
+    import opdyn.criteria as criteria
+
+    real = criteria.apply_power
+    monkeypatch.setattr(
+        criteria, "apply_power", lambda *a, **kw: real(*a, **kw) * (1.0 + 1e-9)
+    )
+    with pytest.raises(OpdynError, match="exceeds bound"):
+        check_pointwise_decay(single_shift_instance(), [pointwise_seed()])
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from opdyn.duality import (
     weak_star_distance,
 )
 from opdyn.elementary import ElementaryOp
-from opdyn.finmat import Projection, shift_multiply
+from opdyn.finmat import shift_multiply
 
 small_matrices = st.builds(
     random_matrix,
@@ -95,10 +95,10 @@ def test_m_d_examples():
     assert m_d(phi, hole).representer.is_zero()
 
 
-def test_m_d_accepts_projection_objects():
+def test_m_d_with_a_projection_is_the_column_cut():
     a = unit(0, 3, 2.0) + unit(1, 1, -1.0)
     phi = FunctionalRep(a)
-    assert m_d(phi, Projection(1)).representer == truncate_right(a, 1)
+    assert m_d(phi, projection_matrix(1)).representer == truncate_right(a, 1)
 
 
 @given(small_matrices, small_matrices, small_matrices)
@@ -446,7 +446,7 @@ def test_verify_dual_convergence_rows_equal_the_per_probe_spelling():
     r = inst.r_list
     ops = inst.elementary_ops()
 
-    vals = [dist(eta, m_d(psi, Projection(2))) for eta in etas]
+    vals = [dist(eta, m_d(psi, projection_matrix(2))) for eta in etas]
     bounds = []
     for k in range(inst.k_max):
         bound = psi_tn * op_norm(cut.d_seq[k] - pn)
@@ -455,7 +455,7 @@ def test_verify_dual_convergence_rows_equal_the_per_probe_spelling():
         bounds.append(bound)
     expected = [(vals, bounds)]
     for l, s in ((1, 2), (2, 1)):
-        target = m_d(phis[l - 1], Projection(2))
+        target = m_d(phis[l - 1], projection_matrix(2))
         vals = [
             dist(dual_apply_power(ops[l - 1], r[l - 1] * n, eta), target)
             for n, eta in zip(ns, etas)

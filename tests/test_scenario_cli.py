@@ -110,6 +110,130 @@ def test_malformed_scenarios_are_diagnosed(mangle, fragment):
     assert err.value.diagnostics == diags
 
 
+def with_keys(**keys) -> str:
+    """corollary_text() with each given key's line replaced, appended, or
+    dropped when its value is None."""
+    lines = [
+        ln for ln in corollary_text().splitlines()
+        if ln.split(" = ")[0] not in keys
+    ]
+    lines += [f"{k} = {v}" for k, v in keys.items() if v is not None]
+    return "\n".join(lines) + "\n"
+
+
+HEADER = "opdyn-scenario v1\n"
+
+#: Malformed scenarios and their exact diagnostics: sorted, except that
+#: line-level ones come in line order.
+PINNED_DIAGNOSTICS = [
+    (corollary_text().replace("v1", "v2"),
+     ["line 1: first line must be 'opdyn-scenario v1'"]),
+    ("# nothing here\n\n", ["missing header line 'opdyn-scenario v1'"]),
+    # line-level diagnostics come in line order
+    (corollary_text(extra="no equals\nmystery = 1\nname = again\ntol =\n"
+                          "weight01 = piecewise 1 1\n"),
+     ["line 10: expected 'key = value'", "line 11: unknown key 'mystery'",
+      "line 12: duplicate key 'name'", "line 13: empty value for 'tol'",
+      "line 14: duplicate key 'weight01'"]),
+    (with_keys(weight2=None, weight3="piecewise 3 1/3"),
+     ["weight keys must be weight1..weightN without gaps"]),
+    (with_keys(weight0="piecewise 1 1"),
+     ["weight keys must be weight1..weightN without gaps"]),
+    (with_keys(unitary="translation 0", n_seq="all-k 3", tol="0"),
+     ["n_seq: all-k takes no arguments", "tol: must be strictly positive",
+      "unitary: translation step must be nonzero"]),
+    (with_keys(unitary="translation 1 2", n_seq="arithmetic 1",
+               tol="1/0"),
+     ["n_seq: arithmetic takes two integers", "tol: not a number: '1/0'",
+      "unitary: translation takes exactly one integer"]),
+    (with_keys(unitary="translation x", n_seq="arithmetic x 1",
+               m="x", k_max="0"),
+     ["k_max: must be at least 1", "m: not an integer: 'x'",
+      "n_seq: invalid literal for int() with base 10: 'x'",
+      "unitary: bad translation step 'x'"]),
+    (with_keys(unitary="table 0:1 0:2", n_seq="arithmetic 0 1",
+               horizon="z", window_cap="0"),
+     ["horizon: not an integer: 'z'",
+      "n_seq: arithmetic rule needs a >= 1 and b >= 1",
+      "unitary: duplicate table index 0", "window_cap: must be at least 1"]),
+    (with_keys(unitary="table 0:1 1:1", n_seq="explicit 3 3 5",
+               m="-1"),
+     ["m: must be at least 0", "n_seq: not strictly increasing",
+      "unitary: permutation table is not injective"]),
+    (with_keys(unitary="table", n_seq="explicit",
+               adjoint_weights="yes"),
+     ["adjoint_weights: expected true or false, got 'yes'",
+      "n_seq: explicit sequence must list positive integers",
+      "unitary: table needs at least one pair"]),
+    (with_keys(unitary="table 0-1", n_seq="explicit 1 a",
+               orientation="XYZ"),
+     ["n_seq: expected integers: 'explicit 1 a'",
+      "orientation: must be WFU or UFW, got 'XYZ'",
+      "unitary: bad table pair '0-1'"]),
+    (with_keys(unitary="rotate 1", n_seq="fibonacci"),
+     ["n_seq: unknown rule 'fibonacci'", "unitary: unknown form 'rotate'"]),
+    (with_keys(weight1="piecewise 2", weight2="piecewise a 1/0"),
+     ["weight1: piecewise takes two numbers",
+      "weight2: bad piecewise weights 'piecewise a 1/0'"]),
+    # a weight that fails to convert leaves r_list longer than the weights
+    (with_keys(weight1="piecewise 0 1"),
+     ["r_list: must pair with weight1..weightN",
+      "weight1: weights must be finite and strictly positive"]),
+    (with_keys(weight1="explicit", weight2="explicit x"),
+     ["weight1: explicit needs a default weight",
+      "weight2: bad default weight 'x'"]),
+    (with_keys(weight1="explicit 1 0:2 0:3",
+               weight2="explicit 1 0:b"),
+     ["weight1: duplicate table index 0", "weight2: bad table pair '0:b'"]),
+    (with_keys(weight2="gaussian 1"),
+     ["r_list: must pair with weight1..weightN",
+      "weight2: unknown form 'gaussian'"]),
+    (with_keys(r_list="a b"), ["r_list: expected integers: 'a b'"]),
+    (with_keys(r_list="2 1"), ["r_list: not strictly increasing"]),
+    (with_keys(r_list="0 1"), ["r_list: entries must be positive"]),
+    (with_keys(r_list="1"), ["r_list: must pair with weight1..weightN"]),
+    (with_keys(m="3", window_cap="2"), ["window_cap: smaller than m"]),
+    (HEADER + "m = 1\n",
+     ["at least weight1 is required for mode None", "mode is required",
+      "name is required", "r_list is required for mode None",
+      "unitary is required for mode None"]),
+    (with_keys(mode="sideways"), ["mode: unknown mode 'sideways'"]),
+    (HEADER + "name = x\nmode = corollary\n",
+     ["at least weight1 is required for mode 'corollary'",
+      "m is required for mode 'corollary'",
+      "r_list is required for mode 'corollary'",
+      "unitary is required for mode 'corollary'"]),
+    (with_keys(mode="example24", weight1="piecewise 5 1/5"),
+     ["mode 'example24' requires the canonical two-shift configuration"]),
+    (with_keys(mode="example24", orientation="UFW"),
+     ["mode 'example24' requires the canonical two-shift configuration"]),
+    # example24 pairs a failed r_list with its canonical (1, 2)
+    (HEADER + "name = x\nmode = example24\nweight1 = piecewise 2 1/2\nr_list = x\n",
+     ["r_list: expected integers: 'x'", "r_list: must pair with weight1..weightN"]),
+    (with_keys(mode="example28", adjoint_weights="false"),
+     ["mode 'example28' requires adjoint_weights = true"]),
+    (with_keys(mode="construct-phi", targets="f e1"),
+     ["targets: need one F file plus one E file per operator"]),
+    (with_keys(mode="construct-phi"),
+     ["targets are required for mode 'construct-phi'"]),
+    (with_keys(mode="orbit"), ["seeds are required for mode 'orbit'"]),
+    (with_keys(mode="criterion-pointwise"),
+     ["seeds are required for mode 'criterion-pointwise'"]),
+    (with_keys(mode="theorem", witnesses="a b"),
+     ["witnesses: expected a single directory"]),
+    (with_keys(mode="theorem"), ["witnesses directory is required for mode 'theorem'"]),
+]
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    PINNED_DIAGNOSTICS,
+    ids=[f"case{i}" for i in range(len(PINNED_DIAGNOSTICS))],
+)
+def test_malformed_scenarios_give_exactly_these_diagnostics(text, want):
+    assert analyze_scenario(text) == (None, want)
+
+
 def test_missing_required_keys_are_diagnosed():
     text = "opdyn-scenario v1\nname = t\nmode = corollary\n"
     scenario, diags = analyze_scenario(text)
