@@ -37,7 +37,6 @@ from .criteria import (
     check_pointwise_decay,
     check_sufficient_decay,
     check_witness_conditions,
-    family_chains,
     render_summary,
     sufficient_label,
     write_reports_csv,
@@ -47,7 +46,6 @@ from .duality import (
     check_dual_sufficient,
     check_dual_witness_conditions,
     default_probes,
-    dual_label,
     verify_dual_convergence,
 )
 from .elementary import orbit, orbit_distances, write_orbit_csv
@@ -104,18 +102,6 @@ def _load_witness_bundle(scenario: Scenario, inst: CriterionInstance):
     if problems:
         raise ScenarioError(problems)
     return bundle
-
-
-def _attach_bounds(reports, label_to_bounds):
-    out = []
-    for rep in reports:
-        bounds = label_to_bounds.get(rep.quantity)
-        if bounds is not None:
-            rep = replace(
-                rep, bounds=tuple((k, b) for k, b in enumerate(bounds, start=1))
-            )
-        out.append(rep)
-    return out
 
 
 def _mode_corollary(scenario: Scenario):
@@ -212,29 +198,27 @@ def _mode_example24(scenario: Scenario):
                 9.0**mm * 0.5 ** (r1 * n) for n in ns
             ],
         }
-        reports.extend(
-            _attach_bounds(check_sufficient_decay(inst, scenario.tol), bounds)
-        )
+        for rep in check_sufficient_decay(inst, scenario.tol):
+            if rep.quantity in bounds:
+                rep = replace(
+                    rep, bounds=tuple(enumerate(bounds[rep.quantity], start=1))
+                )
+            reports.append(rep)
     return sorted(reports, key=lambda rep: rep.quantity), {}
 
 
 def _mode_example28(scenario: Scenario):
-    """Adjoint-shift right-sided families swept over windows 0..4, each
-    carrying the mirrored left-sided value in the bound column, plus the
-    weak-* approximant convergence run at the scenario window."""
+    """Adjoint-shift right-sided families swept over windows 0..4, plus the
+    weak-* approximant convergence run at the scenario window.  Each family
+    is the column cut of its chain on the plain shifts, so its value is the
+    mirrored left-sided value and goes into the bound column as well."""
     reports = []
     for mm in EXAMPLE_SWEEP:
-        inst = scenario.to_instance(m=mm)
         adj = _dual_instance(scenario, m=mm)
-        primal = {
-            rep.quantity: [v for _, v in rep.values]
-            for rep in check_sufficient_decay(inst, scenario.tol)
-        }
-        bounds = {
-            dual_label(adj, chain): primal[sufficient_label(inst, chain)]
-            for chain in family_chains(inst.n_ops)
-        }
-        reports.extend(_attach_bounds(check_dual_sufficient(adj, scenario.tol), bounds))
+        reports.extend(
+            replace(rep, bounds=rep.values)
+            for rep in check_dual_sufficient(adj, scenario.tol)
+        )
 
     inst = _dual_instance(scenario)
     eta_reports, artifacts = _dual_etas(scenario, inst, default_bundle(inst))

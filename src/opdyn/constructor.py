@@ -133,6 +133,33 @@ def extract_witnesses(
     return WitnessBundle(m=inst.m, n_values=ns, d_seq=d_seq, g_seqs=tuple(g_seqs))
 
 
+def _approximant(
+    bundle: WitnessBundle,
+    targets: TargetTuple,
+    inst: CriterionInstance,
+    k: int,
+) -> tuple[FiniteMatrix, FiniteMatrix, list[tuple[FiniteMatrix, FiniteMatrix]]]:
+    """phi_k and the terms it sums: D_k F, and for each l the pair
+    (G_k^(l) E_l, S_l^{r_l n_k}(G_k^(l) E_l))."""
+    if not 1 <= k <= bundle.k_max:
+        raise ValueError("k outside the bundle range")
+    if bundle.n_ops != inst.n_ops or len(targets.e_list) != inst.n_ops:
+        raise ValueError("bundle, targets and instance disagree on N")
+    n = bundle.n_values[k - 1]
+    df = compose(bundle.d_seq[k - 1], targets.f)
+    phi, pairs = df, []
+    for op, r, g_seq, e in zip(
+        inst.elementary_ops(), inst.r_list, bundle.g_seqs, targets.e_list
+    ):
+        ge = compose(g_seq[k - 1], e)
+        correction = apply_power(
+            op, -r * n, ge, horizon=inst.horizon, window_cap=inst.window_cap
+        )
+        pairs.append((ge, correction))
+        phi = phi + correction
+    return phi, df, pairs
+
+
 def construct_approximant(
     bundle: WitnessBundle,
     targets: TargetTuple,
@@ -140,21 +167,7 @@ def construct_approximant(
     k: int,
 ) -> FiniteMatrix:
     """phi_k = D_k F + sum_l S_l^{r_l n_k}(G_k^(l) E_l), k one-based."""
-    if not 1 <= k <= bundle.k_max:
-        raise ValueError("k outside the bundle range")
-    if bundle.n_ops != inst.n_ops or len(targets.e_list) != inst.n_ops:
-        raise ValueError("bundle, targets and instance disagree on N")
-    n = bundle.n_values[k - 1]
-    phi = compose(bundle.d_seq[k - 1], targets.f)
-    for op, r, g_seq, e in zip(
-        inst.elementary_ops(), inst.r_list, bundle.g_seqs, targets.e_list
-    ):
-        correction = apply_power(
-            op, -r * n, compose(g_seq[k - 1], e),
-            horizon=inst.horizon, window_cap=inst.window_cap,
-        )
-        phi = phi + correction
-    return phi
+    return _approximant(bundle, targets, inst, k)[0]
 
 
 def verify_approximant_convergence(
@@ -179,28 +192,20 @@ def verify_approximant_convergence(
     pme = [truncate_left(e, m) for e in targets.e_list]
 
     kwargs = dict(horizon=inst.horizon, window_cap=inst.window_cap)
-    phis = [
-        construct_approximant(bundle, targets, inst, k)
-        for k in range(1, bundle.k_max + 1)
-    ]
-
+    phis = []
     columns: dict[str, list[float]] = {}
 
     def col(label: str) -> list[float]:
         return columns.setdefault(label, [])
 
-    for k, (n, phi) in enumerate(zip(ns, phis), start=1):
-        d = bundle.d_seq[k - 1]
-        df = compose(d, targets.f)
+    for k, n in enumerate(ns, start=1):
+        phi, df, pairs = _approximant(bundle, targets, inst, k)
+        phis.append(phi)
         col(f"dist(phi_k - P{m} F)").append(op_norm(phi - pmf))
         col(f"norm((D_k - P{m}) F)").append(
-            op_norm(compose(d - pm, targets.f))
+            op_norm(compose(bundle.d_seq[k - 1] - pm, targets.f))
         )
-        corrections = []
-        for l, (op, r) in enumerate(zip(ops, inst.r_list), start=1):
-            ge = compose(bundle.g_seqs[l - 1][k - 1], targets.e_list[l - 1])
-            corr = apply_power(op, -r * n, ge, **kwargs)
-            corrections.append(corr)
+        for l, (r, (ge, corr)) in enumerate(zip(inst.r_list, pairs), start=1):
             col(f"norm(S{l}^({r}n) G{l}_k E{l})").append(op_norm(corr))
             col(f"norm(G{l}_k E{l} - P{m} E{l})").append(
                 op_norm(ge - pme[l - 1])
@@ -219,7 +224,7 @@ def verify_approximant_convergence(
                 col(
                     f"norm(T{l}^(+{r}n) S{s}^({rs}n) G{s}_k E{s})"
                 ).append(
-                    op_norm(apply_power(op, r * n, corrections[s - 1], **kwargs))
+                    op_norm(apply_power(op, r * n, pairs[s - 1][1], **kwargs))
                 )
 
     reports = [

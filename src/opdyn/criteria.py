@@ -34,9 +34,9 @@ from .finmat import (
 from .lattice import (
     DEFAULT_HORIZON,
     PermutationUnitary,
+    ProductNorm,
     WeightedShift,
     monomial_product_norm,
-    monomial_product_norm_rowcut,
 )
 
 DEFAULT_TOL = 1e-6
@@ -294,18 +294,40 @@ def sufficient_label(inst: CriterionInstance, chain: Chain) -> str:
     return f"norm({chain_terms(inst, chain)} P{inst.m})"
 
 
+def _family_cuts(
+    inst: CriterionInstance, ns: Sequence[int]
+) -> dict[Chain, list[ProductNorm]]:
+    """The column cut ||X P_m|| of every family chain X at each iterate n.
+    On ``inst.star()`` the chain is X'* for X' the reversed chain of
+    ``inst``, so this is the mirrored family ||P_m X'|| = ||X'* P_m||."""
+    return {
+        chain: [
+            monomial_product_norm(
+                chain_factors(inst, chain, n), inst.m, horizon=inst.horizon
+            )
+            for n in ns
+        ]
+        for chain in family_chains(inst.n_ops)
+    }
+
+
+def _cut_reports(walked: CriterionInstance, label, tol: float) -> list[DecayReport]:
+    """Reports of the family cuts of ``walked``, each labelled label(chain)."""
+    ns = walked.n_values()
+    reports = [
+        make_report(label(chain), ns, [cut.value for cut in cuts], tol)
+        for chain, cuts in _family_cuts(walked, ns).items()
+    ]
+    return sorted(reports, key=lambda r: r.quantity)
+
+
 def sufficient_decay_logs(
     inst: CriterionInstance, n: int
 ) -> list[tuple[str, float]]:
     """Log-domain values of every sufficient-condition quantity at iterate n."""
     return [
-        (
-            sufficient_label(inst, chain),
-            monomial_product_norm(
-                chain_factors(inst, chain, n), inst.m, horizon=inst.horizon
-            ).log_value,
-        )
-        for chain in family_chains(inst.n_ops)
+        (sufficient_label(inst, chain), cut.log_value)
+        for chain, (cut,) in _family_cuts(inst, (n,)).items()
     ]
 
 
@@ -315,17 +337,7 @@ def check_sufficient_decay(
     """Projected weight-product norms whose joint decay is the sufficient
     condition for dense joint approximation: ||W_l^{+r_l n_k} P_m||,
     ||W_l^{-r_l n_k} P_m|| and both ordered cross products."""
-    ns = inst.n_values()
-    reports = []
-    for chain in family_chains(inst.n_ops):
-        vals = [
-            monomial_product_norm(
-                chain_factors(inst, chain, n), inst.m, horizon=inst.horizon
-            ).value
-            for n in ns
-        ]
-        reports.append(make_report(sufficient_label(inst, chain), ns, vals, tol))
-    return sorted(reports, key=lambda r: r.quantity)
+    return _cut_reports(inst, lambda chain: sufficient_label(inst, chain), tol)
 
 
 def check_witness_conditions(
@@ -380,6 +392,8 @@ def check_pointwise_decay(
     ns = inst.n_values()
     ops = inst.elementary_ops()
     ufw = inst.orientation == "UFW"
+    # the UFW bound ||P_m W_s^q W_l^p|| is the chain's column cut on inst.star()
+    bound_cuts = _family_cuts(inst.star() if ufw else inst, ns)
     reports = []
     for idx, f in enumerate(seeds):
         if ufw:
@@ -387,27 +401,18 @@ def check_pointwise_decay(
         else:
             f_cut, seed = truncate_left(f, inst.m), f"P{inst.m} F{idx}"
         f_norm = op_norm(f)
-        for chain in family_chains(inst.n_ops):
+        for chain, cuts in bound_cuts.items():
             label = f"norm({chain_terms(inst, chain, 'T')} {seed})"
             vals, bounds = [], []
-            for n in ns:
-                factors = chain_factors(inst, chain, n)
+            for n, cut in zip(ns, cuts):
                 mat = f_cut
                 # rightmost factor acts first
-                for (l, _), (_, p) in zip(chain[::-1], factors[::-1]):
+                for l, sign in reversed(chain):
                     mat = apply_power(
-                        ops[l - 1], p, mat,
+                        ops[l - 1], sign * inst.r_list[l - 1] * n, mat,
                         horizon=inst.horizon, window_cap=inst.window_cap,
                     )
                 value = op_norm(mat)
-                if ufw:
-                    cut = monomial_product_norm_rowcut(
-                        factors[::-1], inst.m, horizon=inst.horizon
-                    )
-                else:
-                    cut = monomial_product_norm(
-                        factors, inst.m, horizon=inst.horizon
-                    )
                 bound = cut.value * f_norm
                 if value > bound * (1.0 + BOUND_RTOL) + BOUND_SLACK:
                     raise OpdynError(

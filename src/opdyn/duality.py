@@ -15,8 +15,9 @@ The transpose of an elementary operator is again elementary: trace(A W F U)
 operator with its orientation flipped.  Scenarios that act by adjoint
 weights pass an instance whose shifts are adjoint (``CriterionInstance.
 star``); nothing here takes a flag for it.  The right-sided families
-||P_m X|| are row cuts, which the lattice measures as the column cut of
-X* by the mirror identity ||P_m X|| = ||X* P_m||.
+||P_m X|| are row cuts.  By the mirror identity ||P_m X|| = ||X* P_m|| each
+is the primal column cut of the same family chain on ``inst.star()``, so
+``check_dual_sufficient`` is the primal family walk on the adjoint instance.
 """
 
 from __future__ import annotations
@@ -30,11 +31,10 @@ from .criteria import (
     Chain,
     CriterionInstance,
     DecayReport,
+    _cut_reports,
     _family_norms,
-    chain_factors,
     chain_terms,
     chain_witness,
-    family_chains,
     make_report,
 )
 from .elementary import ElementaryOp, apply_power
@@ -46,10 +46,11 @@ from .finmat import (
     projection_matrix,
     shift_multiply,
     trace_norm,
+    truncate_left,
     truncate_right,
     unit,
 )
-from .lattice import DEFAULT_HORIZON, monomial_product_norm_rowcut
+from .lattice import DEFAULT_HORIZON
 
 
 @dataclass(frozen=True)
@@ -193,19 +194,10 @@ def check_dual_sufficient(inst: CriterionInstance, tol: float) -> list[DecayRepo
     when the scenario acts by adjoints.
 
     Joint decay is the sufficient condition for the transposed operator
-    tuple to mix finite-representer functionals.
+    tuple to mix finite-representer functionals.  Each family is the primal
+    column cut of the same chain on ``inst.star()``.
     """
-    ns = inst.n_values()
-    reports = []
-    for chain in family_chains(inst.n_ops):
-        vals = [
-            monomial_product_norm_rowcut(
-                chain_factors(inst, chain[::-1], n), inst.m, horizon=inst.horizon
-            ).value
-            for n in ns
-        ]
-        reports.append(make_report(dual_label(inst, chain), ns, vals, tol))
-    return sorted(reports, key=lambda rep: rep.quantity)
+    return _cut_reports(inst.star(), lambda chain: dual_label(inst, chain), tol)
 
 
 def check_dual_witness_conditions(
@@ -259,13 +251,12 @@ def construct_dual_approximant(
     if len(phi_list) != inst.n_ops or bundle.n_ops != inst.n_ops:
         raise ValueError("phi_list, bundle and instance disagree on N")
     n = bundle.n_values[k - 1]
-    pn = projection_matrix(bundle.m)
-    rep = compose(psi.representer, compose(pn, bundle.d_seq[k - 1]))
+    rep = compose(psi.representer, truncate_left(bundle.d_seq[k - 1], bundle.m))
     for op, r, g_seq, phi in zip(
         inst.elementary_ops(), inst.r_list, bundle.g_seqs, phi_list
     ):
         inner = FunctionalRep(
-            compose(phi.representer, compose(pn, g_seq[k - 1]))
+            compose(phi.representer, truncate_left(g_seq[k - 1], bundle.m))
         )
         moved = dual_apply_power(
             op, -r * n, inner, horizon=inst.horizon, window_cap=inst.window_cap
@@ -279,8 +270,8 @@ def _majorant_norms(inst: CriterionInstance, bundle: WitnessBundle):
     cut by P_n: ||P_n D_k - P_n|| and ||P_n G_k^(l) - P_n|| along k, and the
     right-sided witness families.  The cut witnesses are not kept."""
     pn = projection_matrix(bundle.m)
-    pnd_seq = [compose(pn, d) for d in bundle.d_seq]
-    png_seqs = [[compose(pn, g) for g in g_seq] for g_seq in bundle.g_seqs]
+    pnd_seq = [truncate_left(d, bundle.m) for d in bundle.d_seq]
+    png_seqs = [[truncate_left(g, bundle.m) for g in seq] for seq in bundle.g_seqs]
     d_gaps = [op_norm(a - pn) for a in pnd_seq]
     g_gaps = [[op_norm(a - pn) for a in seq] for seq in png_seqs]
     fam = _family_norms(inst, bundle.n_values, pnd_seq, png_seqs, "right")

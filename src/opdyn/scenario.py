@@ -24,6 +24,7 @@ Example::
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -93,6 +94,9 @@ def _number(tok: str) -> float:
         return float(Fraction(tok)) if "/" in tok else float(tok)
     except ZeroDivisionError as exc:
         raise ValueError(str(exc)) from None
+    except OverflowError:
+        # a fraction past the double range reads as inf, as 1e400 does
+        return -math.inf if tok.startswith("-") else math.inf
 
 
 def _ints(toks, raw: str) -> tuple[int, ...]:
@@ -122,6 +126,8 @@ def _tol(raw: str) -> float:
         raise ValueError(f"not a number: {raw!r}") from None
     if not value > 0.0:
         raise ValueError("must be strictly positive")
+    if value == math.inf:
+        raise ValueError("must be finite")
     return value
 
 
@@ -286,7 +292,7 @@ def _scan(text: str):
         if not value:
             diags.append(f"line {no}: empty value for {key!r}")
             continue
-        if key.startswith("weight") and key[6:].isdigit():
+        if key.startswith("weight") and key[6:].isascii() and key[6:].isdigit():
             table, slot = weights, int(key[6:])
         elif key in _KEYS:
             table, slot = fields, key
@@ -482,6 +488,8 @@ def with_overrides(
     if tol is not None:
         if not tol > 0.0:
             raise ScenarioError(["tol override must be strictly positive"])
+        if tol == math.inf:
+            raise ScenarioError(["tol override must be finite"])
         out = replace(out, tol=tol)
     if k_max is not None:
         if k_max < 1:

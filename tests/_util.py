@@ -416,3 +416,26 @@ def table_unitaries(draw):
                             min_size=len(src), max_size=len(src)))
         table = dict(zip(src, dst))
     return PermutationUnitary.from_table(table)
+
+
+#: Weights of random shifts: short runs of them neither underflow nor
+#: overflow.
+weight_values = st.floats(min_value=0.25, max_value=4.0)
+
+
+@st.composite
+def weighted_shifts(draw):
+    """A plain or adjoint shift with piecewise weights or an explicit table."""
+    if draw(st.booleans()):
+        rule = WeightRule.piecewise(draw(weight_values), draw(weight_values))
+    else:
+        table = draw(st.dictionaries(st.integers(-8, 8), weight_values, max_size=6))
+        rule = WeightRule.explicit(table, default=draw(weight_values))
+    return WeightedShift(rule, adjoint=draw(st.booleans()))
+
+
+def increasing_r_lists(n_ops: int, top: int):
+    """Strictly increasing exponent multipliers r_1 < ... < r_N in [1, top]."""
+    return st.sets(
+        st.integers(1, top), min_size=n_ops, max_size=n_ops
+    ).map(lambda rs: tuple(sorted(rs)))

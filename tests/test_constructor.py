@@ -4,8 +4,20 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _util import canonical_instance, translation, unit_norm_matrix, w1
+from _util import (
+    TABLE_WINDOW,
+    canonical_instance,
+    increasing_r_lists,
+    random_matrix,
+    table_unitary,
+    translation,
+    unit_norm_matrix,
+    w1,
+    weighted_shifts,
+)
 from opdyn import (
     CriterionInstance,
     FormatError,
@@ -178,6 +190,61 @@ def test_approximant_k_is_one_based_and_bounded():
 
 # ---------------------------------------------------------------------------
 # convergence verification
+
+
+@st.composite
+def perturbed_approximant_cases(draw):
+    """Witnesses P_m plus 4^-k noise, window targets, a translation or table
+    unitary, either orientation."""
+    n_ops = draw(st.integers(1, 2))
+    m = draw(st.integers(0, 2))
+    k_max = draw(st.integers(1, 5))
+    unitary = draw(
+        st.one_of(
+            st.sampled_from((1, -1, 2)).map(translation),
+            st.permutations(list(TABLE_WINDOW)).map(table_unitary),
+        )
+    )
+    inst = CriterionInstance(
+        shifts=tuple(draw(weighted_shifts()) for _ in range(n_ops)),
+        unitary=unitary,
+        r_list=draw(increasing_r_lists(n_ops, 3)),
+        n_seq=NSeq.arithmetic(draw(st.integers(1, 3)), draw(st.integers(1, 3))),
+        m=m,
+        k_max=k_max,
+        orientation=draw(st.sampled_from(("WFU", "UFW"))),
+    )
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pm = projection_matrix(m)
+
+    def witnesses():
+        return tuple(
+            pm + random_matrix(rng, m, scale=4.0**-k) for k in range(1, k_max + 1)
+        )
+
+    bundle = WitnessBundle(
+        m=m,
+        n_values=inst.n_values(),
+        d_seq=witnesses(),
+        g_seqs=tuple(witnesses() for _ in range(n_ops)),
+    )
+    targets = TargetTuple(
+        f=random_matrix(rng, m),
+        e_list=tuple(random_matrix(rng, m) for _ in range(n_ops)),
+        m=m,
+    )
+    return bundle, targets, inst
+
+
+@given(perturbed_approximant_cases())
+@settings(max_examples=40, deadline=None)
+def test_verified_approximants_are_the_constructed_ones(case):
+    bundle, targets, inst = case
+    _, phis = verify_approximant_convergence(bundle, targets, inst, 1e-6)
+    assert phis == [
+        construct_approximant(bundle, targets, inst, k)
+        for k in range(1, inst.k_max + 1)
+    ]
 
 
 def test_verify_convergence_on_random_targets():

@@ -2,6 +2,7 @@
 
 import io
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from _util import (
     frac_chain_norm,
     frac_w1,
     frac_w2,
+    increasing_r_lists,
     log_le,
     log_rel_close,
     neg_label,
@@ -22,26 +24,37 @@ from _util import (
     random_matrix,
     translation,
     w1,
+    weighted_shifts,
 )
 from opdyn import (
     CriterionInstance,
     NSeq,
+    op_norm,
     projection_matrix,
     unit,
 )
 from opdyn.criteria import (
     all_decay,
+    chain_factors,
+    chain_terms,
     check_pointwise_decay,
     check_sufficient_decay,
     check_witness_conditions,
+    family_chains,
     make_report,
     render_summary,
     search_subsequence,
     sufficient_decay_logs,
     write_reports_csv,
 )
+from opdyn.duality import check_dual_sufficient, dual_label
 from opdyn.errors import OpdynError
-from opdyn.lattice import WeightedShift, WeightRule
+from opdyn.lattice import (
+    WeightedShift,
+    WeightRule,
+    monomial_product_norm,
+    monomial_product_norm_rowcut,
+)
 
 
 def flat_instance(m=0, k_max=10) -> CriterionInstance:
@@ -378,6 +391,60 @@ def test_pointwise_real_violation_still_raises(monkeypatch):
     )
     with pytest.raises(OpdynError, match="exceeds bound"):
         check_pointwise_decay(single_shift_instance(), [pointwise_seed()])
+
+
+@st.composite
+def shift_instances(draw):
+    """1-3 plain or adjoint shifts, piecewise or explicit weights, m <= 4,
+    either orientation."""
+    n_ops = draw(st.integers(1, 3))
+    return CriterionInstance(
+        shifts=tuple(draw(weighted_shifts()) for _ in range(n_ops)),
+        unitary=translation(draw(st.sampled_from((1, -1, 2)))),
+        r_list=draw(increasing_r_lists(n_ops, 4)),
+        n_seq=NSeq.all_k(),
+        m=draw(st.integers(0, 4)),
+        k_max=draw(st.integers(1, 6)),
+        orientation=draw(st.sampled_from(("WFU", "UFW"))),
+    )
+
+
+@given(shift_instances())
+@settings(max_examples=80, deadline=None)
+def test_dual_families_are_the_row_cuts_of_the_reversed_chains(inst):
+    got = {
+        r.quantity: [v for _, v in r.values] for r in check_dual_sufficient(inst, 1e-6)
+    }
+    assert got == {
+        dual_label(inst, chain): [
+            monomial_product_norm_rowcut(
+                chain_factors(inst, chain[::-1], n), inst.m
+            ).value
+            for n in inst.n_values()
+        ]
+        for chain in family_chains(inst.n_ops)
+    }
+
+
+@given(shift_instances(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_pointwise_bounds_are_the_cut_on_the_side_the_shifts_act(inst, seed):
+    # WFU: ||W_l^p W_s^q P_m|| ||F||; UFW: ||P_m W_s^q W_l^p|| ||F||
+    f = random_matrix(random.Random(seed), inst.m + 1)
+    got = {r.quantity: [b for _, b in r.bounds] for r in check_pointwise_decay(inst, [f])}
+    ufw = inst.orientation == "UFW"
+    seed_label = f"F0 P{inst.m}" if ufw else f"P{inst.m} F0"
+    want = {}
+    for chain in family_chains(inst.n_ops):
+        cuts = [
+            monomial_product_norm_rowcut(factors[::-1], inst.m)
+            if ufw
+            else monomial_product_norm(factors, inst.m)
+            for factors in (chain_factors(inst, chain, n) for n in inst.n_values())
+        ]
+        label = f"norm({chain_terms(inst, chain, 'T')} {seed_label})"
+        want[label] = [cut.value * op_norm(f) for cut in cuts]
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

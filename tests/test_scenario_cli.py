@@ -222,6 +222,15 @@ PINNED_DIAGNOSTICS = [
     (with_keys(mode="theorem", witnesses="a b"),
      ["witnesses: expected a single directory"]),
     (with_keys(mode="theorem"), ["witnesses directory is required for mode 'theorem'"]),
+    # numbers past the double range read as inf, fractions as decimals do
+    (with_keys(tol="1e400"), ["tol: must be finite"]),
+    (with_keys(tol="1" + "0" * 400 + "/1"), ["tol: must be finite"]),
+    (with_keys(weight2="piecewise 1" + "0" * 400 + "/1 1/3"),
+     ["r_list: must pair with weight1..weightN",
+      "weight2: weights must be finite and strictly positive"]),
+    # a weight key takes ASCII digits only
+    (corollary_text(extra="weight\u00b2 = piecewise 1 1\n"),
+     ["line 10: unknown key 'weight\u00b2'"]),
 ]
 
 
@@ -268,6 +277,8 @@ def test_with_overrides_replaces_only_what_is_given():
         with_overrides(s, k_max=0)
     with pytest.raises(ScenarioError):
         with_overrides(s, tol=-1.0)
+    with pytest.raises(ScenarioError, match="tol override must be finite"):
+        with_overrides(s, tol=math.inf)
 
 
 def test_load_scenario_resolves_paths_against_its_directory(tmp_path):
@@ -401,6 +412,34 @@ def test_run_matrix_file_index_beyond_int64_exits_two(tmp_path, capsys):
     assert "line 3: index does not fit int64" in capsys.readouterr().err
 
 
+def test_run_infinite_tol_override_exits_two(tmp_path, capsys):
+    # every family is below an infinite tolerance: it would certify anything
+    assert run_cli("run", "example24", "--out", str(tmp_path / "o"), "--tol", "inf") == 2
+    assert capsys.readouterr().err == "error: tol override must be finite\n"
+
+
+@pytest.mark.parametrize(
+    "text, diag",
+    [
+        (with_keys(tol="1e400"), "tol: must be finite"),
+        (with_keys(tol="1" + "0" * 400 + "/1"), "tol: must be finite"),
+        (corollary_text(extra="weight\u00b2 = piecewise 1 1\n"),
+         "line 10: unknown key 'weight\u00b2'"),
+    ],
+    ids=["decimal-tol", "fraction-tol", "superscript-key"],
+)
+def test_validate_and_run_diagnose_what_used_to_pass_or_escape(
+    tmp_path, capsys, text, diag
+):
+    # an infinite tol certified every family; the other two raised (exit 6)
+    path = tmp_path / "case.scenario"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli("validate", str(path)) == 2
+    assert capsys.readouterr().out == diag + "\n"
+    assert run_cli("run", str(path), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == f"error: {diag}\n"
+
+
 def test_run_internal_error_exits_six_with_traceback(tmp_path, monkeypatch, capsys):
     import opdyn.cli as cli
 
@@ -478,8 +517,8 @@ def test_run_builtin_example28_emits_eta_artifacts(tmp_path):
 
 
 def test_run_builtin_example28_bounds_match_values_digit_for_digit(tmp_path):
-    # Each adjoint-side row carries its plain-side mirror as the bound, and
-    # the mirror identity holds exactly, so the rendered texts agree.
+    # Each adjoint-side row is the column cut of its chain on the plain
+    # shifts, the mirrored plain-side value, and carries it as its bound.
     out = tmp_path / "e28"
     assert run_cli("run", "example28", "--out", str(out)) == 0
     rows = [
