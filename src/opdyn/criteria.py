@@ -20,8 +20,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .elementary import ElementaryOp, apply_power
-from .errors import OpdynError
+from .errors import HorizonExceeded, OpdynError
 from .finmat import (
     DEFAULT_WINDOW_CAP,
     FiniteMatrix,
@@ -36,7 +38,7 @@ from .lattice import (
     PermutationUnitary,
     ProductNorm,
     WeightedShift,
-    monomial_product_norm,
+    _column_cut,
 )
 
 DEFAULT_TOL = 1e-6
@@ -297,18 +299,28 @@ def sufficient_label(inst: CriterionInstance, chain: Chain) -> str:
 def _family_cuts(
     inst: CriterionInstance, ns: Sequence[int]
 ) -> dict[Chain, list[ProductNorm]]:
-    """The column cut ||X P_m|| of every family chain X at each iterate n.
-    On ``inst.star()`` the chain is X'* for X' the reversed chain of
-    ``inst``, so this is the mirrored family ||P_m X'|| = ||X'* P_m||."""
-    return {
-        chain: [
-            monomial_product_norm(
-                chain_factors(inst, chain, n), inst.m, horizon=inst.horizon
-            )
-            for n in ns
-        ]
-        for chain in family_chains(inst.n_ops)
-    }
+    """The column cut ||X P_m|| of every family chain X at each iterate n,
+    one walk per chain over all its iterates.  On ``inst.star()`` the chain
+    is X'* for X' the reversed chain of ``inst``, so this is the mirrored
+    family ||P_m X'|| = ||X'* P_m||."""
+    h, powers = inst.horizon, {}
+    for l, r in enumerate(inst.r_list, start=1):
+        for sign in (1, -1):
+            ps = [sign * r * n for n in ns]
+            # family_chains lists W_l^{+}, W_l^{-} in this order before the
+            # cross chains built from them, so a walk one iterate at a time
+            # meets an over-horizon power here first; checking the Python
+            # ints keeps a huge one from overflowing int64
+            over = next((p for p in ps if abs(p) > h), None)
+            if over is not None:
+                raise HorizonExceeded(f"shift power {over} exceeds horizon {h}")
+            powers[l, sign] = np.array(ps, dtype=np.int64)
+    cuts = {}
+    for chain in family_chains(inst.n_ops):
+        factors = [(inst.shifts[l - 1], powers[l, sign]) for l, sign in chain]
+        logs, at = _column_cut(factors, inst.m, horizon=h)
+        cuts[chain] = list(map(ProductNorm, logs.tolist(), at.tolist()))
+    return cuts
 
 
 def _cut_reports(walked: CriterionInstance, label, tol: float) -> list[DecayReport]:

@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
+import numpy as np
+
 from .constructor import WitnessBundle
 from .criteria import (
     Chain,
@@ -48,7 +50,6 @@ from .finmat import (
     trace_norm,
     truncate_left,
     truncate_right,
-    unit,
 )
 from .lattice import DEFAULT_HORIZON
 
@@ -130,7 +131,9 @@ class TestSet:
             raise ValueError("probe set must be nonempty")
         index = {}
         for k, mat in enumerate(self.probes):
-            if op_norm(mat) > 1.0 + 1e-12:
+            # a one-entry probe's norm is |value|, as op_norm finds it
+            norm = abs(float(mat._vals[0])) if mat.nnz == 1 else op_norm(mat)
+            if norm > 1.0 + 1e-12:
                 raise ValueError("probe operator norm exceeds 1")
             for (q, p), w in mat.items():
                 index.setdefault((p, q), []).append((k, w))
@@ -140,8 +143,11 @@ class TestSet:
 def default_probes(m: int) -> TestSet:
     """P_0..P_m followed by every matrix unit on the window, in fixed order."""
     probes = [projection_matrix(j) for j in range(m + 1)]
+    window, one = np.arange(-m, m + 1), np.ones(1)
     probes.extend(
-        unit(i, j) for i in range(-m, m + 1) for j in range(-m, m + 1)
+        FiniteMatrix._of(window[a : a + 1], window[b : b + 1], one)
+        for a in range(2 * m + 1)
+        for b in range(2 * m + 1)
     )
     return TestSet(probes=tuple(probes))
 

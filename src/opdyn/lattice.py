@@ -9,10 +9,11 @@ exact maxima of weight products along index paths.  Coefficients are
 accumulated in the natural-log domain throughout because the products of
 interest routinely span hundreds of orders of magnitude.
 
-Every walk is an array operation over all the indices that share a power:
-``_shift_power_logs`` sums log weights for a whole index array at once, and
-a table permutation indexes its orbits once, so pi^n(j) is a lookup.
-Indices are int64.
+Every walk is an array operation: ``_shift_power_logs`` sums log weights for
+a whole index array at once, with one power or one power per row, so one
+column-cut walk covers every start and every iterate of a family; a table
+permutation indexes its orbits once, so pi^n(j) is a lookup.  Indices and
+powers are int64.
 """
 
 from __future__ import annotations
@@ -218,11 +219,11 @@ class MonomialVector:
         return _exp(self.log_coeff)
 
 
-def _log_weight_sums(rule: WeightRule, starts: np.ndarray, count: int) -> np.ndarray:
+def _log_weight_sums(rule: WeightRule, starts: np.ndarray, count) -> np.ndarray:
     # Sum of log w(i) over the half-open range [s, s + count) for every
     # start s: the two slope terms, plus the table departures by prefix sums.
-    if count <= 0:
-        return np.zeros(len(starts))
+    # ``count`` is an int or an array that broadcasts against the starts;
+    # a count that is not positive gives +0.0.
     ends = starts + count
     neg = np.maximum(0, np.minimum(ends, 0) - starts)
     log_neg, log_nonneg = rule._slopes
@@ -231,22 +232,22 @@ def _log_weight_sums(rule: WeightRule, starts: np.ndarray, count: int) -> np.nda
     if len(keys):
         # without a table the departure term is +0.0, and lg is never -0.0
         lg += prefix[np.searchsorted(keys, ends)] - prefix[np.searchsorted(keys, starts)]
-    return lg
+    return np.where(count > 0, lg, 0.0)
 
 
 def _shift_power_logs(
-    shift: WeightedShift, n: int, idx: np.ndarray, *, horizon: int
+    shift: WeightedShift, n, idx: np.ndarray, *, horizon: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """W^n on e_j for every j in ``idx``: landing indices and log
-    coefficients (see ``shift_power_apply``)."""
-    if abs(n) > horizon:
+    coefficients (see ``shift_power_apply``).  ``n`` is one power, checked
+    against the horizon here, or an int64 array of powers that broadcasts
+    against ``idx`` and that the caller has checked."""
+    if not isinstance(n, np.ndarray) and abs(n) > horizon:
         raise HorizonExceeded(f"shift power {n} exceeds horizon {horizon}")
     start = idx - n if shift.adjoint else idx
-    if n >= 0:
-        lg = _log_weight_sums(shift.rule, start, n)
-    else:
-        lg = -_log_weight_sums(shift.rule, start + n, -n)
-    return (start if shift.adjoint else idx + n), lg
+    # a negative power walks [start + n, start) and negates the sum
+    lg = _log_weight_sums(shift.rule, start + np.minimum(n, 0), abs(n))
+    return (start if shift.adjoint else idx + n), lg * np.sign(n)
 
 
 def shift_power_apply(
@@ -361,20 +362,24 @@ class ProductNorm:
 
 
 def _column_cut(
-    factors: Sequence[tuple[WeightedShift, int]], m: int, *, horizon: int
-) -> ProductNorm:
-    # Largest coefficient of the operator product (leftmost factor outermost,
-    # so the rightmost acts first) over the start indices [-m, m]; ties keep
-    # the smallest start.
-    # All starts walk together, one array step per factor.
+    factors: Sequence[tuple[WeightedShift, object]], m: int, *, horizon: int
+) -> tuple[np.ndarray, np.ndarray]:
+    # Largest log coefficient of the operator product (leftmost factor
+    # outermost, so the rightmost acts first) over the start indices
+    # [-m, m], and the smallest start attaining it, for every row.  A power
+    # is an int, or an int64 array with one power per row (see
+    # ``_shift_power_logs``).  All rows and starts walk together as one
+    # grid, one array step per factor.
     if m < 0:
         raise ValueError("m must be nonnegative")
-    index, lg = np.arange(-m, m + 1), np.zeros(2 * m + 1)
+    index, lg = np.arange(-m, m + 1), np.zeros((1, 2 * m + 1))
     for shift, p in reversed(list(factors)):
+        if isinstance(p, np.ndarray):
+            p = p[:, None]
         index, step = _shift_power_logs(shift, p, index, horizon=horizon)
-        lg += step
-    best = int(np.argmax(lg))
-    return ProductNorm(log_value=float(lg[best]), attained_at=best - m)
+        lg = lg + step
+    best = np.argmax(lg, axis=1)
+    return lg[np.arange(len(lg)), best], best - m
 
 
 def monomial_product_norm(
@@ -389,7 +394,8 @@ def monomial_product_norm(
     basis vector, so the norm is the maximum absolute weight product over
     start indices j in [-m, m].  Ties resolve to the smallest start index.
     """
-    return _column_cut(factors, m, horizon=horizon)
+    lg, at = _column_cut(factors, m, horizon=horizon)
+    return ProductNorm(log_value=float(lg[0]), attained_at=int(at[0]))
 
 
 def monomial_product_norm_rowcut(
@@ -405,4 +411,5 @@ def monomial_product_norm_rowcut(
     [-m, m] where the maximum lands.
     """
     mirrored = [(shift.star(), p) for shift, p in reversed(list(factors))]
-    return _column_cut(mirrored, m, horizon=horizon)
+    lg, at = _column_cut(mirrored, m, horizon=horizon)
+    return ProductNorm(log_value=float(lg[0]), attained_at=int(at[0]))

@@ -20,8 +20,10 @@ from _util import (
     log_le,
     log_rel_close,
     neg_label,
+    outcome,
     pos_label,
     random_matrix,
+    scalar_column_cut,
     translation,
     w1,
     weighted_shifts,
@@ -34,6 +36,7 @@ from opdyn import (
     unit,
 )
 from opdyn.criteria import (
+    _family_cuts,
     all_decay,
     chain_factors,
     chain_terms,
@@ -445,6 +448,54 @@ def test_pointwise_bounds_are_the_cut_on_the_side_the_shifts_act(inst, seed):
         label = f"norm({chain_terms(inst, chain, 'T')} {seed_label})"
         want[label] = [cut.value * op_norm(f) for cut in cuts]
     assert got == want
+
+
+@st.composite
+def n_seqs(draw):
+    """all-k, arithmetic, or explicit iterates, the last possibly past int64."""
+    kind = draw(st.sampled_from(("all-k", "arithmetic", "explicit")))
+    if kind == "all-k":
+        return NSeq.all_k()
+    if kind == "arithmetic":
+        return NSeq.arithmetic(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    values = st.one_of(st.integers(1, 40), st.sampled_from((2**63, 10**23)))
+    return NSeq.explicit(sorted(draw(st.sets(values, min_size=1, max_size=8))))
+
+
+@st.composite
+def iterate_instances(draw):
+    """1-3 plain or adjoint shifts, piecewise or explicit weights, m <= 6,
+    any iterate rule, and a horizon that the powers often pass."""
+    n_ops = draw(st.integers(1, 3))
+    n_seq = draw(n_seqs())
+    top = len(n_seq.values) if n_seq.kind == "explicit" else 8
+    return CriterionInstance(
+        shifts=tuple(draw(weighted_shifts()) for _ in range(n_ops)),
+        unitary=translation(1),
+        r_list=draw(increasing_r_lists(n_ops, 4)),
+        n_seq=n_seq,
+        m=draw(st.integers(0, 6)),
+        k_max=draw(st.integers(1, top)),
+        horizon=draw(st.sampled_from((12, 40, 10_000))),
+    )
+
+
+@given(iterate_instances())
+@settings(max_examples=150, deadline=None)
+def test_one_walk_over_all_iterates_is_the_walk_one_iterate_at_a_time(inst):
+    ns = inst.n_values()
+
+    def per_iterate():
+        return {
+            chain: [
+                scalar_column_cut(chain_factors(inst, chain, n), inst.m, inst.horizon)
+                for n in ns
+            ]
+            for chain in family_chains(inst.n_ops)
+        }
+
+    # equal log values and starts, or the same error and message
+    assert outcome(_family_cuts, inst, ns) == outcome(per_iterate)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ import os
 import pytest
 
 from _util import canonical_instance
-from opdyn import PermutationUnitary, WeightRule, projection_matrix, unit
+from opdyn import PermutationUnitary, WeightRule, op_norm, projection_matrix, unit
 from opdyn.cli import main
 from opdyn.constructor import default_bundle, save_bundle
+from opdyn.criteria import chain_factors, family_chains
+from opdyn.duality import dual_label
 from opdyn.errors import ConvergenceError, ScenarioError
-from opdyn.finmat import save_finmat
+from opdyn.finmat import _shift_chain, save_finmat
 from opdyn.scenario import (
     analyze_scenario,
     list_builtin,
@@ -362,6 +364,16 @@ def test_run_horizon_exhaustion_exits_three(tmp_path):
     assert code == 3
 
 
+def test_run_iterate_past_int64_exits_three_over_the_horizon(tmp_path, capsys):
+    # the power is over the horizon before it is too large for int64
+    huge = 10**23
+    path = write_scenario(
+        tmp_path, with_keys(m="2", k_max="3", n_seq=f"explicit 1 2 {huge}")
+    )
+    assert run_cli("run", path, "--out", str(tmp_path / "o")) == 3
+    assert capsys.readouterr().err == f"error: shift power {huge} exceeds horizon 10000\n"
+
+
 def test_run_convergence_failure_exits_four(tmp_path, monkeypatch):
     import opdyn.cli as cli
 
@@ -529,6 +541,35 @@ def test_run_builtin_example28_bounds_match_values_digit_for_digit(tmp_path):
     assert len(rows) == 5 * 6 * 50  # windows 0..4, six families, k_max = 50
     for quantity, k, _, value, bound, _ in rows:
         assert bound == value, (quantity, k)
+
+
+def test_run_builtin_example28_dual_rows_match_the_dense_transport_route(tmp_path):
+    # An independent route to every adjoint-side row: P_mm multiplied on the
+    # right by the reversed chain through entry transport, measured by
+    # op_norm, instead of the column cut of the chain on the plain shifts.
+    out = tmp_path / "e28"
+    assert run_cli("run", "example28", "--out", str(out)) == 0
+    values = {
+        (quantity, int(k)): float(value)
+        for quantity, k, _, value, _, _ in (
+            line.split(",") for line in (out / "report.csv").read_text().splitlines()[1:]
+        )
+        if quantity.startswith("norm(P")
+    }
+    scenario = load_builtin("example28")
+    assert scenario.adjoint_weights
+    checked = 0
+    for mm in range(5):
+        adj = scenario.to_instance(m=mm).star()
+        kw = dict(horizon=adj.horizon, window_cap=adj.window_cap)
+        for chain in family_chains(adj.n_ops):
+            for k, n in enumerate(adj.n_values(), start=1):
+                factors = chain_factors(adj, chain[::-1], n)
+                dense = op_norm(_shift_chain(projection_matrix(mm), factors, "right", **kw))
+                value = values[dual_label(adj, chain), k]
+                assert math.isclose(value, dense, rel_tol=1e-12), (mm, chain, k)
+                checked += 1
+    assert checked == len(values) == 5 * 6 * 50
 
 
 def test_run_orbit_mode_writes_orbit_rows(tmp_path):
