@@ -133,13 +133,14 @@ def extract_witnesses(
     return WitnessBundle(m=inst.m, n_values=ns, d_seq=d_seq, g_seqs=tuple(g_seqs))
 
 
-def _approximant(
+def construct_approximant(
     bundle: WitnessBundle,
     targets: TargetTuple,
     inst: CriterionInstance,
     k: int,
 ) -> tuple[FiniteMatrix, FiniteMatrix, list[tuple[FiniteMatrix, FiniteMatrix]]]:
-    """phi_k and the terms it sums: D_k F, and for each l the pair
+    """phi_k = D_k F + sum_l S_l^{r_l n_k}(G_k^(l) E_l), k one-based, and the
+    terms it sums: D_k F, and for each l the pair
     (G_k^(l) E_l, S_l^{r_l n_k}(G_k^(l) E_l))."""
     if not 1 <= k <= bundle.k_max:
         raise ValueError("k outside the bundle range")
@@ -158,16 +159,6 @@ def _approximant(
         pairs.append((ge, correction))
         phi = phi + correction
     return phi, df, pairs
-
-
-def construct_approximant(
-    bundle: WitnessBundle,
-    targets: TargetTuple,
-    inst: CriterionInstance,
-    k: int,
-) -> FiniteMatrix:
-    """phi_k = D_k F + sum_l S_l^{r_l n_k}(G_k^(l) E_l), k one-based."""
-    return _approximant(bundle, targets, inst, k)[0]
 
 
 def verify_approximant_convergence(
@@ -199,7 +190,7 @@ def verify_approximant_convergence(
         return columns.setdefault(label, [])
 
     for k, n in enumerate(ns, start=1):
-        phi, df, pairs = _approximant(bundle, targets, inst, k)
+        phi, df, pairs = construct_approximant(bundle, targets, inst, k)
         phis.append(phi)
         col(f"dist(phi_k - P{m} F)").append(op_norm(phi - pmf))
         col(f"norm((D_k - P{m}) F)").append(

@@ -36,9 +36,9 @@ from .finmat import (
 from .lattice import (
     DEFAULT_HORIZON,
     PermutationUnitary,
-    ProductNorm,
     WeightedShift,
-    _column_cut,
+    _exp,
+    monomial_product_norm,
 )
 
 DEFAULT_TOL = 1e-6
@@ -298,11 +298,11 @@ def sufficient_label(inst: CriterionInstance, chain: Chain) -> str:
 
 def _family_cuts(
     inst: CriterionInstance, ns: Sequence[int]
-) -> dict[Chain, list[ProductNorm]]:
-    """The column cut ||X P_m|| of every family chain X at each iterate n,
-    one walk per chain over all its iterates.  On ``inst.star()`` the chain
-    is X'* for X' the reversed chain of ``inst``, so this is the mirrored
-    family ||P_m X'|| = ||X'* P_m||."""
+) -> dict[Chain, list[float]]:
+    """The column cut log ||X P_m|| of every family chain X at each iterate
+    n, one walk per chain over all its iterates.  On ``inst.star()`` the
+    chain is X'* for X' the reversed chain of ``inst``, so this is the
+    mirrored family ||P_m X'|| = ||X'* P_m||."""
     h, powers = inst.horizon, {}
     for l, r in enumerate(inst.r_list, start=1):
         for sign in (1, -1):
@@ -318,8 +318,7 @@ def _family_cuts(
     cuts = {}
     for chain in family_chains(inst.n_ops):
         factors = [(inst.shifts[l - 1], powers[l, sign]) for l, sign in chain]
-        logs, at = _column_cut(factors, inst.m, horizon=h)
-        cuts[chain] = list(map(ProductNorm, logs.tolist(), at.tolist()))
+        cuts[chain] = monomial_product_norm(factors, inst.m, horizon=h)[0].tolist()
     return cuts
 
 
@@ -327,8 +326,8 @@ def _cut_reports(walked: CriterionInstance, label, tol: float) -> list[DecayRepo
     """Reports of the family cuts of ``walked``, each labelled label(chain)."""
     ns = walked.n_values()
     reports = [
-        make_report(label(chain), ns, [cut.value for cut in cuts], tol)
-        for chain, cuts in _family_cuts(walked, ns).items()
+        make_report(label(chain), ns, list(map(_exp, logs)), tol)
+        for chain, logs in _family_cuts(walked, ns).items()
     ]
     return sorted(reports, key=lambda r: r.quantity)
 
@@ -338,8 +337,8 @@ def sufficient_decay_logs(
 ) -> list[tuple[str, float]]:
     """Log-domain values of every sufficient-condition quantity at iterate n."""
     return [
-        (sufficient_label(inst, chain), cut.log_value)
-        for chain, (cut,) in _family_cuts(inst, (n,)).items()
+        (sufficient_label(inst, chain), lg)
+        for chain, (lg,) in _family_cuts(inst, (n,)).items()
     ]
 
 
@@ -413,10 +412,10 @@ def check_pointwise_decay(
         else:
             f_cut, seed = truncate_left(f, inst.m), f"P{inst.m} F{idx}"
         f_norm = op_norm(f)
-        for chain, cuts in bound_cuts.items():
+        for chain, logs in bound_cuts.items():
             label = f"norm({chain_terms(inst, chain, 'T')} {seed})"
             vals, bounds = [], []
-            for n, cut in zip(ns, cuts):
+            for n, lg in zip(ns, logs):
                 mat = f_cut
                 # rightmost factor acts first
                 for l, sign in reversed(chain):
@@ -425,7 +424,7 @@ def check_pointwise_decay(
                         horizon=inst.horizon, window_cap=inst.window_cap,
                     )
                 value = op_norm(mat)
-                bound = cut.value * f_norm
+                bound = _exp(lg) * f_norm
                 if value > bound * (1.0 + BOUND_RTOL) + BOUND_SLACK:
                     raise OpdynError(
                         f"{label}: measured {value} exceeds bound {bound}"

@@ -23,8 +23,8 @@ from .lattice import (
     PermutationUnitary,
     WeightedShift,
     _exp,
-    _shift_power_logs,
-    _unitary_power_indices,
+    shift_power_apply,
+    unitary_power_apply,
 )
 
 #: Magnitudes below this are dropped at construction.
@@ -302,7 +302,7 @@ def _shift_move(shift, p, *, horizon):
     coefficients for an array of indices."""
 
     def move(idx):
-        to, lg = _shift_power_logs(shift, p, idx, horizon=horizon)
+        to, lg = shift_power_apply(shift, p, idx, horizon=horizon)
         return to, np.fromiter(map(_exp, lg.tolist()), np.float64, len(lg))
 
     return move
@@ -310,7 +310,7 @@ def _shift_move(shift, p, *, horizon):
 
 def _unitary_move(unitary, p, *, horizon):
     """Row move of U^p multiplied on the left, with coefficient 1 (None)."""
-    return lambda idx: (_unitary_power_indices(unitary, p, idx, horizon=horizon), None)
+    return lambda idx: (unitary_power_apply(unitary, p, idx, horizon=horizon), None)
 
 
 def _moved(idx, move):

@@ -9,10 +9,11 @@ exact maxima of weight products along index paths.  Coefficients are
 accumulated in the natural-log domain throughout because the products of
 interest routinely span hundreds of orders of magnitude.
 
-Every walk is an array operation: ``_shift_power_logs`` sums log weights for
-a whole index array at once, with one power or one power per row, so one
-column-cut walk covers every start and every iterate of a family; a table
-permutation indexes its orbits once, so pi^n(j) is a lookup.  Indices and
+Every walk is an array operation, and each layer is one function over an
+index array: ``shift_power_apply`` sums log weights for a whole index array
+at once, with one power or one power per row, so one ``monomial_product_norm``
+walk covers every start and every iterate of a family; a table permutation
+indexes its orbits once, so ``unitary_power_apply`` is a lookup.  Indices and
 powers are int64.
 """
 
@@ -207,18 +208,6 @@ def _orbits(forward: dict[int, int]):
     return nodes, [info[j] for j in nodes], seq
 
 
-@dataclass(frozen=True)
-class MonomialVector:
-    """A single-term vector exp(log_coeff) * e_index."""
-
-    index: int
-    log_coeff: float
-
-    @property
-    def value(self) -> float:
-        return _exp(self.log_coeff)
-
-
 def _log_weight_sums(rule: WeightRule, starts: np.ndarray, count) -> np.ndarray:
     # Sum of log w(i) over the half-open range [s, s + count) for every
     # start s: the two slope terms, plus the table departures by prefix sums.
@@ -235,13 +224,19 @@ def _log_weight_sums(rule: WeightRule, starts: np.ndarray, count) -> np.ndarray:
     return np.where(count > 0, lg, 0.0)
 
 
-def _shift_power_logs(
+def shift_power_apply(
     shift: WeightedShift, n, idx: np.ndarray, *, horizon: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """W^n on e_j for every j in ``idx``: landing indices and log
-    coefficients (see ``shift_power_apply``).  ``n`` is one power, checked
-    against the horizon here, or an int64 array of powers that broadcasts
-    against ``idx`` and that the caller has checked."""
+    """Apply W^n to e_j for every j in the int64 array ``idx``: the landing
+    indices and the log coefficients.
+
+    Positive n walks the forward weights w(j) ... w(j+n-1); negative n walks
+    the inverse weights 1/w(j-1) ... 1/w(j-|n|).  For an adjoint shift,
+    (W^n)* e_j lands on e_{j-n} with the coefficient W^n picks up from
+    e_{j-n}.  ``n`` is one power, checked against the horizon here, or an
+    int64 array of powers that broadcasts against ``idx`` and that the
+    caller has checked.
+    """
     if not isinstance(n, np.ndarray) and abs(n) > horizon:
         raise HorizonExceeded(f"shift power {n} exceeds horizon {horizon}")
     start = idx - n if shift.adjoint else idx
@@ -250,35 +245,20 @@ def _shift_power_logs(
     return (start if shift.adjoint else idx + n), lg * np.sign(n)
 
 
-def shift_power_apply(
-    shift: WeightedShift, n: int, j: int, *, horizon: int = DEFAULT_HORIZON
-) -> MonomialVector:
-    """Apply W^n to e_j.
-
-    Positive n walks the forward weights w(j) ... w(j+n-1); negative n walks
-    the inverse weights 1/w(j-1) ... 1/w(j-|n|).  For an adjoint shift,
-    (W^n)* e_j lands on e_{j-n} with the coefficient W^n picks up from
-    e_{j-n}.  The coefficient is returned in the log domain.
-    """
-    index, lg = _shift_power_logs(
-        shift, n, _index_array([j], "index"), horizon=horizon
-    )
-    return MonomialVector(index=int(index[0]), log_coeff=float(lg[0]))
-
-
 def shift_star_power_apply(
-    shift: WeightedShift, n: int, j: int, *, horizon: int = DEFAULT_HORIZON
-) -> MonomialVector:
-    """Apply (W*)^n to e_j."""
-    return shift_power_apply(shift.star(), n, j, horizon=horizon)
+    shift: WeightedShift, n, idx: np.ndarray, *, horizon: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply (W*)^n to e_j for every j in ``idx``."""
+    return shift_power_apply(shift.star(), n, idx, horizon=horizon)
 
 
-def _unitary_power_indices(
+def unitary_power_apply(
     unitary: PermutationUnitary, n: int, idx: np.ndarray, *, horizon: int
 ) -> np.ndarray:
-    """pi^n(j) for every j in ``idx``.  A table permutation raises
-    WindowExceeded for the first j whose walk leaves the declared window,
-    naming the index it left from, as a step-by-step walk would."""
+    """pi^n(j) for every j in the int64 array ``idx``.  A table permutation
+    looks the power up on the orbit of j and raises WindowExceeded for the
+    first j whose walk leaves the declared window, naming the index it left
+    from, as a step-by-step walk would."""
     if abs(n) > horizon:
         raise HorizonExceeded(f"permutation power {n} exceeds horizon {horizon}")
     if unitary.kind == "translation":
@@ -303,18 +283,6 @@ def _unitary_power_indices(
     return unitary._seq[first + pos]
 
 
-def unitary_power_apply(
-    unitary: PermutationUnitary, n: int, j: int, *, horizon: int = DEFAULT_HORIZON
-) -> int:
-    """Return pi^n(j).  A table permutation looks the power up on the orbit
-    of j and raises WindowExceeded when the walk leaves the declared
-    window."""
-    index = _unitary_power_indices(
-        unitary, n, _index_array([j], "index"), horizon=horizon
-    )
-    return int(index[0])
-
-
 def escape_index(
     unitary: PermutationUnitary, m: int, horizon: int
 ) -> int | None:
@@ -334,7 +302,7 @@ def escape_index(
     last_hit = 0
     for n in range(1, horizon + 1):
         try:
-            current = _unitary_power_indices(unitary, 1, current, horizon=horizon)
+            current = unitary_power_apply(unitary, 1, current, horizon=horizon)
         except WindowExceeded:
             return None
         if (np.abs(current) <= m).any():
@@ -344,72 +312,38 @@ def escape_index(
     return last_hit + 1
 
 
-@dataclass(frozen=True)
-class ProductNorm:
-    """Operator norm of a projected product of shift powers.
-
-    ``log_value`` is exact in the log domain; ``value`` is its linear-domain
-    image and may underflow to 0.0 or overflow to inf.  ``attained_at`` is the
-    smallest start index achieving the maximum.
-    """
-
-    log_value: float
-    attained_at: int
-
-    @property
-    def value(self) -> float:
-        return _exp(self.log_value)
-
-
-def _column_cut(
+def monomial_product_norm(
     factors: Sequence[tuple[WeightedShift, object]], m: int, *, horizon: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    # Largest log coefficient of the operator product (leftmost factor
-    # outermost, so the rightmost acts first) over the start indices
-    # [-m, m], and the smallest start attaining it, for every row.  A power
-    # is an int, or an int64 array with one power per row (see
-    # ``_shift_power_logs``).  All rows and starts walk together as one
-    # grid, one array step per factor.
+    """Norm of (W_1^{p_1} ... W_r^{p_r}) P_m, as log values, and the
+    smallest start index attaining each, one per row of powers.
+
+    The product of shift powers maps each basis vector to a single weighted
+    basis vector, so the norm is the maximum weight product over the start
+    indices j in [-m, m] (rightmost factor first).  A power is an int, for
+    one row, or an int64 array with one power per row (see
+    ``shift_power_apply``); all rows and starts walk together as one grid,
+    one array step per factor.  The log value is exact in the log domain;
+    its linear image may underflow to 0.0 or overflow to inf.
+    """
     if m < 0:
         raise ValueError("m must be nonnegative")
     index, lg = np.arange(-m, m + 1), np.zeros((1, 2 * m + 1))
     for shift, p in reversed(list(factors)):
         if isinstance(p, np.ndarray):
             p = p[:, None]
-        index, step = _shift_power_logs(shift, p, index, horizon=horizon)
+        index, step = shift_power_apply(shift, p, index, horizon=horizon)
         lg = lg + step
     best = np.argmax(lg, axis=1)
     return lg[np.arange(len(lg)), best], best - m
 
 
-def monomial_product_norm(
-    factors: Sequence[tuple[WeightedShift, int]],
-    m: int,
-    *,
-    horizon: int = DEFAULT_HORIZON,
-) -> ProductNorm:
-    """Norm of (W_1^{p_1} ... W_r^{p_r}) P_m.
-
-    The product of shift powers maps each basis vector to a single weighted
-    basis vector, so the norm is the maximum absolute weight product over
-    start indices j in [-m, m].  Ties resolve to the smallest start index.
-    """
-    lg, at = _column_cut(factors, m, horizon=horizon)
-    return ProductNorm(log_value=float(lg[0]), attained_at=int(at[0]))
-
-
 def monomial_product_norm_rowcut(
-    factors: Sequence[tuple[WeightedShift, int]],
-    m: int,
-    *,
-    horizon: int = DEFAULT_HORIZON,
-) -> ProductNorm:
-    """Norm of P_m (W_1^{p_1} ... W_r^{p_r}).
-
-    By the mirror identity ||P_m X|| = ||X* P_m||, this is the column cut of
-    the reversed chain of adjoint factors; ``attained_at`` is the row in
-    [-m, m] where the maximum lands.
-    """
-    mirrored = [(shift.star(), p) for shift, p in reversed(list(factors))]
-    lg, at = _column_cut(mirrored, m, horizon=horizon)
-    return ProductNorm(log_value=float(lg[0]), attained_at=int(at[0]))
+    factors: Sequence[tuple[WeightedShift, object]], m: int, *, horizon: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Norm of P_m (W_1^{p_1} ... W_r^{p_r}): by the mirror identity
+    ||P_m X|| = ||X* P_m||, the column cut of the reversed chain of adjoint
+    factors, attained at a row in [-m, m]."""
+    return monomial_product_norm(
+        [(shift.star(), p) for shift, p in reversed(list(factors))], m, horizon=horizon
+    )

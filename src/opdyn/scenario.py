@@ -41,6 +41,10 @@ from .lattice import (
 
 SCENARIO_HEADER = "opdyn-scenario v1"
 
+#: Largest horizon and window half-width m: a walk reaches at most
+#: m + 2 * horizon from the origin, which then fits int64.
+_WALK_BOUND = 1 << 61
+
 MODES = (
     "corollary",
     "theorem",
@@ -106,7 +110,7 @@ def _ints(toks, raw: str) -> tuple[int, ...]:
         raise ValueError(f"expected integers: {raw!r}") from None
 
 
-def _integer(minimum: int):
+def _integer(minimum: int, maximum: int | None = None):
     def convert(raw: str) -> int:
         try:
             value = int(raw)
@@ -114,6 +118,8 @@ def _integer(minimum: int):
             raise ValueError(f"not an integer: {raw!r}") from None
         if value < minimum:
             raise ValueError(f"must be at least {minimum}")
+        if maximum is not None and value > maximum:
+            raise ValueError(f"must be at most {maximum}")
         return value
 
     return convert
@@ -230,10 +236,10 @@ _KEYS = {
     "unitary": (_unitary, None),
     "r_list": (lambda raw: _ints(raw.split(), raw), None),
     "n_seq": (_n_seq, NSeq.all_k()),
-    "m": (_integer(0), None),
+    "m": (_integer(0, _WALK_BOUND), None),
     "k_max": (_integer(1), DEFAULT_K_MAX),
     "tol": (_tol, DEFAULT_TOL),
-    "horizon": (_integer(1), DEFAULT_HORIZON),
+    "horizon": (_integer(1, _WALK_BOUND), DEFAULT_HORIZON),
     "window_cap": (_integer(1), DEFAULT_WINDOW_CAP),
     "adjoint_weights": (
         _one_of({"true": True, "false": False}, "expected true or false, got {!r}"),
@@ -498,5 +504,7 @@ def with_overrides(
     if horizon is not None:
         if horizon < 1:
             raise ScenarioError(["horizon override must be at least 1"])
+        if horizon > _WALK_BOUND:
+            raise ScenarioError([f"horizon override must be at most {_WALK_BOUND}"])
         out = replace(out, horizon=horizon)
     return out

@@ -28,7 +28,7 @@ from opdyn import (
 )
 from opdyn.errors import NonFiniteEntry
 from opdyn.finmat import DROP_THRESHOLD
-from opdyn.lattice import MonomialVector, ProductNorm
+from opdyn.lattice import DEFAULT_HORIZON, _exp
 
 
 def w1() -> WeightedShift:
@@ -317,7 +317,8 @@ def scalar_log_weight_sum(rule: WeightRule, start: int, count: int) -> float:
     )
 
 
-def scalar_shift_power(shift: WeightedShift, n: int, j: int, horizon: int) -> MonomialVector:
+def scalar_shift_power(shift: WeightedShift, n: int, j: int, horizon: int) -> tuple[int, float]:
+    """W^n on e_j, one index at a time: (landing index, log coefficient)."""
     if abs(n) > horizon:
         raise HorizonExceeded(f"shift power {n} exceeds horizon {horizon}")
     start = j - n if shift.adjoint else j
@@ -325,13 +326,13 @@ def scalar_shift_power(shift: WeightedShift, n: int, j: int, horizon: int) -> Mo
         lg = scalar_log_weight_sum(shift.rule, start, n)
     else:
         lg = -scalar_log_weight_sum(shift.rule, start + n, -n)
-    return MonomialVector(index=start if shift.adjoint else j + n, log_coeff=lg)
+    return (start if shift.adjoint else j + n), lg
 
 
-def scalar_column_cut(factors, m: int, horizon: int) -> ProductNorm:
-    """Largest coefficient of the product (rightmost factor first) over the
-    starts [-m, m], one start and one factor at a time; ties keep the
-    smallest start."""
+def scalar_column_cut(factors, m: int, horizon: int) -> tuple[float, int]:
+    """Largest log coefficient of the product (rightmost factor first) over
+    the starts [-m, m], one start and one factor at a time, and the start
+    attaining it; ties keep the smallest start."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     walk = list(reversed(list(factors)))
@@ -339,12 +340,27 @@ def scalar_column_cut(factors, m: int, horizon: int) -> ProductNorm:
     for j in range(-m, m + 1):
         index, lg = j, 0.0
         for shift, p in walk:
-            mono = scalar_shift_power(shift, p, index, horizon)
-            lg += mono.log_coeff
-            index = mono.index
+            index, step = scalar_shift_power(shift, p, index, horizon)
+            lg += step
         if lg > best_lg:
             best_lg, best_j = lg, j
-    return ProductNorm(log_value=best_lg, attained_at=best_j)
+    return best_lg, best_j
+
+
+def power_at(engine, op, n: int, j: int, horizon: int = DEFAULT_HORIZON):
+    """A lattice engine (``shift_power_apply``, ``shift_star_power_apply``,
+    ``unitary_power_apply``) on the one-element index array [j], as Python
+    scalars: (landing index, log coefficient) for a shift, the landing
+    index for a unitary."""
+    out = engine(op, n, np.array([j], dtype=np.int64), horizon=horizon)
+    return tuple(a.item() for a in out) if isinstance(out, tuple) else out.item()
+
+
+def cut_at(engine, factors, m: int, horizon: int = DEFAULT_HORIZON) -> tuple[float, int]:
+    """The one row of ``monomial_product_norm`` (or its row-cut mirror) on
+    int powers, as Python scalars: (log value, attained_at)."""
+    lg, at = engine(factors, m, horizon=horizon)
+    return lg.item(), at.item()
 
 
 def step_walk(unitary: PermutationUnitary, n: int, j: int, horizon: int) -> int:
@@ -366,8 +382,8 @@ def step_walk(unitary: PermutationUnitary, n: int, j: int, horizon: int) -> int:
 
 def scalar_shift_move(shift: WeightedShift, p: int, horizon: int):
     def move(i):
-        mono = scalar_shift_power(shift, p, i, horizon)
-        return mono.index, mono.value
+        index, lg = scalar_shift_power(shift, p, i, horizon)
+        return index, _exp(lg)
 
     return move
 

@@ -128,7 +128,7 @@ def test_witnesses_extracted_from_approximants_pass_the_witness_check():
     targets = TargetTuple(pm, (pm, pm), 1)
     seed_bundle = default_bundle(inst)
     f_seq = [
-        construct_approximant(seed_bundle, targets, inst, k)
+        construct_approximant(seed_bundle, targets, inst, k)[0]
         for k in range(1, inst.k_max + 1)
     ]
     b = extract_witnesses(f_seq, inst)
@@ -148,7 +148,7 @@ def test_single_shift_approximant_has_closed_form_distance():
     p0 = projection_matrix(0)
     targets = TargetTuple(p0, (p0,), 0)
     for k in (1, 2, 5, 10, 20, 30):
-        phi = construct_approximant(b, targets, inst, k)
+        phi, _, _ = construct_approximant(b, targets, inst, k)
         d = op_norm(phi - p0)
         assert abs(d - 2.0**-k) <= 1e-12 * 2.0**-k
 
@@ -160,7 +160,7 @@ def test_approximant_with_zero_targets_reduces_to_the_plain_product():
     zero = pm * 0.0
     targets = TargetTuple(pm, (zero, zero), 1)
     for k in (1, 3, 6):
-        phi = construct_approximant(b, targets, inst, k)
+        phi, _, _ = construct_approximant(b, targets, inst, k)
         assert phi == compose(b.d_seq[k - 1], pm)
 
 
@@ -171,7 +171,7 @@ def test_approximant_with_zero_f_hits_the_targets_after_transport():
     targets = TargetTuple(p0 * 0.0, (p0,), 0)
     op = inst.elementary_ops()[0]
     for k in (1, 4, 9):
-        phi = construct_approximant(b, targets, inst, k)
+        phi, _, _ = construct_approximant(b, targets, inst, k)
         assert abs(op_norm(phi) - 2.0**-k) <= 1e-12
         pushed = apply_power(op, k, phi)
         assert op_norm(pushed - p0) <= 1e-12
@@ -242,7 +242,7 @@ def test_verified_approximants_are_the_constructed_ones(case):
     bundle, targets, inst = case
     _, phis = verify_approximant_convergence(bundle, targets, inst, 1e-6)
     assert phis == [
-        construct_approximant(bundle, targets, inst, k)
+        construct_approximant(bundle, targets, inst, k)[0]
         for k in range(1, inst.k_max + 1)
     ]
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from _util import (
     canonical_instance,
     cross_label,
+    cut_at,
     flog,
     frac_chain_norm,
     frac_w1,
@@ -55,6 +56,7 @@ from opdyn.errors import OpdynError
 from opdyn.lattice import (
     WeightedShift,
     WeightRule,
+    _exp,
     monomial_product_norm,
     monomial_product_norm_rowcut,
 )
@@ -420,9 +422,9 @@ def test_dual_families_are_the_row_cuts_of_the_reversed_chains(inst):
     }
     assert got == {
         dual_label(inst, chain): [
-            monomial_product_norm_rowcut(
-                chain_factors(inst, chain[::-1], n), inst.m
-            ).value
+            _exp(cut_at(
+                monomial_product_norm_rowcut, chain_factors(inst, chain[::-1], n), inst.m
+            )[0])
             for n in inst.n_values()
         ]
         for chain in family_chains(inst.n_ops)
@@ -440,13 +442,13 @@ def test_pointwise_bounds_are_the_cut_on_the_side_the_shifts_act(inst, seed):
     want = {}
     for chain in family_chains(inst.n_ops):
         cuts = [
-            monomial_product_norm_rowcut(factors[::-1], inst.m)
+            cut_at(monomial_product_norm_rowcut, factors[::-1], inst.m)
             if ufw
-            else monomial_product_norm(factors, inst.m)
+            else cut_at(monomial_product_norm, factors, inst.m)
             for factors in (chain_factors(inst, chain, n) for n in inst.n_values())
         ]
         label = f"norm({chain_terms(inst, chain, 'T')} {seed_label})"
-        want[label] = [cut.value * op_norm(f) for cut in cuts]
+        want[label] = [_exp(lg) * op_norm(f) for lg, _ in cuts]
     assert got == want
 
 
@@ -488,13 +490,13 @@ def test_one_walk_over_all_iterates_is_the_walk_one_iterate_at_a_time(inst):
     def per_iterate():
         return {
             chain: [
-                scalar_column_cut(chain_factors(inst, chain, n), inst.m, inst.horizon)
+                scalar_column_cut(chain_factors(inst, chain, n), inst.m, inst.horizon)[0]
                 for n in ns
             ]
             for chain in family_chains(inst.n_ops)
         }
 
-    # equal log values and starts, or the same error and message
+    # equal log values, or the same error and message
     assert outcome(_family_cuts, inst, ns) == outcome(per_iterate)
 
 

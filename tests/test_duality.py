@@ -15,6 +15,7 @@ from _util import (
     log_rel_close,
     neg_label,
     pos_label,
+    power_at,
     random_matrix,
     translation,
     unit_norm_matrix,
@@ -171,8 +172,8 @@ def dense_shift_power_matrix(shift, p, span) -> FiniteMatrix:
 
     entries = {}
     for j in range(-span, span + 1):
-        mv = shift_power_apply(shift, p, j)
-        entries[(mv.index, j)] = mv.value
+        index, lg = power_at(shift_power_apply, shift, p, j)
+        entries[(index, j)] = math.exp(lg)
     return FiniteMatrix(entries)
 
 

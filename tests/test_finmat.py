@@ -20,6 +20,7 @@ from _util import (
     dict_sub,
     entry_lists,
     outcome,
+    power_at,
     random_matrix,
     table_unitary,
     translation,
@@ -75,14 +76,14 @@ def dense_of(a: FiniteMatrix) -> np.ndarray:
 def dense_shift_power(shift, p, col_range) -> FiniteMatrix:
     entries = {}
     for j in col_range:
-        mv = shift_power_apply(shift, p, j)
-        entries[(mv.index, j)] = mv.value
+        index, lg = power_at(shift_power_apply, shift, p, j)
+        entries[(index, j)] = math.exp(lg)
     return FiniteMatrix(entries)
 
 
 def dense_unitary_power(u, p, col_range) -> FiniteMatrix:
     return FiniteMatrix(
-        {(unitary_power_apply(u, p, j), j): 1.0 for j in col_range}
+        {(power_at(unitary_power_apply, u, p, j), j): 1.0 for j in col_range}
     )
 
 

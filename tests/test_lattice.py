@@ -16,7 +16,9 @@ from _util import (
     frac_w1,
     frac_w2,
     log_rel_close,
+    cut_at,
     outcome,
+    power_at,
     scalar_column_cut,
     scalar_shift_power,
     step_walk,
@@ -38,7 +40,6 @@ from opdyn import (
     shift_star_power_apply,
     unitary_power_apply,
 )
-from opdyn.lattice import _unitary_power_indices
 
 
 def explicit_rule(mapping, default=1.0) -> WeightRule:
@@ -86,20 +87,19 @@ def test_duplicate_table_indices_rejected():
 
 
 def test_shift_power_examples():
-    mv = shift_power_apply(w1(), 1, -1)
-    assert (mv.index, mv.value) == (0, 2.0)
-    mv = shift_power_apply(w1(), 0, 5)
-    assert (mv.index, mv.value) == (5, 1.0)
-    mv = shift_power_apply(w1(), 2, -1)
-    assert mv.index == 1
-    assert mv.log_coeff == 0.0  # weights 2 and 1/2 cancel in the log domain
+    index, lg = power_at(shift_power_apply, w1(), 1, -1)
+    assert (index, math.exp(lg)) == (0, 2.0)
+    index, lg = power_at(shift_power_apply, w1(), 0, 5)
+    assert (index, math.exp(lg)) == (5, 1.0)
+    # weights 2 and 1/2 cancel in the log domain
+    assert power_at(shift_power_apply, w1(), 2, -1) == (1, 0.0)
 
 
 def test_negative_power_divides_by_the_departing_weights():
     # W^{-1} e_0 = e_{-1} / w(-1)
-    mv = shift_power_apply(w1(), -1, 0)
-    assert mv.index == -1
-    assert math.isclose(mv.value, 0.5, rel_tol=1e-12)
+    index, lg = power_at(shift_power_apply, w1(), -1, 0)
+    assert index == -1
+    assert math.isclose(math.exp(lg), 0.5, rel_tol=1e-12)
 
 
 @given(
@@ -107,10 +107,10 @@ def test_negative_power_divides_by_the_departing_weights():
     j=st.integers(min_value=-40, max_value=40),
 )
 def test_shift_power_matches_exact_fraction_walk(n, j):
-    mv = shift_power_apply(w2(), n, j)
+    index, lg = power_at(shift_power_apply, w2(), n, j)
     frac, idx = frac_shift_power(frac_w2, n, j)
-    assert mv.index == idx
-    assert log_rel_close(mv.value, flog(frac), 1e-12)
+    assert index == idx
+    assert log_rel_close(math.exp(lg), flog(frac), 1e-12)
 
 
 @given(
@@ -118,10 +118,10 @@ def test_shift_power_matches_exact_fraction_walk(n, j):
     j=st.integers(min_value=-30, max_value=30),
 )
 def test_shift_power_round_trip_cancels_in_log_domain(n, j):
-    fwd = shift_power_apply(w1(), n, j)
-    back = shift_power_apply(w1(), -n, fwd.index)
-    assert back.index == j
-    assert abs(fwd.log_coeff + back.log_coeff) <= 1e-12
+    fwd_index, fwd_lg = power_at(shift_power_apply, w1(), n, j)
+    back_index, back_lg = power_at(shift_power_apply, w1(), -n, fwd_index)
+    assert back_index == j
+    assert abs(fwd_lg + back_lg) <= 1e-12
 
 
 @given(
@@ -130,10 +130,10 @@ def test_shift_power_round_trip_cancels_in_log_domain(n, j):
 )
 def test_star_power_is_the_transposed_transport(n, j):
     # (W*)^n e_j lands on e_{j-n} with the coefficient W^n picks up there.
-    starred = shift_star_power_apply(w2(), n, j)
-    plain = shift_power_apply(w2(), n, j - n)
-    assert starred.index == j - n
-    assert starred.log_coeff == plain.log_coeff
+    starred_index, starred_lg = power_at(shift_star_power_apply, w2(), n, j)
+    _, plain_lg = power_at(shift_power_apply, w2(), n, j - n)
+    assert starred_index == j - n
+    assert starred_lg == plain_lg
 
 
 @given(
@@ -155,21 +155,21 @@ def test_explicit_weight_powers_match_exact_fraction_walk(table, default, n, j):
         return Fraction(table.get(i, default))
 
     frac, idx = frac_shift_power(exact, n, j)
-    mv = shift_power_apply(shift, n, j)
-    assert mv.index == idx
-    assert abs(mv.log_coeff - flog(frac)) <= 1e-10 * max(1.0, abs(flog(frac)))
+    index, lg = power_at(shift_power_apply, shift, n, j)
+    assert index == idx
+    assert abs(lg - flog(frac)) <= 1e-10 * max(1.0, abs(flog(frac)))
 
     frac, _ = frac_shift_power(exact, n, j - n)
-    mv = shift_star_power_apply(shift, n, j)
-    assert mv.index == j - n
-    assert abs(mv.log_coeff - flog(frac)) <= 1e-10 * max(1.0, abs(flog(frac)))
+    index, lg = power_at(shift_star_power_apply, shift, n, j)
+    assert index == j - n
+    assert abs(lg - flog(frac)) <= 1e-10 * max(1.0, abs(flog(frac)))
 
 
 def test_shift_power_beyond_horizon_raises():
     with pytest.raises(HorizonExceeded):
-        shift_power_apply(w1(), 11, 0, horizon=10)
+        power_at(shift_power_apply, w1(), 11, 0, horizon=10)
     with pytest.raises(HorizonExceeded):
-        shift_power_apply(w1(), -11, 0, horizon=10)
+        power_at(shift_power_apply, w1(), -11, 0, horizon=10)
 
 
 # ---------------------------------------------------------------------------
@@ -178,17 +178,17 @@ def test_shift_power_beyond_horizon_raises():
 
 def test_translation_powers():
     u = translation(1)
-    assert unitary_power_apply(u, 3, 0) == 3
-    assert unitary_power_apply(u, -2, 5) == 3
-    assert unitary_power_apply(u, 0, -4) == -4
+    assert power_at(unitary_power_apply, u, 3, 0) == 3
+    assert power_at(unitary_power_apply, u, -2, 5) == 3
+    assert power_at(unitary_power_apply, u, 0, -4) == -4
 
 
 def test_table_unitary_follows_the_table():
     u = PermutationUnitary.from_table({0: 2, 2: -1, -1: 0})
-    assert unitary_power_apply(u, 1, 0) == 2
-    assert unitary_power_apply(u, 2, 0) == -1
-    assert unitary_power_apply(u, 3, 0) == 0
-    assert unitary_power_apply(u, -1, 2) == 0
+    assert power_at(unitary_power_apply, u, 1, 0) == 2
+    assert power_at(unitary_power_apply, u, 2, 0) == -1
+    assert power_at(unitary_power_apply, u, 3, 0) == 0
+    assert power_at(unitary_power_apply, u, -1, 2) == 0
 
 
 def test_table_unitary_rejects_non_injective_maps():
@@ -199,7 +199,7 @@ def test_table_unitary_rejects_non_injective_maps():
 def test_table_departure_raises_window_exceeded():
     u = PermutationUnitary.from_table({0: 1})
     with pytest.raises(WindowExceeded):
-        unitary_power_apply(u, 2, 0)
+        power_at(unitary_power_apply, u, 2, 0)
 
 
 @given(
@@ -211,7 +211,7 @@ def test_table_departure_raises_window_exceeded():
 @settings(max_examples=200)
 def test_table_powers_are_the_step_by_step_walk(u, n, js, horizon):
     for j in js:
-        assert outcome(unitary_power_apply, u, n, j, horizon=horizon) == outcome(
+        assert outcome(power_at, unitary_power_apply, u, n, j, horizon) == outcome(
             step_walk, u, n, j, horizon
         )
     # the array form raises for the first index, in array order, that leaves
@@ -226,7 +226,7 @@ def test_table_powers_are_the_step_by_step_walk(u, n, js, horizon):
     else:
         want = ("ok", want)
     got = outcome(
-        lambda: _unitary_power_indices(u, n, np.array(idx), horizon=horizon).tolist()
+        lambda: unitary_power_apply(u, n, np.array(idx), horizon=horizon).tolist()
     )
     assert got == want
 
@@ -234,16 +234,16 @@ def test_table_powers_are_the_step_by_step_walk(u, n, js, horizon):
 def test_table_walks_name_the_index_they_leave_from():
     # 0 -> 1 -> 2 leaves at 2 forward and at 0 walking back; 5 is unknown
     u = PermutationUnitary.from_table({0: 1, 1: 2, 3: 4, 4: 3})
-    assert unitary_power_apply(u, 7, 3) == 4
+    assert power_at(unitary_power_apply, u, 7, 3) == 4
     with pytest.raises(WindowExceeded, match="^index 2 left"):
-        unitary_power_apply(u, 3, 0)
+        power_at(unitary_power_apply, u, 3, 0)
     with pytest.raises(WindowExceeded, match="^index 0 left"):
-        unitary_power_apply(u, -3, 2)
+        power_at(unitary_power_apply, u, -3, 2)
     with pytest.raises(WindowExceeded, match="^index 5 left"):
-        unitary_power_apply(u, 1, 5)
-    assert unitary_power_apply(u, 0, 5) == 5
+        power_at(unitary_power_apply, u, 1, 5)
+    assert power_at(unitary_power_apply, u, 0, 5) == 5
     with pytest.raises(HorizonExceeded):
-        unitary_power_apply(u, -11, 5, horizon=10)
+        power_at(unitary_power_apply, u, -11, 5, horizon=10)
 
 
 # ---------------------------------------------------------------------------
@@ -284,24 +284,22 @@ def test_escape_index_none_when_orbit_leaves_the_table():
 
 def test_product_norm_doubling_tripling_pair_at_n2():
     factors = [(w1(), 2), (w2(), -4)]
-    got = monomial_product_norm(factors, 0)
-    assert log_rel_close(got.value, math.log(4.0 / 81.0), 1e-12)
+    lg, _ = cut_at(monomial_product_norm, factors, 0)
+    assert log_rel_close(math.exp(lg), math.log(4.0 / 81.0), 1e-12)
 
 
 def test_product_norm_single_positive_power():
-    got = monomial_product_norm([(w1(), 3)], 0)
-    assert math.isclose(got.value, 0.125, rel_tol=1e-12)
+    lg, _ = cut_at(monomial_product_norm, [(w1(), 3)], 0)
+    assert math.isclose(math.exp(lg), 0.125, rel_tol=1e-12)
 
 
 def test_product_norm_zero_power_is_one():
-    got = monomial_product_norm([(w1(), 0)], 4)
-    assert got.value == 1.0
+    assert cut_at(monomial_product_norm, [(w1(), 0)], 4) == (0.0, -4)
 
 
 def test_product_norm_tie_attained_at_smallest_index():
     flat = WeightedShift(WeightRule.piecewise(1.0, 1.0))
-    got = monomial_product_norm([(flat, 5)], 3)
-    assert got.attained_at == -3
+    assert cut_at(monomial_product_norm, [(flat, 5)], 3) == (0.0, -3)
 
 
 @given(
@@ -311,10 +309,10 @@ def test_product_norm_tie_attained_at_smallest_index():
 )
 def test_product_norm_matches_exact_fraction_chain(m, p, q):
     factors = [(w1(), p), (w2(), -q)]
-    got = monomial_product_norm(factors, m)
+    lg, attained_at = cut_at(monomial_product_norm, factors, m)
     frac, at = frac_chain_norm([(frac_w1, p), (frac_w2, -q)], m)
-    assert log_rel_close(got.value, flog(frac), 1e-10)
-    assert got.attained_at == at
+    assert log_rel_close(math.exp(lg), flog(frac), 1e-10)
+    assert attained_at == at
 
 
 @given(
@@ -325,9 +323,9 @@ def test_product_norm_matches_exact_fraction_chain(m, p, q):
 def test_rowcut_star_norm_equals_mirrored_column_norm(m, p, q):
     # cutting rows after adjoint factors measures the same product as
     # cutting columns before the unstarred factors in reverse order
-    rowcut = monomial_product_norm_rowcut([(w2().star(), -q), (w1().star(), p)], m)
-    colcut = monomial_product_norm([(w1(), p), (w2(), -q)], m)
-    assert rowcut.log_value == colcut.log_value
+    rowcut, _ = cut_at(monomial_product_norm_rowcut, [(w2().star(), -q), (w1().star(), p)], m)
+    colcut, _ = cut_at(monomial_product_norm, [(w1(), p), (w2(), -q)], m)
+    assert rowcut == colcut
 
 
 @given(
@@ -348,16 +346,16 @@ def test_rowcut_norm_matches_exact_fraction_landing_search(m, specs):
         (shifts[w][0].star() if adjoint else shifts[w][0], p)
         for w, p, adjoint in specs
     ]
-    got = monomial_product_norm_rowcut(factors, m)
+    got, _ = cut_at(monomial_product_norm_rowcut, factors, m)
     want = flog(frac_rowcut_norm([(shifts[w][1], p, a) for w, p, a in specs], m))
-    assert abs(got.log_value - want) <= 1e-10 * max(1.0, abs(want))
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def test_rowcut_without_star_cuts_rows_of_the_plain_product():
     # P_0 W_1^2 keeps the single path that lands on row 0
-    got = monomial_product_norm_rowcut([(w1(), 2)], 0)
+    lg, _ = cut_at(monomial_product_norm_rowcut, [(w1(), 2)], 0)
     frac, _ = frac_shift_power(frac_w1, 2, -2)
-    assert log_rel_close(got.value, flog(frac), 1e-12)
+    assert log_rel_close(math.exp(lg), flog(frac), 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -395,19 +393,28 @@ def bits(result):
     kind, value = result
     if kind != "ok":
         return result
-    return kind, value.log_value.hex(), value.attained_at
+    lg, at = value
+    return kind, lg.hex(), at
 
 
 @given(factor_lists, st.integers(min_value=0, max_value=6), st.sampled_from([10, 10_000]))
 @settings(max_examples=200)
 def test_column_cut_matches_the_scalar_walk(factors, m, horizon):
-    assert bits(outcome(monomial_product_norm, factors, m, horizon=horizon)) == bits(
+    assert bits(outcome(cut_at, monomial_product_norm, factors, m, horizon)) == bits(
         outcome(scalar_column_cut, factors, m, horizon)
     )
     mirrored = [(shift.star(), p) for shift, p in reversed(factors)]
-    assert bits(outcome(monomial_product_norm_rowcut, factors, m, horizon=horizon)) == bits(
+    assert bits(outcome(cut_at, monomial_product_norm_rowcut, factors, m, horizon)) == bits(
         outcome(scalar_column_cut, mirrored, m, horizon)
     )
+    # one power per row: the rows p, -p and 0 of every factor walk as one grid
+    if all(abs(p) <= horizon for _, p in factors):
+        batched = [(shift, np.array([p, -p, 0])) for shift, p in factors]
+        lg, at = monomial_product_norm(batched, m, horizon=horizon)
+        rows = [[(shift, c * p) for shift, p in factors] for c in (1, -1, 0)]
+        assert [(x.hex(), a) for x, a in zip(lg.tolist(), at.tolist())] == [
+            (x.hex(), a) for x, a in (scalar_column_cut(row, m, horizon) for row in rows)
+        ]
 
 
 @given(
@@ -418,8 +425,8 @@ def test_column_cut_matches_the_scalar_walk(factors, m, horizon):
 def test_one_index_shift_power_matches_the_scalar_walk(shift, n, j):
     def mono_bits(result):
         kind, mono = result
-        return result if kind != "ok" else (type(mono.index), mono.index, mono.log_coeff.hex())
+        return result if kind != "ok" else (mono[0], mono[1].hex())
 
-    assert mono_bits(outcome(shift_power_apply, shift, n, j, horizon=20)) == mono_bits(
+    assert mono_bits(outcome(power_at, shift_power_apply, shift, n, j, 20)) == mono_bits(
         outcome(scalar_shift_power, shift, n, j, 20)
     )

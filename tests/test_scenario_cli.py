@@ -233,6 +233,16 @@ PINNED_DIAGNOSTICS = [
     # a weight key takes ASCII digits only
     (corollary_text(extra="weight\u00b2 = piecewise 1 1\n"),
      ["line 10: unknown key 'weight\u00b2'"]),
+    # m + 2 * horizon must fit int64: past it an iterate raised OverflowError
+    # (exit 6), or a wrapped index printed inf and a wrong verdict (exit 1)
+    (with_keys(horizon=str(10**30), n_seq="explicit 1 2 5000000000000000000"),
+     ["horizon: must be at most 2305843009213693952"]),
+    (with_keys(weight1="piecewise 2 1/2", weight2=None, r_list="1", m="2",
+               k_max="2", n_seq="explicit 1 9223372036854775806",
+               horizon="9223372036854775807"),
+     ["horizon: must be at most 2305843009213693952"]),
+    (with_keys(m=str(2**61 + 1), window_cap=str(2**62)),
+     ["m: must be at most 2305843009213693952"]),
 ]
 
 
@@ -424,6 +434,17 @@ def test_run_matrix_file_index_beyond_int64_exits_two(tmp_path, capsys):
     assert "line 3: index does not fit int64" in capsys.readouterr().err
 
 
+def test_run_horizon_override_past_the_walk_bound_exits_two(tmp_path, capsys):
+    # the iterate fits the horizon, so the walk used to reach int64 overflow
+    text = with_keys(n_seq="explicit 1 2 5000000000000000000")
+    path = write_scenario(tmp_path, text)
+    argv = ("run", path, "--out", str(tmp_path / "o"), "--horizon", str(10**30))
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == (
+        "error: horizon override must be at most 2305843009213693952\n"
+    )
+
+
 def test_run_infinite_tol_override_exits_two(tmp_path, capsys):
     # every family is below an infinite tolerance: it would certify anything
     assert run_cli("run", "example24", "--out", str(tmp_path / "o"), "--tol", "inf") == 2
@@ -526,21 +547,6 @@ def test_run_builtin_example28_emits_eta_artifacts(tmp_path):
     assert "eta_k0001.finmat" in names
     assert "eta_k0050.finmat" in names
     assert "wstar-dist(eta_k - M_P1 psi)" in (out / "report.csv").read_text()
-
-
-def test_run_builtin_example28_bounds_match_values_digit_for_digit(tmp_path):
-    # Each adjoint-side row is the column cut of its chain on the plain
-    # shifts, the mirrored plain-side value, and carries it as its bound.
-    out = tmp_path / "e28"
-    assert run_cli("run", "example28", "--out", str(out)) == 0
-    rows = [
-        line.split(",")
-        for line in (out / "report.csv").read_text().splitlines()[1:]
-        if line.startswith("norm(P")
-    ]
-    assert len(rows) == 5 * 6 * 50  # windows 0..4, six families, k_max = 50
-    for quantity, k, _, value, bound, _ in rows:
-        assert bound == value, (quantity, k)
 
 
 def test_run_builtin_example28_dual_rows_match_the_dense_transport_route(tmp_path):
