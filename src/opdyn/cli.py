@@ -59,33 +59,16 @@ from .errors import (
 )
 from .finmat import load_finmat, op_norm, projection_matrix, save_finmat, unit
 from .scenario import (
-    BUILTIN_SCENARIOS,
     Scenario,
     analyze_scenario,
     list_builtin,
-    parse_scenario,
+    load_scenario,
+    resolve_scenario,
     with_overrides,
 )
 
 #: Window sweep used by the built-in example modes.
 EXAMPLE_SWEEP = range(5)
-
-
-def _resolve_text(ref: str) -> tuple[str, str]:
-    """Scenario text and base directory for a file path or builtin name."""
-    if os.path.isfile(ref):
-        with open(ref, "r", encoding="utf-8") as fh:
-            return fh.read(), os.path.dirname(os.path.abspath(ref))
-    if ref in BUILTIN_SCENARIOS:
-        return BUILTIN_SCENARIOS[ref], "."
-    raise ScenarioError([f"no such scenario file or builtin: {ref}"])
-
-
-def _load_matrix(path: str):
-    try:
-        return load_finmat(path)
-    except OSError as exc:
-        raise ScenarioError([f"cannot read matrix file: {exc}"]) from exc
 
 
 def _load_witness_bundle(scenario: Scenario, inst: CriterionInstance):
@@ -120,13 +103,13 @@ def _mode_theorem(scenario: Scenario):
 
 def _mode_pointwise(scenario: Scenario):
     inst = scenario.to_instance()
-    seeds = [_load_matrix(path) for path in scenario.seeds]
+    seeds = [load_finmat(path) for path in scenario.seeds]
     return check_pointwise_decay(inst, seeds, scenario.tol), {}
 
 
 def _mode_construct_phi(scenario: Scenario):
     inst = scenario.to_instance()
-    mats = [_load_matrix(path) for path in scenario.targets]
+    mats = [load_finmat(path) for path in scenario.targets]
     try:
         targets = TargetTuple(f=mats[0], e_list=tuple(mats[1:]), m=inst.m)
     except ValueError as exc:
@@ -228,12 +211,12 @@ def _run_orbit(scenario: Scenario, outdir: str) -> int:
     inst = scenario.to_instance()
     ops = list(zip(inst.elementary_ops(), inst.r_list))
     n_max = inst.n_values()[-1]
-    seeds = [_load_matrix(path) for path in scenario.seeds]
+    seeds = [load_finmat(path) for path in scenario.seeds]
     targets = None
     if scenario.targets:
         if len(scenario.targets) != inst.n_ops:
             raise ScenarioError(["targets: orbit mode needs one per operator"])
-        targets = [_load_matrix(path) for path in scenario.targets]
+        targets = [load_finmat(path) for path in scenario.targets]
     kwargs = dict(horizon=inst.horizon, window_cap=inst.window_cap)
     rows = []
     for seed in seeds:
@@ -265,11 +248,8 @@ _MODE_HANDLERS = {
 
 
 def _cmd_run(args) -> int:
-    text, base_dir = _resolve_text(args.scenario)
-    scenario = parse_scenario(text, base_dir)
-    scenario = with_overrides(
-        scenario, tol=args.tol, k_max=args.kmax, horizon=args.horizon
-    )
+    overrides = dict(tol=args.tol, k_max=args.kmax, horizon=args.horizon)
+    scenario = with_overrides(load_scenario(args.scenario), **overrides)
     outdir = args.out if args.out is not None else os.path.join("runs", scenario.name)
     os.makedirs(outdir, exist_ok=True)
 
@@ -287,8 +267,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    text, base_dir = _resolve_text(args.scenario)
-    _, diags = analyze_scenario(text, base_dir)
+    _, diags = analyze_scenario(*resolve_scenario(args.scenario))
     if not diags:
         print("ok")
         return 0

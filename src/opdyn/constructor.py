@@ -32,6 +32,7 @@ from .finmat import (
     load_finmat,
     op_norm,
     projection_matrix,
+    read_text,
     save_finmat,
     truncate_left,
     truncate_right,
@@ -250,11 +251,7 @@ def save_bundle(bundle: WitnessBundle, r_list: Sequence[int], dirpath) -> None:
 def load_bundle(dirpath) -> tuple[WitnessBundle, tuple[int, ...]]:
     """Read a bundle directory back; returns (bundle, r_list)."""
     manifest = os.path.join(dirpath, _MANIFEST_NAME)
-    try:
-        with open(manifest, "r", encoding="ascii") as fh:
-            raw = fh.read().splitlines()
-    except OSError as exc:
-        raise FormatError(f"cannot read bundle manifest: {exc}") from exc
+    raw = read_text(manifest, "bundle manifest").splitlines()
     if not raw or raw[0] != BUNDLE_HEADER:
         raise FormatError(f"bundle manifest must start with {BUNDLE_HEADER!r}")
     fields: dict[str, str] = {}
@@ -277,24 +274,21 @@ def load_bundle(dirpath) -> tuple[WitnessBundle, tuple[int, ...]]:
         n_values = tuple(int(t) for t in fields["n_values"].split())
     except ValueError as exc:
         raise FormatError(f"bad manifest integer: {exc}") from exc
-    def load_named(name: str) -> FiniteMatrix:
-        try:
-            return load_finmat(os.path.join(dirpath, name))
-        except OSError as exc:
-            raise FormatError(f"cannot read bundle file {name!r}: {exc}") from exc
-
-    d_seq = tuple(
-        load_named(f"d_{k:04d}.finmat") for k in range(1, len(n_values) + 1)
-    )
-    g_seqs = tuple(
+    ks = range(1, len(n_values) + 1)
+    names = [[f"d_{k:04d}.finmat" for k in ks]] + [
+        [f"g{l}_{k:04d}.finmat" for k in ks] for l in range(1, len(r_list) + 1)
+    ]
+    d_seq, *g_seqs = (
         tuple(
-            load_named(f"g{l}_{k:04d}.finmat")
-            for k in range(1, len(n_values) + 1)
+            load_finmat(os.path.join(dirpath, name), f"bundle file {name!r}")
+            for name in row
         )
-        for l in range(1, len(r_list) + 1)
+        for row in names
     )
     try:
-        bundle = WitnessBundle(m=m, n_values=n_values, d_seq=d_seq, g_seqs=g_seqs)
+        bundle = WitnessBundle(
+            m=m, n_values=n_values, d_seq=d_seq, g_seqs=tuple(g_seqs)
+        )
     except ValueError as exc:
         raise FormatError(f"inconsistent bundle: {exc}") from exc
     return bundle, r_list

@@ -46,7 +46,6 @@ from .finmat import (
     compose,
     op_norm,
     projection_matrix,
-    shift_multiply,
     trace_norm,
     truncate_left,
     truncate_right,
@@ -75,24 +74,6 @@ def m_d(phi: FunctionalRep, d: FiniteMatrix) -> FunctionalRep:
     """Composition with the fixed left factor D: F maps to phi(D F), whose
     representer is A D."""
     return FunctionalRep(compose(phi.representer, d))
-
-
-def m_d_shift_power(
-    phi: FunctionalRep,
-    shift,
-    p: int,
-    *,
-    horizon: int = DEFAULT_HORIZON,
-    window_cap: int = DEFAULT_WINDOW_CAP,
-) -> FunctionalRep:
-    """Composition with D = W^p, applied by transport instead of
-    materializing D."""
-    return FunctionalRep(
-        shift_multiply(
-            phi.representer, shift, p, "right",
-            horizon=horizon, window_cap=window_cap,
-        )
-    )
 
 
 def dual_apply_power(

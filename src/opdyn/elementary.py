@@ -11,14 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .finmat import (
-    DEFAULT_WINDOW_CAP,
-    FiniteMatrix,
-    _shift_move,
-    _transport,
-    _unitary_move,
-    op_norm,
-)
+from .finmat import DEFAULT_WINDOW_CAP, FiniteMatrix, _move, _transport, op_norm
 from .lattice import DEFAULT_HORIZON, PermutationUnitary, WeightedShift
 
 ORIENTATIONS = ("WFU", "UFW")
@@ -48,13 +41,9 @@ def apply_power(
     """T^p(F) by one-pass entry transport; negative p inverts the power."""
     if p == 0:
         return f
-    # a right factor moves columns as its transpose moves rows
-    if op.orientation == "WFU":
-        left = _shift_move(op.shift, p, horizon=horizon)
-        right = _unitary_move(op.unitary, -p, horizon=horizon)
-    else:
-        left = _unitary_move(op.unitary, p, horizon=horizon)
-        right = _shift_move(op.shift.star(), p, horizon=horizon)
+    wfu = op.orientation == "WFU"
+    left = _move(op.shift if wfu else op.unitary, p, "left", horizon=horizon)
+    right = _move(op.unitary if wfu else op.shift, p, "right", horizon=horizon)
     return _transport(f, left, right, window_cap=window_cap)
 
 

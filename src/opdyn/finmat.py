@@ -12,7 +12,9 @@ the walk meets them.
 
 from __future__ import annotations
 
+import io
 import math
+import os
 from typing import Iterator
 
 import numpy as np
@@ -297,20 +299,42 @@ def trace_norm(a: FiniteMatrix) -> float:
     return math.fsum(_singular_values(a).tolist())
 
 
-def _shift_move(shift, p, *, horizon):
-    """Row move of W^p multiplied on the left: landing indices and
-    coefficients for an array of indices."""
+def _move(factor, p, side, *, horizon):
+    """The move of factor^p multiplied on the given side: sorted distinct
+    indices to (landing indices, coefficients or None).
+
+    A factor on the right moves columns as its transpose moves rows (the
+    weights are real): U^p on the right is the move of U^-p, and W^p that of
+    (W*)^p.  A shift or translation power moves every index by one step; a
+    landing past int64 is caught before the int64 add, and the exact
+    landings come back as Python ints for the window cap to reject.
+    """
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    if isinstance(factor, PermutationUnitary):
+        p = p if side == "left" else -p
+        step = p * factor.t  # 0 for a table, which never adds
+
+        def walk(idx):
+            return unitary_power_apply(factor, p, idx, horizon=horizon), None
+
+    else:
+        shift = factor.star() if side == "right" else factor
+        step = -p if shift.adjoint else p
+
+        def walk(idx):
+            to, lg = shift_power_apply(shift, p, idx, horizon=horizon)
+            return to, np.fromiter(map(_exp, lg.tolist()), np.float64, len(lg))
 
     def move(idx):
-        to, lg = shift_power_apply(shift, p, idx, horizon=horizon)
-        return to, np.fromiter(map(_exp, lg.tolist()), np.float64, len(lg))
+        # a power over the horizon is the walk's to report
+        if abs(p) <= horizon and not (
+            _INDEX_MIN <= int(idx[0]) + step and int(idx[-1]) + step <= _INDEX_MAX
+        ):
+            return idx.astype(object) + step, None
+        return walk(idx)
 
     return move
-
-
-def _unitary_move(unitary, p, *, horizon):
-    """Row move of U^p multiplied on the left, with coefficient 1 (None)."""
-    return lambda idx: (unitary_power_apply(unitary, p, idx, horizon=horizon), None)
 
 
 def _moved(idx, move):
@@ -329,23 +353,20 @@ def _transport(a, left=None, right=None, *, window_cap):
     both coefficients.  Each distinct row and column index moves once, the
     rows first, in ascending order.
 
-    A move sends an index array to (new indices, coefficients or None) and
-    is injective, so entries never collide; None keeps that side's indices.
-    A factor X on the right moves columns as X^T moves rows (the weights are
-    real): U^p on the right is the move of U^-p, and W^p that of (W*)^p, the
-    move of ``W.star()``.
+    A move (see ``_move``) is injective, so entries never collide; None
+    keeps that side's indices.  The first entry that lands outside the
+    window cap, or outside int64, is named at its exact position.
     """
     if a.is_zero():
         return a
     rows, ci = _moved(a._rows, left)
     cols, cj = _moved(a._cols, right)
-    out = (np.abs(rows) > window_cap) | (np.abs(cols) > window_cap)
+    cap = min(window_cap, _INDEX_MAX)
+    out = (np.abs(rows) > cap) | (np.abs(cols) > cap)
     if out.any():
         k = int(np.argmax(out))
         position = (int(rows[k]), int(cols[k]))
-        raise WindowExceeded(
-            f"transported index {position} exceeds window cap {window_cap}"
-        )
+        raise WindowExceeded(f"transported index {position} exceeds window cap {cap}")
     vals = a._vals
     for coeff in (ci, cj):
         if coeff is not None:
@@ -368,11 +389,7 @@ def shift_multiply(
     Every entry moves to a single new position with an exact weight
     coefficient; no dense powers are ever formed.
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    move = _shift_move(
-        shift.star() if side == "right" else shift, p, horizon=horizon
-    )
+    move = _move(shift, p, side, horizon=horizon)
     return _transport(a, **{side: move}, window_cap=window_cap)
 
 
@@ -386,9 +403,7 @@ def permute_multiply(
     window_cap: int = DEFAULT_WINDOW_CAP,
 ) -> FiniteMatrix:
     """Multiply by U^p on the given side by relabeling rows or columns."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    move = _unitary_move(unitary, p if side == "left" else -p, horizon=horizon)
+    move = _move(unitary, p, side, horizon=horizon)
     return _transport(a, **{side: move}, window_cap=window_cap)
 
 
@@ -408,6 +423,18 @@ def write_finmat(a: FiniteMatrix, fh) -> None:
     """
     fh.write(FINMAT_HEADER + "\n")
     fh.write("".join(f"{i} {j} {v!r}\n" for (i, j), v in a.items()))
+
+
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of an input file; a file that cannot be opened or
+    decoded raises FormatError("cannot read <what>: ...") naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read {what}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"cannot read {what}: {exc}: {os.fspath(path)!r}") from exc
 
 
 def read_finmat(fh) -> FiniteMatrix:
@@ -440,6 +467,6 @@ def save_finmat(a: FiniteMatrix, path) -> None:
         write_finmat(a, fh)
 
 
-def load_finmat(path) -> FiniteMatrix:
-    with open(path, "r") as fh:
-        return read_finmat(fh)
+def load_finmat(path, what: str = "matrix file") -> FiniteMatrix:
+    # a StringIO splits lines on "\n" only, as the file did
+    return read_finmat(io.StringIO(read_text(path, what)))

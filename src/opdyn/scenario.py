@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .criteria import DEFAULT_K_MAX, DEFAULT_TOL, CriterionInstance, NSeq
 from .errors import ScenarioError
-from .finmat import DEFAULT_WINDOW_CAP
+from .finmat import DEFAULT_WINDOW_CAP, read_text
 from .lattice import (
     DEFAULT_HORIZON,
     PermutationUnitary,
@@ -41,8 +41,9 @@ from .lattice import (
 
 SCENARIO_HEADER = "opdyn-scenario v1"
 
-#: Largest horizon and window half-width m: a walk reaches at most
-#: m + 2 * horizon from the origin, which then fits int64.
+#: Largest horizon, window half-width m and window cap: a walk reaches at
+#: most m + 2 * horizon from the origin, and the cap lets through only
+#: indices that fit int64.
 _WALK_BOUND = 1 << 61
 
 MODES = (
@@ -240,7 +241,7 @@ _KEYS = {
     "k_max": (_integer(1), DEFAULT_K_MAX),
     "tol": (_tol, DEFAULT_TOL),
     "horizon": (_integer(1, _WALK_BOUND), DEFAULT_HORIZON),
-    "window_cap": (_integer(1), DEFAULT_WINDOW_CAP),
+    "window_cap": (_integer(1, _WALK_BOUND), DEFAULT_WINDOW_CAP),
     "adjoint_weights": (
         _one_of({"true": True, "false": False}, "expected true or false, got {!r}"),
         None,
@@ -427,15 +428,6 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
     return scenario
 
 
-def load_scenario(path) -> Scenario:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ScenarioError([f"cannot read scenario file: {exc}"]) from exc
-    return parse_scenario(text, base_dir=os.path.dirname(os.path.abspath(path)))
-
-
 EXAMPLE24_TEXT = """\
 opdyn-scenario v1
 # Two-shift tuple on the integer lattice with doubled second exponent.
@@ -477,10 +469,19 @@ def list_builtin() -> list[str]:
     return sorted(BUILTIN_SCENARIOS)
 
 
-def load_builtin(name: str) -> Scenario:
-    if name not in BUILTIN_SCENARIOS:
-        raise ScenarioError([f"unknown builtin scenario {name!r}"])
-    return parse_scenario(BUILTIN_SCENARIOS[name])
+def resolve_scenario(ref) -> tuple[str, str]:
+    """Scenario text and base directory of a file path or builtin name; a
+    file wins over a builtin of the same name."""
+    if os.path.isfile(ref):
+        return read_text(ref, "scenario file"), os.path.dirname(os.path.abspath(ref))
+    if ref in BUILTIN_SCENARIOS:
+        return BUILTIN_SCENARIOS[ref], "."
+    raise ScenarioError([f"no such scenario file or builtin: {ref}"])
+
+
+def load_scenario(ref) -> Scenario:
+    """The scenario that the file path or builtin name ``ref`` names."""
+    return parse_scenario(*resolve_scenario(ref))
 
 
 def with_overrides(
@@ -490,21 +491,13 @@ def with_overrides(
     k_max: int | None = None,
     horizon: int | None = None,
 ) -> Scenario:
-    out = scenario
-    if tol is not None:
-        if not tol > 0.0:
-            raise ScenarioError(["tol override must be strictly positive"])
-        if tol == math.inf:
-            raise ScenarioError(["tol override must be finite"])
-        out = replace(out, tol=tol)
-    if k_max is not None:
-        if k_max < 1:
-            raise ScenarioError(["k_max override must be at least 1"])
-        out = replace(out, k_max=k_max)
-    if horizon is not None:
-        if horizon < 1:
-            raise ScenarioError(["horizon override must be at least 1"])
-        if horizon > _WALK_BOUND:
-            raise ScenarioError([f"horizon override must be at most {_WALK_BOUND}"])
-        out = replace(out, horizon=horizon)
-    return out
+    """The scenario with the given values replaced, each checked by the
+    converter of its key, as if the scenario file had given it."""
+    changes = {}
+    for key, value in (("tol", tol), ("k_max", k_max), ("horizon", horizon)):
+        if value is not None:
+            try:
+                changes[key] = _KEYS[key][0](str(value))
+            except ValueError as exc:
+                raise ScenarioError([f"{key} override {exc}"]) from None
+    return replace(scenario, **changes)

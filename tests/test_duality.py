@@ -47,13 +47,11 @@ from opdyn.duality import (
     dual_apply_power,
     eval_functional,
     m_d,
-    m_d_shift_power,
     strong_limit_distance,
     verify_dual_convergence,
     weak_star_distance,
 )
 from opdyn.elementary import ElementaryOp
-from opdyn.finmat import shift_multiply
 
 small_matrices = st.builds(
     random_matrix,
@@ -110,20 +108,6 @@ def test_m_d_composes_contravariantly(a, d1, d2):
     direct = compose(compose(a, d1), d2)
     diff = twice - direct
     assert all(abs(v) <= 1e-12 for _, v in diff.items())
-
-
-@given(
-    small_matrices,
-    st.integers(min_value=-5, max_value=5),
-    st.booleans(),
-)
-@settings(max_examples=40)
-def test_m_d_shift_power_is_right_multiplication(a, p, star):
-    phi = FunctionalRep(a)
-    shift = w2().star() if star else w2()
-    got = m_d_shift_power(phi, shift, p).representer
-    want = shift_multiply(a, shift, p, "right")
-    assert got == want
 
 
 # ---------------------------------------------------------------------------

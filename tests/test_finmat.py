@@ -32,6 +32,7 @@ from opdyn import (
     ElementaryOp,
     FiniteMatrix,
     FormatError,
+    HorizonExceeded,
     WindowExceeded,
     apply_power,
     compose,
@@ -393,6 +394,39 @@ def test_transport_past_the_window_cap_names_the_final_position():
         WindowExceeded, match=r"^transported index \(11, 0\) exceeds window cap 10$"
     ):
         shift_multiply(a, w1(), 10, "left", window_cap=10)
+
+
+#: An index three below the top of int64.
+TOP = (1 << 63) - 3
+
+
+@pytest.mark.parametrize(
+    "a, multiply, position",
+    [
+        (unit(0, 0) + unit(TOP, 0),
+         lambda a, **kw: shift_multiply(a, w1(), 5, "left", **kw), (TOP + 5, 0)),
+        # W^p on the right moves columns as (W*)^p: down by p
+        (unit(0, -TOP), lambda a, **kw: shift_multiply(a, w1(), 5, "right", **kw),
+         (0, -TOP - 5)),
+        (unit(-TOP, 0),
+         lambda a, **kw: permute_multiply(a, translation(-3), 2, "left", **kw),
+         (-TOP - 6, 0)),
+        # U^p on the right moves columns as U^-p
+        (unit(0, TOP),
+         lambda a, **kw: permute_multiply(a, translation(-3), 2, "right", **kw),
+         (0, TOP + 6)),
+    ],
+    ids=["shift-left", "shift-right", "translation-left", "translation-right"],
+)
+def test_transport_past_int64_is_named_at_the_exact_position(a, multiply, position):
+    # a cap past int64 cannot let a landing outside it through
+    want = f"transported index {position} exceeds window cap {(1 << 63) - 1}"
+    with pytest.raises(WindowExceeded) as info:
+        multiply(a, window_cap=10**30)
+    assert str(info.value) == want
+    # a power over the horizon is still reported as such
+    with pytest.raises(HorizonExceeded):
+        multiply(a, horizon=1)
 
 
 def test_empty_matrix_moved_beyond_the_horizon_stays_empty():

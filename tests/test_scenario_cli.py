@@ -16,7 +16,6 @@ from opdyn.finmat import _shift_chain, save_finmat
 from opdyn.scenario import (
     analyze_scenario,
     list_builtin,
-    load_builtin,
     load_scenario,
     parse_scenario,
     with_overrides,
@@ -46,7 +45,7 @@ def corollary_text(m=0, k_max=25, extra="") -> str:
 
 
 def test_builtin_scenarios_parse_to_the_canonical_configuration():
-    s24 = load_builtin("example24")
+    s24 = load_scenario("example24")
     assert s24.mode == "example24"
     assert s24.r_list == (1, 2)
     assert s24.m == 1 and s24.k_max == 40
@@ -58,14 +57,14 @@ def test_builtin_scenarios_parse_to_the_canonical_configuration():
     )
     assert s24.unitary == PermutationUnitary.translation(1)
 
-    s28 = load_builtin("example28")
+    s28 = load_scenario("example28")
     assert s28.mode == "example28"
     assert s28.adjoint_weights
     assert s28.k_max == 50
 
     assert list_builtin() == ["example24", "example28"]
     with pytest.raises(ScenarioError):
-        load_builtin("example99")
+        load_scenario("example99")
 
 
 def test_fraction_tokens_parse_exactly():
@@ -124,6 +123,14 @@ def with_keys(**keys) -> str:
 
 
 HEADER = "opdyn-scenario v1\n"
+
+#: A criterion-pointwise run whose seed (written by ``write_window_cap_seed``)
+#: has an entry near the top of int64 that translation -1000 moves past it.
+WINDOW_CAP_CASE = (
+    HEADER + "name = wc\nmode = criterion-pointwise\n"
+    "weight1 = piecewise 2 1/2\nr_list = 1\nm = 1\nk_max = 3\n"
+    "unitary = translation -1000\nseeds = seed.finmat\n"
+)
 
 #: Malformed scenarios and their exact diagnostics: sorted, except that
 #: line-level ones come in line order.
@@ -242,7 +249,11 @@ PINNED_DIAGNOSTICS = [
                horizon="9223372036854775807"),
      ["horizon: must be at most 2305843009213693952"]),
     (with_keys(m=str(2**61 + 1), window_cap=str(2**62)),
-     ["m: must be at most 2305843009213693952"]),
+     ["m: must be at most 2305843009213693952",
+      "window_cap: must be at most 2305843009213693952"]),
+    # a cap past int64 let wrapped indices through: exit 1, no diagnostic
+    (WINDOW_CAP_CASE + "window_cap = " + str(10**30) + "\n",
+     ["window_cap: must be at most 2305843009213693952"]),
 ]
 
 
@@ -263,7 +274,7 @@ def test_missing_required_keys_are_diagnosed():
 
 
 def test_example_modes_insist_on_their_configuration():
-    text = load_builtin("example24")
+    text = load_scenario("example24")
     raw = (
         "opdyn-scenario v1\nname = x\nmode = example24\n"
         + CANONICAL_LINES.replace("piecewise 2 1/2", "piecewise 5 1/5")
@@ -282,15 +293,29 @@ def test_example_modes_insist_on_their_configuration():
 
 
 def test_with_overrides_replaces_only_what_is_given():
-    s = load_builtin("example24")
+    s = load_scenario("example24")
     t = with_overrides(s, tol=1e-3, k_max=7)
     assert (t.tol, t.k_max, t.horizon) == (1e-3, 7, s.horizon)
-    with pytest.raises(ScenarioError):
-        with_overrides(s, k_max=0)
-    with pytest.raises(ScenarioError):
-        with_overrides(s, tol=-1.0)
-    with pytest.raises(ScenarioError, match="tol override must be finite"):
-        with_overrides(s, tol=math.inf)
+    assert with_overrides(s, horizon=2**61).horizon == 2**61
+
+
+@pytest.mark.parametrize(
+    "override, diag",
+    [
+        ({"k_max": 0}, "k_max override must be at least 1"),
+        ({"horizon": 0}, "horizon override must be at least 1"),
+        ({"horizon": 2**61 + 1},
+         "horizon override must be at most 2305843009213693952"),
+        ({"tol": 0.0}, "tol override must be strictly positive"),
+        ({"tol": -1.0}, "tol override must be strictly positive"),
+        ({"tol": math.nan}, "tol override must be strictly positive"),
+        ({"tol": math.inf}, "tol override must be finite"),
+    ],
+)
+def test_with_overrides_gives_exactly_these_diagnostics(override, diag):
+    with pytest.raises(ScenarioError) as info:
+        with_overrides(load_scenario("example24"), **override)
+    assert info.value.diagnostics == [diag]
 
 
 def test_load_scenario_resolves_paths_against_its_directory(tmp_path):
@@ -434,6 +459,105 @@ def test_run_matrix_file_index_beyond_int64_exits_two(tmp_path, capsys):
     assert "line 3: index does not fit int64" in capsys.readouterr().err
 
 
+def write_window_cap_seed(tmp_path, entries):
+    (tmp_path / "seed.finmat").write_text("finmat v1\n" + "".join(
+        f"{i} {j} 1\n" for i, j in entries
+    ))
+
+
+def test_run_transport_past_int64_names_the_exact_position(tmp_path, capsys):
+    # column 9223372036854775000 moves by +1000: the int64 add used to wrap
+    # it round to -9223372036854775616 before the window cap named it
+    write_window_cap_seed(tmp_path, [(0, 9223372036854775000), (0, 0)])
+    path = write_scenario(tmp_path, WINDOW_CAP_CASE + "window_cap = 1000000\n")
+    assert run_cli("run", path, "--out", str(tmp_path / "o")) == 3
+    assert capsys.readouterr().err == (
+        "error: transported index (1, 9223372036854776000) exceeds window cap 1000000\n"
+    )
+
+
+def test_run_translation_step_past_int64_exits_three(tmp_path, capsys):
+    # the column step -2^70 does not fit int64: it raised OverflowError (exit 6)
+    write_window_cap_seed(tmp_path, [(0, 0), (1, 1)])
+    text = WINDOW_CAP_CASE.replace("translation -1000", "translation 1073741824") + (
+        f"n_seq = explicit 1 2 1099511627776\nhorizon = {2**61}\nwindow_cap = {2**61}\n"
+    )
+    path = write_scenario(tmp_path, text)
+    assert run_cli("run", path, "--out", str(tmp_path / "o")) == 3
+    assert capsys.readouterr().err == (
+        "error: transported index (1099511627776, -1180591620717411303424) "
+        "exceeds window cap 2305843009213693952\n"
+    )
+
+
+def test_run_input_seed_past_the_cap_still_moves_inward(tmp_path):
+    # input indices outside the cap are not rejected: only landings are
+    # (orbit mode walks the forward powers only; n = 0 moves nothing)
+    write_window_cap_seed(tmp_path, [(0, -2500)])
+    text = WINDOW_CAP_CASE.replace("criterion-pointwise", "orbit")
+    path = write_scenario(tmp_path, text + "window_cap = 2000\n")
+    assert run_cli("run", path, "--out", str(tmp_path / "o")) == 0
+    rows = (tmp_path / "o" / "orbit.csv").read_text().splitlines()
+    assert len(rows) == 1 + 4
+
+
+def undecodable(path):
+    """Rewrite the file at path with a 0xff byte at the end of its first
+    line: not UTF-8 any more."""
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b"\n", b"\xff\n", 1))
+    return str(path)
+
+
+def test_run_and_validate_undecodable_scenario_exit_two(tmp_path, capsys):
+    write_scenario(tmp_path, corollary_text())
+    path = undecodable(tmp_path / "case.scenario")
+    for argv in (("validate", path), ("run", path, "--out", str(tmp_path / "o"))):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read scenario file: ")
+        assert err.endswith(f"invalid start byte: {path!r}\n")
+        assert err.count("\n") == 1
+
+
+def test_run_undecodable_seed_exits_two(tmp_path, capsys):
+    write_window_cap_seed(tmp_path, [(0, 0)])
+    seed = undecodable(tmp_path / "seed.finmat")
+    path = write_scenario(tmp_path, WINDOW_CAP_CASE)
+    assert run_cli("run", path, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read matrix file: ")
+    assert err.endswith(f"invalid start byte: {seed!r}\n")
+    assert err.count("\n") == 1
+
+
+def test_run_undecodable_bundle_manifest_exits_two(tmp_path, capsys):
+    inst = canonical_instance(m=1, r1=1, k_max=4)
+    save_bundle(default_bundle(inst), inst.r_list, tmp_path / "wit")
+    manifest = undecodable(tmp_path / "wit" / "manifest.txt")
+    path = write_scenario(
+        tmp_path,
+        "opdyn-scenario v1\nname = t\nmode = theorem\n"
+        + CANONICAL_LINES
+        + "m = 1\nk_max = 4\nwitnesses = wit\n",
+    )
+    assert run_cli("run", path, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read bundle manifest: ")
+    assert err.endswith(f"invalid start byte: {manifest!r}\n")
+    assert err.count("\n") == 1
+
+
+def test_run_missing_seed_keeps_its_diagnostic(tmp_path, capsys):
+    path = write_scenario(tmp_path, WINDOW_CAP_CASE)
+    assert run_cli("run", path, "--out", str(tmp_path / "o")) == 2
+    seed = tmp_path / "seed.finmat"
+    assert capsys.readouterr().err == (
+        "error: cannot read matrix file: [Errno 2] No such file or directory: "
+        f"{str(seed)!r}\n"
+    )
+
+
 def test_run_horizon_override_past_the_walk_bound_exits_two(tmp_path, capsys):
     # the iterate fits the horizon, so the walk used to reach int64 overflow
     text = with_keys(n_seq="explicit 1 2 5000000000000000000")
@@ -562,7 +686,7 @@ def test_run_builtin_example28_dual_rows_match_the_dense_transport_route(tmp_pat
         )
         if quantity.startswith("norm(P")
     }
-    scenario = load_builtin("example28")
+    scenario = load_scenario("example28")
     assert scenario.adjoint_weights
     checked = 0
     for mm in range(5):

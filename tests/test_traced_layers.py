@@ -50,6 +50,9 @@ LAYERS = {
     "lattice.monomial_product_norm": ("families", "dual"),
     "lattice.shift_power_apply": ("families", "construct", "dual"),
     "lattice.unitary_power_apply": ("construct", "dual"),
+    "elementary.apply_power": ("construct", "dual"),
+    "finmat.shift_multiply": ("dual",),
+    "duality.dual_apply_power": ("dual",),
 }
 
 

@@ -42,13 +42,7 @@ from opdyn import (
 from opdyn.cli import main
 from opdyn.duality import FunctionalRep
 from opdyn.elementary import ElementaryOp
-from opdyn.finmat import (
-    _shift_move,
-    _transport,
-    _unitary_move,
-    projection_matrix,
-    save_finmat,
-)
+from opdyn.finmat import _move, _transport, projection_matrix, save_finmat
 
 small_matrices = st.builds(
     random_matrix,
@@ -169,11 +163,11 @@ def test_transport_matches_the_dict_spelling(
     new, old = [None, None], [None, None]
     if shift_factor:
         shift, p = shift_factor
-        new[0] = _shift_move(shift, p, horizon=horizon)
+        new[0] = _move(shift, p, "left", horizon=horizon)
         old[0] = scalar_shift_move(shift, p, horizon)
     if unitary_factor:
         u, p = unitary_factor
-        new[1] = _unitary_move(u, p, horizon=horizon)
+        new[1] = _move(u, p, "left", horizon=horizon)
         old[1] = scalar_unitary_move(u, p, horizon)
     if swap:
         new.reverse()
