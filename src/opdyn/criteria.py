@@ -27,9 +27,9 @@ from .errors import HorizonExceeded, OpdynError
 from .finmat import (
     DEFAULT_WINDOW_CAP,
     FiniteMatrix,
-    _shift_chain,
     op_norm,
     projection_matrix,
+    shift_multiply,
     truncate_left,
     truncate_right,
 )
@@ -279,16 +279,26 @@ def chain_witness(
 def _family_norms(inst, ns, d_seq, g_seqs, side) -> dict[Chain, list[float]]:
     """||X A_k|| along k for every family chain, X the chain at n_k and A_k
     the witness it pairs with; on the ``right`` side the mirrored family
-    ||A_k X'||, X' the reversed chain."""
+    ||A_k X'||, X' the reversed chain.
+
+    Each run of consecutive iterates that share one witness object is one
+    ``shift_multiply`` call.  The runs go in k order, so the first error
+    raised is the one a walk over k meets first."""
     kw = dict(horizon=inst.horizon, window_cap=inst.window_cap)
     norms = {}
     for chain in family_chains(inst.n_ops):
         walk = chain if side == "left" else chain[::-1]
         _, seq = chain_witness(chain, d_seq, g_seqs)
-        norms[chain] = [
-            op_norm(_shift_chain(a, chain_factors(inst, walk, n), side, **kw))
-            for n, a in zip(ns, seq)
-        ]
+        # each factor's shift, with its power at every iterate
+        per_n = zip(*[chain_factors(inst, walk, n) for n in ns])
+        factors = [(f[0][0], [p for _, p in f]) for f in per_n]
+        vals, start = [], 0
+        for k in range(1, len(ns) + 1):
+            if k == len(ns) or seq[k] is not seq[start]:
+                run = [(shift, ps[start:k]) for shift, ps in factors]
+                vals += map(op_norm, shift_multiply(seq[start], run, side, **kw))
+                start = k
+        norms[chain] = vals
     return norms
 
 

@@ -7,8 +7,9 @@ representer by two-sided transport: for T(F) = W F U the image of phi_A under
 the transpose has representer U^p A W^p.  Weak-* convergence statements are
 proxied by a finite probe set of unit-norm matrices, which is enough to
 separate finite representers but is documented as evidence, not proof.
-A ``TestSet`` indexes its probe entries once, by the representer position
-each pairs with, so one walk over a representer pairs it with every probe.
+A ``TestSet`` indexes its probe entries once, as arrays sorted by the
+representer position each pairs with, so one search of a representer's
+entries in that index pairs it with every probe.
 
 The transpose of an elementary operator is again elementary: trace(A W F U)
 = trace(U A W F), so the transpose of F -> W F U is A -> U A W, the same
@@ -43,6 +44,9 @@ from .elementary import ElementaryOp, apply_power
 from .finmat import (
     DEFAULT_WINDOW_CAP,
     FiniteMatrix,
+    _distinct,
+    _matches,
+    _run_starts,
     compose,
     op_norm,
     projection_matrix,
@@ -103,22 +107,29 @@ class TestSet:
     __test__ = False
 
     probes: tuple[FiniteMatrix, ...]
-    # (p, q) -> [(probe number, F[q, p])]: the probe entries that the
-    # representer entry A[p, q] pairs with under trace(A F)
-    _index: dict = field(init=False, repr=False, compare=False)
+    # The probe entries F[q, p], sorted by the representer position (p, q)
+    # each pairs with under trace(A F): the distinct p and the distinct q,
+    # then per entry its (p, q) as a pair of ranks among them, its value and
+    # its probe number.  Ranks keep the packed key exact for any int64.
+    _pairing: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.probes:
             raise ValueError("probe set must be nonempty")
-        index = {}
-        for k, mat in enumerate(self.probes):
+        for mat in self.probes:
             # a one-entry probe's norm is |value|, as op_norm finds it
             norm = abs(float(mat._vals[0])) if mat.nnz == 1 else op_norm(mat)
             if norm > 1.0 + 1e-12:
                 raise ValueError("probe operator norm exceeds 1")
-            for (q, p), w in mat.items():
-                index.setdefault((p, q), []).append((k, w))
-        object.__setattr__(self, "_index", index)
+        mats = self.probes
+        ps, at_p = _distinct(np.concatenate([mat._cols for mat in mats]))
+        qs, at_q = _distinct(np.concatenate([mat._rows for mat in mats]))
+        key = at_p * len(qs) + at_q
+        number = np.repeat(np.arange(len(mats)), [mat.nnz for mat in mats])
+        order = np.lexsort((number, key))
+        vals = np.concatenate([mat._vals for mat in mats])
+        pairing = (ps, qs, key[order], vals[order], number[order])
+        object.__setattr__(self, "_pairing", pairing)
 
 
 def default_probes(m: int) -> TestSet:
@@ -134,26 +145,46 @@ def default_probes(m: int) -> TestSet:
 
 
 def _probe_values(phi: FunctionalRep, probes: TestSet) -> list[float]:
-    """[eval_functional(phi, f) for f in probes.probes] in one walk over the
-    representer.  Each probe gets the same products in the same order, so
-    every value is bit-identical."""
-    terms: list[list[float]] = [[] for _ in probes.probes]
-    index = probes._index
-    for key, v in phi.representer.items():
-        for k, w in index.get(key, ()):
-            terms[k].append(v * w)
-    return [math.fsum(t) for t in terms]
+    """[eval_functional(phi, f) for f in probes.probes], bit for bit."""
+    return _probe_array(phi, probes).tolist()
 
 
-def _distance_to(phi: FunctionalRep, target: list[float], probes: TestSet) -> float:
+def _probe_array(phi: FunctionalRep, probes: TestSet) -> np.ndarray:
+    """The probe values of phi from one pairing of the representer with
+    every probe.  Each value is the fsum of the same products, so it is
+    bit-identical; a one-term sum is its term plus 0.0, which is what fsum
+    returns for it (-0.0 included)."""
+    ps, qs, keys, weights, number = probes._pairing
+    a = phi.representer
+    rp, rq = ps.searchsorted(a._rows), qs.searchsorted(a._cols)
+    hit = ps.searchsorted(a._rows, "right") > rp
+    hit &= qs.searchsorted(a._cols, "right") > rq
+    at, pair = _matches(keys, (rp * len(qs) + rq)[hit])
+    terms = a._vals[hit][at] * weights[pair]
+    k = number[pair]
+    size = np.bincount(k, minlength=len(probes.probes))
+    values = np.zeros(len(size))
+    one = size[k] == 1
+    values[k[one]] = terms[one] + 0.0
+    if not one.all():
+        # each probe's terms in representer order, as eval_functional has them
+        order = np.argsort(k[~one], kind="stable")
+        k, terms = k[~one][order], terms[~one][order].tolist()
+        starts = np.flatnonzero(_run_starts(k)).tolist()
+        for j, lo, hi in zip(k[starts].tolist(), starts, starts[1:] + [len(terms)]):
+            values[j] = math.fsum(terms[lo:hi])
+    return values
+
+
+def _distance_to(phi: FunctionalRep, target: np.ndarray, probes: TestSet) -> float:
     # weak_star_distance to a functional given by its probe values
-    return max(abs(v - t) for v, t in zip(_probe_values(phi, probes), target))
+    return float(np.max(np.abs(_probe_array(phi, probes) - target)))
 
 
 def weak_star_distance(
     phi: FunctionalRep, psi: FunctionalRep, probes: TestSet
 ) -> float:
-    return _distance_to(phi, _probe_values(psi, probes), probes)
+    return _distance_to(phi, _probe_array(psi, probes), probes)
 
 
 def strong_limit_distance(a: FiniteMatrix, b: FiniteMatrix, window: int) -> float:
@@ -256,13 +287,21 @@ def _majorant_norms(inst: CriterionInstance, bundle: WitnessBundle):
     """The norms in verify_dual_convergence's bound column, on the witnesses
     cut by P_n: ||P_n D_k - P_n|| and ||P_n G_k^(l) - P_n|| along k, and the
     right-sided witness families.  The cut witnesses are not kept."""
-    pn = projection_matrix(bundle.m)
-    pnd_seq = [truncate_left(d, bundle.m) for d in bundle.d_seq]
-    png_seqs = [[truncate_left(g, bundle.m) for g in seq] for seq in bundle.g_seqs]
-    d_gaps = [op_norm(a - pn) for a in pnd_seq]
-    g_gaps = [[op_norm(a - pn) for a in seq] for seq in png_seqs]
-    fam = _family_norms(inst, bundle.n_values, pnd_seq, png_seqs, "right")
-    return d_gaps, g_gaps, fam
+    pn, seen = projection_matrix(bundle.m), {}
+
+    def cut(a):
+        # each distinct witness is cut, and its gap ||P_n A - P_n|| taken,
+        # once; the cut is shared in turn, so that _family_norms moves it once
+        if id(a) not in seen:
+            pna = truncate_left(a, bundle.m)
+            seen[id(a)] = pna, op_norm(pna - pn)
+        return seen[id(a)]
+
+    d_cut = [cut(d) for d in bundle.d_seq]
+    g_cuts = [[cut(g) for g in seq] for seq in bundle.g_seqs]
+    cuts = [[a for a, _ in seq] for seq in g_cuts]
+    fam = _family_norms(inst, bundle.n_values, [a for a, _ in d_cut], cuts, "right")
+    return [gap for _, gap in d_cut], [[gap for _, gap in seq] for seq in g_cuts], fam
 
 
 def verify_dual_convergence(
@@ -288,9 +327,7 @@ def verify_dual_convergence(
     # Targets enter only through their probe values, so those are taken once.
     # The representer of phi(P_n F) is A P_n.
     psi_target, *phi_targets = [
-        _probe_values(
-            FunctionalRep(truncate_right(phi.representer, n_win)), probes
-        )
+        _probe_array(FunctionalRep(truncate_right(phi.representer, n_win)), probes)
         for phi in (psi, *phi_list)
     ]
     psi_tn = trace_norm(psi.representer)

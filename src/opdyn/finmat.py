@@ -19,11 +19,16 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConvergenceError, FormatError, NonFiniteEntry, WindowExceeded
+from .errors import (
+    ConvergenceError,
+    FormatError,
+    HorizonExceeded,
+    NonFiniteEntry,
+    WindowExceeded,
+)
 from .lattice import (
     DEFAULT_HORIZON,
     PermutationUnitary,
-    WeightedShift,
     _exp,
     shift_power_apply,
     unitary_power_apply,
@@ -226,14 +231,20 @@ def projection_matrix(m: int) -> FiniteMatrix:
     return FiniteMatrix({(j, j): 1.0 for j in range(-m, m + 1)})
 
 
+def _matches(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (query, key) pair with equal values, ``keys`` sorted: the query
+    positions and the key positions, by query, then by key position."""
+    lo = keys.searchsorted(queries)
+    count = keys.searchsorted(queries, "right") - lo
+    at = np.repeat(np.arange(len(count)), count)
+    return at, np.arange(len(at)) + np.repeat(lo - (np.cumsum(count) - count), count)
+
+
 @_quiet
 def compose(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:
     """Matrix product a @ b."""
     # every product a[i, k] * b[k, j] in (i, k, j) order, summed per (i, j)
-    lo = b._rows.searchsorted(a._cols)
-    count = b._rows.searchsorted(a._cols, "right") - lo
-    ai = np.repeat(np.arange(len(count)), count)
-    bi = np.arange(len(ai)) + np.repeat(lo - (np.cumsum(count) - count), count)
+    ai, bi = _matches(b._rows, a._cols)
     return _sum_by_key(a._rows[ai], b._cols[bi], a._vals[ai] * b._vals[bi])
 
 
@@ -347,6 +358,11 @@ def _moved(idx, move):
     return to[at], None if coeff is None else coeff[at]
 
 
+def _outside(idx: np.ndarray, cap: int) -> np.ndarray:
+    # |idx| > cap, also for -2^63, whose int64 absolute value wraps
+    return (idx > cap) | (idx < -cap)
+
+
 @_quiet
 def _transport(a, left=None, right=None, *, window_cap):
     """The one entry transport: (i, j) -> (left(i), right(j)), scaled by
@@ -362,7 +378,7 @@ def _transport(a, left=None, right=None, *, window_cap):
     rows, ci = _moved(a._rows, left)
     cols, cj = _moved(a._cols, right)
     cap = min(window_cap, _INDEX_MAX)
-    out = (np.abs(rows) > cap) | (np.abs(cols) > cap)
+    out = _outside(rows, cap) | _outside(cols, cap)
     if out.any():
         k = int(np.argmax(out))
         position = (int(rows[k]), int(cols[k]))
@@ -375,22 +391,104 @@ def _transport(a, left=None, right=None, *, window_cap):
     return _checked(rows[order], cols[order], vals[order], met=order)
 
 
+@_quiet
 def shift_multiply(
     a: FiniteMatrix,
-    shift: WeightedShift,
-    p: int,
+    factors,
     side: str = "left",
     *,
     horizon: int = DEFAULT_HORIZON,
     window_cap: int = DEFAULT_WINDOW_CAP,
-) -> FiniteMatrix:
-    """Multiply by W^p on the given side by entry transport.
+) -> list[FiniteMatrix]:
+    """a multiplied on the given side by each of K products of shift powers,
+    by entry transport; no dense powers are ever formed.
 
-    Every entry moves to a single new position with an exact weight
-    coefficient; no dense powers are ever formed.
+    ``factors`` lists the (shift, powers) factors leftmost outermost, each
+    with K integer powers: product k is W_1^{p_1[k]} ... W_r^{p_r[k]}.  The
+    K copies of ``a`` move together, one array pass per factor, and each
+    entry gets the float operations of multiplying by one factor at a time:
+    its coefficient exp(log weight sum), the product with its value, then
+    the drop below DROP_THRESHOLD.  A copy left with no entry moves no
+    further and checks nothing.
+
+    The error raised is the one that multiplying product by product, factor
+    by factor, meets first: the least k, then the first factor to act; within
+    one factor the horizon, then the window cap (or int64) at the first entry
+    out of it, then the first non-finite entry.
     """
-    move = _move(shift, p, side, horizon=horizon)
-    return _transport(a, **{side: move}, window_cap=window_cap)
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    walk = [(shift, [int(p) for p in ps]) for shift, ps in factors]
+    if side == "left":
+        walk.reverse()  # the rightmost factor acts first
+    limit = len(walk[0][1]) if walk else 0
+    if not walk or any(len(ps) != limit for _, ps in walk):
+        raise ValueError("need one or more factors, each with one power per product")
+    copy = np.repeat(np.arange(limit), a.nnz)
+    rows, cols, vals = (np.tile(x, limit) for x in (a._rows, a._cols, a._vals))
+    cap, error = min(window_cap, _INDEX_MAX), None
+
+    def fail(k, exc):
+        # copies from k on can no longer give the first error
+        nonlocal limit, error, copy, rows, cols, vals
+        limit, error = k, exc
+        n = copy.searchsorted(k)
+        copy, rows, cols, vals = copy[:n], rows[:n], cols[:n], vals[:n]
+
+    for shift, ps in walk:
+        if not len(copy):
+            break
+        for k in copy[_run_starts(copy)].tolist():
+            if abs(ps[k]) > horizon:
+                msg = f"shift power {ps[k]} exceeds horizon {horizon}"
+                fail(k, HorizonExceeded(msg))
+                break
+        p = [q if abs(q) <= horizon else 0 for q in ps[:limit]]
+        p = np.array(p, np.int64)[copy]
+        if side == "right":
+            shift = shift.star()  # W^p on the right moves columns as (W*)^p
+        idx = rows if side == "left" else cols
+        step = -p if shift.adjoint else p
+        # a landing past int64 is caught before the int64 add
+        over = np.where(
+            step > 0,
+            idx > _INDEX_MAX - np.maximum(step, 0),
+            idx < _INDEX_MIN - np.minimum(step, 0),
+        )
+        to, lg = shift_power_apply(shift, np.where(over, 0, p), idx, horizon=horizon)
+        new_rows, new_cols = (to, cols) if side == "left" else (rows, to)
+        out = over | _outside(new_rows, cap) | _outside(new_cols, cap)
+        if out.any():
+            e = int(np.argmax(out))
+            position = [int(new_rows[e]), int(new_cols[e])]
+            if over[e]:
+                position[side == "right"] = int(idx[e]) + int(step[e])
+            fail(
+                int(copy[e]),
+                WindowExceeded(
+                    f"transported index {tuple(position)} exceeds window cap {cap}"
+                ),
+            )
+        n = len(copy)
+        rows, cols = new_rows[:n], new_cols[:n]
+        distinct, at = _distinct(lg[:n])
+        coeff = np.fromiter(map(_exp, distinct.tolist()), np.float64, len(distinct))
+        vals = vals * coeff[at]
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            e = int(np.argmax(bad))
+            where = f"({rows[e]}, {cols[e]})"
+            fail(int(copy[e]), NonFiniteEntry(f"non-finite entry at {where}"))
+        keep = np.abs(vals) >= DROP_THRESHOLD
+        if not keep.all():
+            copy, rows, cols, vals = copy[keep], rows[keep], cols[keep], vals[keep]
+    if error is not None:
+        raise error
+    ends = copy.searchsorted(np.arange(limit + 1))
+    return [
+        FiniteMatrix._of(rows[lo:hi], cols[lo:hi], vals[lo:hi])
+        for lo, hi in zip(ends[:-1].tolist(), ends[1:].tolist())
+    ]
 
 
 def permute_multiply(
@@ -405,14 +503,6 @@ def permute_multiply(
     """Multiply by U^p on the given side by relabeling rows or columns."""
     move = _move(unitary, p, side, horizon=horizon)
     return _transport(a, **{side: move}, window_cap=window_cap)
-
-
-def _shift_chain(a, factors, side, **kwargs) -> FiniteMatrix:
-    """a multiplied on the given side by the product of the (shift, p)
-    factors (leftmost outermost), one factor at a time."""
-    for shift, p in reversed(factors) if side == "left" else factors:
-        a = shift_multiply(a, shift, p, side, **kwargs)
-    return a
 
 
 def write_finmat(a: FiniteMatrix, fh) -> None:

@@ -255,14 +255,17 @@ def shift_star_power_apply(
 def unitary_power_apply(
     unitary: PermutationUnitary, n: int, idx: np.ndarray, *, horizon: int
 ) -> np.ndarray:
-    """pi^n(j) for every j in the int64 array ``idx``.  A table permutation
-    looks the power up on the orbit of j and raises WindowExceeded for the
-    first j whose walk leaves the declared window, naming the index it left
-    from, as a step-by-step walk would."""
+    """pi^n(j) for every j in the int64 array ``idx``.  A translation adds
+    its step n * t modulo 2^64, which is exact whenever the landing fits
+    int64 (the caller checks that; ``finmat._move`` does).  A table
+    permutation looks the power up on the orbit of j and raises
+    WindowExceeded for the first j whose walk leaves the declared window,
+    naming the index it left from, as a step-by-step walk would."""
     if abs(n) > horizon:
         raise HorizonExceeded(f"permutation power {n} exceeds horizon {horizon}")
     if unitary.kind == "translation":
-        return idx + n * unitary.t
+        step = np.uint64(n * unitary.t % (1 << 64))
+        return (idx.view(np.uint64) + step).view(np.int64)
     if n == 0 or not len(idx):
         return idx
     nodes = unitary._nodes
@@ -289,24 +292,29 @@ def escape_index(
     """Least N <= horizon with pi^n([-m, m]) disjoint from [-m, m] for every
     n in [N, horizon], or None when no such N can be certified.
 
-    Implements the definition directly: scan all iterate counts up to the
-    horizon and take the step after the last one that still intersects.  A
-    table permutation whose iterates leave the declared window before the
-    horizon cannot be certified, so it also yields None.
+    A translation moves the window by n t, so its iterates meet the window
+    exactly while |n t| <= 2m: the answer is exact for any step, with no
+    index walked past int64.  A table permutation is scanned directly: every
+    iterate count up to the horizon, then the step after the last one that
+    still intersects.  A table permutation whose iterates leave the declared
+    window before the horizon cannot be certified, so it also yields None.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    current = np.arange(-m, m + 1)
-    last_hit = 0
-    for n in range(1, horizon + 1):
-        try:
-            current = unitary_power_apply(unitary, 1, current, horizon=horizon)
-        except WindowExceeded:
-            return None
-        if (np.abs(current) <= m).any():
-            last_hit = n
+    if unitary.kind == "translation":
+        last_hit = min(2 * m // abs(unitary.t), horizon)
+    else:
+        current = np.arange(-m, m + 1)
+        last_hit = 0
+        for n in range(1, horizon + 1):
+            try:
+                current = unitary_power_apply(unitary, 1, current, horizon=horizon)
+            except WindowExceeded:
+                return None
+            if (np.abs(current) <= m).any():
+                last_hit = n
     if last_hit == horizon:
         return None
     return last_hit + 1

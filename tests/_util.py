@@ -26,9 +26,12 @@ from opdyn import (
     WeightRule,
     WindowExceeded,
 )
-from opdyn.errors import NonFiniteEntry
+from opdyn.errors import NonFiniteEntry, OpdynError
 from opdyn.finmat import DROP_THRESHOLD
 from opdyn.lattice import DEFAULT_HORIZON, _exp
+
+#: Largest index an int64 holds.
+INDEX_MAX = (1 << 63) - 1
 
 
 def w1() -> WeightedShift:
@@ -214,7 +217,7 @@ def outcome(fn, *args, **kwargs):
     operation and its oracle whether or not they raise."""
     try:
         return "ok", fn(*args, **kwargs)
-    except (ValueError, HorizonExceeded, WindowExceeded) as exc:
+    except (ValueError, OpdynError) as exc:
         return type(exc), str(exc)
 
 
@@ -265,18 +268,31 @@ def dict_sub(a: dict, b: dict) -> dict:
 
 
 def dict_transport(a: dict, left=None, right=None, *, window_cap: int) -> dict:
-    """Entry transport with scalar moves i -> (new index, coefficient)."""
+    """Entry transport with scalar moves i -> (new index, coefficient).  An
+    index is stored as int64, so the cap never lets one past int64."""
+    cap = min(window_cap, INDEX_MAX)
     rows = {i: left(i) if left else (i, 1.0) for i in sorted({i for i, _ in a})}
     cols = {j: right(j) if right else (j, 1.0) for j in sorted({j for _, j in a})}
     out: dict[tuple[int, int], float] = {}
     for (i, j), v in a.items():
         (i2, ci), (j2, cj) = rows[i], cols[j]
-        if abs(i2) > window_cap or abs(j2) > window_cap:
-            raise WindowExceeded(
-                f"transported index {(i2, j2)} exceeds window cap {window_cap}"
-            )
+        if abs(i2) > cap or abs(j2) > cap:
+            raise WindowExceeded(f"transported index {(i2, j2)} exceeds window cap {cap}")
         out[(i2, j2)] = v * ci * cj
     return dict_canonical(out)
+
+
+def dict_shift_chain(a: dict, factors, side: str, *, horizon: int, window_cap: int) -> dict:
+    """a multiplied on the given side by the (shift, p) factors, leftmost
+    outermost, one factor at a time: the per-product walk that
+    ``shift_multiply`` batches.  W^p on the right moves columns as (W*)^p;
+    an empty matrix moves no further and checks nothing."""
+    for shift, p in reversed(factors) if side == "left" else factors:
+        if not a:
+            break
+        move = scalar_shift_move(shift if side == "left" else shift.star(), p, horizon)
+        a = dict_transport(a, **{side: move}, window_cap=window_cap)
+    return a
 
 
 def dict_dense_block(a: dict) -> np.ndarray:

@@ -209,10 +209,17 @@ def test_weak_star_distance_examples():
     assert weak_star_distance(phi, zero, probes) == 1.0
 
 
+#: Indices past +-2^31 that probes and representers share, so that far
+#: entries pair with each other.
+FAR_INDICES = [2**31, -(2**31) - 1, 2**40, -(2**62), (1 << 63) - 1, -(1 << 63)]
+
+
 @st.composite
 def overlapping_probe_sets(draw):
     """Probe sets on a window [-m, m] whose supports overlap: projections,
-    scaled matrix units and scaled dense probes, each pick possibly repeated."""
+    scaled matrix units and scaled dense probes, plus units at far indices,
+    some tiny enough that a pairing underflows to -0.0; each pick possibly
+    repeated."""
     m = draw(st.integers(min_value=0, max_value=2))
     rng = draw(st.randoms(use_true_random=False))
     pool = [projection_matrix(j) for j in range(m + 1)]
@@ -225,26 +232,45 @@ def overlapping_probe_sets(draw):
         dense = random_matrix(rng, m, density=1.0, scale=1.0)
         if op_norm(dense) > 1e-6:
             pool.append(dense * (rng.uniform(0.1, 1.0) / op_norm(dense)))
+    far = FAR_INDICES + [0]
+    pool += [
+        unit(rng.choice(far), rng.choice(far), rng.choice([1.0, -0.5, 1e-30, -1e-30]))
+        for _ in range(4)
+    ]
     picks = draw(
         st.lists(st.integers(min_value=0, max_value=len(pool) - 1), min_size=1, max_size=16)
     )
     return TestSet(probes=tuple(pool[i] for i in picks))
 
 
-# representers reach up to two indices past every probe's window
-wide_functionals = st.builds(
-    lambda rng, m, scale: FunctionalRep(random_matrix(rng, m, scale=scale)),
-    rng=st.randoms(use_true_random=False),
-    m=st.integers(min_value=0, max_value=4),
-    scale=st.sampled_from([1e-3, 4.0, 1e6]),
-)
+@st.composite
+def wide_functionals(draw):
+    """Representers that reach up to two indices past every probe's
+    window, plus entries at far indices, tiny ones included."""
+    rng = draw(st.randoms(use_true_random=False))
+    a = random_matrix(
+        rng, draw(st.integers(min_value=0, max_value=4)), scale=draw(st.sampled_from([1e-3, 4.0, 1e6]))
+    )
+    far = FAR_INDICES + [0]
+    extra = draw(
+        st.dictionaries(
+            st.tuples(st.sampled_from(far), st.sampled_from(far)),
+            st.sampled_from([1.0, -3.0, 1e-300, -1e-300, -2e-290]),
+            max_size=6,
+        )
+    )
+    return FunctionalRep(a + FiniteMatrix(extra))
 
 
-@given(overlapping_probe_sets(), wide_functionals, wide_functionals)
-@settings(max_examples=80)
+@given(overlapping_probe_sets(), wide_functionals(), wide_functionals())
+@settings(max_examples=150)
 def test_one_pass_probe_values_equal_the_per_probe_pairings(probes, phi, psi):
     per_probe = [eval_functional(phi, f) for f in probes.probes]
-    assert _probe_values(phi, probes) == per_probe
+    got = _probe_values(phi, probes)
+    assert isinstance(got, list)
+    assert got == per_probe
+    # == does not tell 0.0 from -0.0
+    assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in per_probe]
     assert weak_star_distance(phi, psi, probes) == max(
         abs(v - eval_functional(psi, f)) for v, f in zip(per_probe, probes.probes)
     )

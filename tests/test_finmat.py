@@ -345,21 +345,24 @@ def test_norm_inequalities(a, b):
 
 @given(
     small_matrices,
-    st.integers(min_value=-6, max_value=6),
+    st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=3),
     st.sampled_from(["left", "right"]),
     st.booleans(),
 )
 @settings(max_examples=80)
-def test_shift_multiply_matches_dense_composition(a, p, side, star):
+def test_shift_multiply_matches_dense_composition(a, powers, side, star):
+    # one call gives a product per power, each checked on its own
     shift = w2()
-    got = shift_multiply(a, shift.star() if star else shift, p, side)
-    span = a.support_radius() + abs(p) + 1
-    dense = dense_shift_power(shift, p, range(-span, span + 1))
-    if star:
-        dense = dense.transpose()
-    want = compose(dense, a) if side == "left" else compose(a, dense)
-    diff = got - want
-    assert all(abs(v) <= 1e-12 for _, v in diff.items())
+    products = shift_multiply(a, [(shift.star() if star else shift, powers)], side)
+    assert len(products) == len(powers)
+    for p, got in zip(powers, products):
+        span = a.support_radius() + abs(p) + 1
+        dense = dense_shift_power(shift, p, range(-span, span + 1))
+        if star:
+            dense = dense.transpose()
+        want = compose(dense, a) if side == "left" else compose(a, dense)
+        diff = got - want
+        assert all(abs(v) <= 1e-12 for _, v in diff.items())
 
 
 @given(
@@ -383,7 +386,7 @@ def test_permute_multiply_matches_dense_composition(a, p, side, u):
 
 def test_shift_multiply_window_cap():
     with pytest.raises(WindowExceeded):
-        shift_multiply(unit(0, 0), w1(), 20, "left", window_cap=10)
+        shift_multiply(unit(0, 0), [(w1(), [20])], "left", window_cap=10)
     with pytest.raises(WindowExceeded):
         permute_multiply(unit(0, 0), translation(1), 20, "left", window_cap=10)
 
@@ -393,7 +396,7 @@ def test_transport_past_the_window_cap_names_the_final_position():
     with pytest.raises(
         WindowExceeded, match=r"^transported index \(11, 0\) exceeds window cap 10$"
     ):
-        shift_multiply(a, w1(), 10, "left", window_cap=10)
+        shift_multiply(a, [(w1(), [10])], "left", window_cap=10)
 
 
 #: An index three below the top of int64.
@@ -404,9 +407,9 @@ TOP = (1 << 63) - 3
     "a, multiply, position",
     [
         (unit(0, 0) + unit(TOP, 0),
-         lambda a, **kw: shift_multiply(a, w1(), 5, "left", **kw), (TOP + 5, 0)),
+         lambda a, **kw: shift_multiply(a, [(w1(), [5])], "left", **kw), (TOP + 5, 0)),
         # W^p on the right moves columns as (W*)^p: down by p
-        (unit(0, -TOP), lambda a, **kw: shift_multiply(a, w1(), 5, "right", **kw),
+        (unit(0, -TOP), lambda a, **kw: shift_multiply(a, [(w1(), [5])], "right", **kw),
          (0, -TOP - 5)),
         (unit(-TOP, 0),
          lambda a, **kw: permute_multiply(a, translation(-3), 2, "left", **kw),
@@ -429,18 +432,30 @@ def test_transport_past_int64_is_named_at_the_exact_position(a, multiply, positi
         multiply(a, horizon=1)
 
 
+def test_landing_at_the_bottom_of_int64_is_past_every_cap():
+    # |-2^63| wraps to a negative int64: the cap used to let it through
+    op = ElementaryOp(translation(1), w1())
+    with pytest.raises(
+        WindowExceeded,
+        match=r"^transported index \(1, -9223372036854775808\) exceeds window cap 9223372036854775807$",
+    ):
+        apply_power(op, 1, unit(0, -(1 << 63) + 1), window_cap=10**30)
+    with pytest.raises(WindowExceeded, match=r"^transported index \(1, -9223372036854775808\)"):
+        shift_multiply(unit(0, -(1 << 63)), [(w1(), [1])], "left", window_cap=10**30)
+
+
 def test_empty_matrix_moved_beyond_the_horizon_stays_empty():
     # no index moves, so nothing checks the power
     empty = FiniteMatrix()
     u = table_unitary(list(TABLE_WINDOW))
-    assert shift_multiply(empty, w1(), 50, "right", horizon=10).is_zero()
+    assert shift_multiply(empty, [(w1(), [50])], "right", horizon=10)[0].is_zero()
     assert permute_multiply(empty, u, -50, "left", horizon=10).is_zero()
     assert apply_power(ElementaryOp(u, w2()), 50, empty, horizon=10).is_zero()
 
 
 def test_shift_multiply_rejects_unknown_side():
     with pytest.raises(ValueError):
-        shift_multiply(unit(0, 0), w1(), 1, "above")
+        shift_multiply(unit(0, 0), [(w1(), [1])], "above")
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,14 @@ def test_table_powers_are_the_step_by_step_walk(u, n, js, horizon):
     assert got == want
 
 
+def test_translation_step_past_int64_is_exact_when_the_landing_fits():
+    # the step n * t = 2^63 does not fit int64; it is added modulo 2^64
+    u = translation(-(2**62))
+    assert power_at(unitary_power_apply, u, -2, -(2**63) + 1000) == 1000
+    assert power_at(unitary_power_apply, u, 2, (2**63) - 1) == -1
+    assert power_at(unitary_power_apply, u, 4, 5) == 5
+
+
 def test_table_walks_name_the_index_they_leave_from():
     # 0 -> 1 -> 2 leaves at 2 forward and at 0 walking back; 5 is unknown
     u = PermutationUnitary.from_table({0: 1, 1: 2, 3: 4, 4: 3})
@@ -254,6 +262,14 @@ def test_escape_index_examples():
     assert escape_index(translation(1), 2, 100) == 5
     assert escape_index(translation(3), 0, 100) == 1
     assert escape_index(translation(1), 0, 100) == 1
+
+
+def test_escape_index_of_a_step_near_int64_does_not_wrap():
+    # a walk of 2^62 steps wrapped round int64, back into the window at
+    # n = 4 and to -2^63 (whose int64 absolute value is negative) at n = 2
+    assert escape_index(translation(2**62), 0, 10) == 1
+    assert escape_index(translation(-(2**63) + 1), 2**61, 10**6) == 1
+    assert escape_index(translation(2**61), 2**61, 10) == 3
 
 
 @given(

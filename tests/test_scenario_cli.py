@@ -5,14 +5,22 @@ import os
 
 import pytest
 
-from _util import canonical_instance
-from opdyn import PermutationUnitary, WeightRule, op_norm, projection_matrix, unit
+from _util import canonical_instance, dict_of, dict_shift_chain
+from opdyn import (
+    FiniteMatrix,
+    PermutationUnitary,
+    WeightRule,
+    op_norm,
+    projection_matrix,
+    unit,
+)
 from opdyn.cli import main
 from opdyn.constructor import default_bundle, save_bundle
 from opdyn.criteria import chain_factors, family_chains
 from opdyn.duality import dual_label
 from opdyn.errors import ConvergenceError, ScenarioError
-from opdyn.finmat import _shift_chain, save_finmat
+from opdyn.finmat import save_finmat
+from test_traced_layers import load
 from opdyn.scenario import (
     analyze_scenario,
     list_builtin,
@@ -490,6 +498,44 @@ def test_run_translation_step_past_int64_exits_three(tmp_path, capsys):
     )
 
 
+#: A seed column 1000 above the bottom of int64, and a translation step of
+#: -2^62: U^2 on the right moves the column by 2^63, which does not fit
+#: int64, to column 1000.
+HUGE_STEP_SEED = [(0, -(1 << 63) + 1000)]
+HUGE_STEP = "translation -4611686018427387904"
+
+
+def test_run_translation_step_past_int64_with_landings_inside(tmp_path):
+    # T^2 moves the seed to (2, 1000); the step was added as a Python int
+    # and raised OverflowError (exit 6)
+    write_window_cap_seed(tmp_path, HUGE_STEP_SEED)
+    text = WINDOW_CAP_CASE.replace("criterion-pointwise", "orbit").replace(
+        "r_list = 1", "r_list = 2"
+    )
+    path = write_scenario(
+        tmp_path, text.replace("translation -1000", HUGE_STEP).replace("k_max = 3", "k_max = 1")
+    )
+    assert run_cli("run", path, "--out", str(tmp_path / "o")) == 0
+    assert (tmp_path / "o" / "orbit.csv").read_text().splitlines()[1:] == [
+        "0,1,1.0000000000000000e+00",
+        "1,1,2.5000000000000000e-01",
+    ]
+
+
+def test_run_translation_step_past_int64_landing_past_it_exits_three(tmp_path, capsys):
+    # T1^(-2) moves the column by -2^63, past int64: named, not wrapped
+    write_window_cap_seed(tmp_path, HUGE_STEP_SEED)
+    text = WINDOW_CAP_CASE.replace("translation -1000", HUGE_STEP).replace(
+        "k_max = 3", "k_max = 1\nn_seq = explicit 2"
+    ).replace("m = 1", "m = 0")
+    path = write_scenario(tmp_path, text)
+    assert run_cli("run", path, "--out", str(tmp_path / "o")) == 3
+    assert capsys.readouterr().err == (
+        "error: transported index (-2, -18446744073709550616) "
+        "exceeds window cap 1048576\n"
+    )
+
+
 def test_run_input_seed_past_the_cap_still_moves_inward(tmp_path):
     # input indices outside the cap are not rejected: only landings are
     # (orbit mode walks the forward powers only; n = 0 moves nothing)
@@ -675,7 +721,7 @@ def test_run_builtin_example28_emits_eta_artifacts(tmp_path):
 
 def test_run_builtin_example28_dual_rows_match_the_dense_transport_route(tmp_path):
     # An independent route to every adjoint-side row: P_mm multiplied on the
-    # right by the reversed chain through entry transport, measured by
+    # right by the reversed chain through per-entry transport, measured by
     # op_norm, instead of the column cut of the chain on the plain shifts.
     out = tmp_path / "e28"
     assert run_cli("run", "example28", "--out", str(out)) == 0
@@ -695,11 +741,35 @@ def test_run_builtin_example28_dual_rows_match_the_dense_transport_route(tmp_pat
         for chain in family_chains(adj.n_ops):
             for k, n in enumerate(adj.n_values(), start=1):
                 factors = chain_factors(adj, chain[::-1], n)
-                dense = op_norm(_shift_chain(projection_matrix(mm), factors, "right", **kw))
+                moved = dict_shift_chain(dict_of(projection_matrix(mm)), factors, "right", **kw)
+                dense = op_norm(FiniteMatrix(moved))
                 value = values[dual_label(adj, chain), k]
                 assert math.isclose(value, dense, rel_tol=1e-12), (mm, chain, k)
                 checked += 1
     assert checked == len(values) == 5 * 6 * 50
+
+
+def wstar_rows(outdir):
+    """(value, bound) of every weak-* distance row of a run's report."""
+    lines = (outdir / "report.csv").read_text().splitlines()[1:]
+    return [
+        (float(value), float(bound))
+        for quantity, _, _, value, bound, _ in (line.split(",") for line in lines)
+        if quantity.startswith("wstar-dist(")
+    ]
+
+
+@pytest.mark.parametrize("scenario", ["dual-0", "dual-1", "dual-2", "example28"])
+def test_run_weak_star_distances_stay_within_their_bounds(tmp_path, scenario):
+    # each bound majorizes its distance: the trace-norm route of the
+    # witness families, checked here since make_report does not check it
+    if scenario.startswith("dual-"):
+        seed = int(scenario.split("-")[1])
+        scenario = load("workloads").generate("dual", seed, str(tmp_path / "in")).scenario
+    assert run_cli("run", scenario, "--out", str(tmp_path / "o")) in (0, 1)
+    rows = wstar_rows(tmp_path / "o")
+    assert len(rows) == 3 * 60 or (len(rows) == 3 * 50 and scenario == "example28")
+    assert all(value <= bound for value, bound in rows)
 
 
 def test_run_orbit_mode_writes_orbit_rows(tmp_path):

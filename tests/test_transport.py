@@ -3,18 +3,21 @@
 ``apply_power`` and ``dual_apply_power`` move every entry through both
 factors at once.  They must agree exactly with multiplying by the shift
 power and the unitary power one side after the other, for translations and
-for table permutations alike.
+for table permutations alike.  ``shift_multiply`` moves every product of a
+family at once, and must agree exactly with the per-product walk.
 """
 
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _util import (
     TABLE_WINDOW,
+    awkward_values,
     dict_of,
+    dict_shift_chain,
     dict_transport,
     entry_lists,
     outcome,
@@ -28,18 +31,22 @@ from _util import (
     w2,
 )
 from opdyn import (
+    CriterionInstance,
     FiniteMatrix,
+    NSeq,
     PermutationUnitary,
     WeightedShift,
     WeightRule,
     WindowExceeded,
     apply_power,
     dual_apply_power,
+    op_norm,
     permute_multiply,
     shift_multiply,
     unit,
 )
 from opdyn.cli import main
+from opdyn.criteria import _family_norms, chain_factors, chain_witness, family_chains
 from opdyn.duality import FunctionalRep
 from opdyn.elementary import ElementaryOp
 from opdyn.finmat import _move, _transport, projection_matrix, save_finmat
@@ -68,9 +75,9 @@ def two_pass_power(op, p, f):
     if p == 0:
         return f
     if op.orientation == "WFU":
-        moved = shift_multiply(f, op.shift, p, "left")
+        (moved,) = shift_multiply(f, [(op.shift, [p])], "left")
         return permute_multiply(moved, op.unitary, p, "right")
-    moved = shift_multiply(f, op.shift, p, "right")
+    (moved,) = shift_multiply(f, [(op.shift, [p])], "right")
     return permute_multiply(moved, op.unitary, p, "left")
 
 
@@ -80,8 +87,8 @@ def two_pass_dual_power(op, p, a):
         return a
     if op.orientation == "WFU":
         moved = permute_multiply(a, op.unitary, p, "left")
-        return shift_multiply(moved, op.shift, p, "right")
-    moved = shift_multiply(a, op.shift, p, "left")
+        return shift_multiply(moved, [(op.shift, [p])], "right")[0]
+    (moved,) = shift_multiply(a, [(op.shift, [p])], "left")
     return permute_multiply(moved, op.unitary, p, "right")
 
 
@@ -186,3 +193,165 @@ def test_overflowing_transport_is_named_at_the_first_source_entry():
     a = FiniteMatrix({(-5, 1): 1.5e308, (-5, 2): 1.5e308})
     with pytest.raises(ValueError, match=r"^non-finite entry at \(-4, 2\)$"):
         apply_power(op, 1, a)
+
+
+# ---------------------------------------------------------------------------
+# the batched shift_multiply against the per-product walk
+
+#: Three below the top of int64: a shift power of 3 or more from here, or
+#: from its negative, leaves int64.
+FAR = (1 << 63) - 3
+
+small_keys = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+far_index = st.sampled_from([FAR, -FAR, -(1 << 63)])
+#: Entries whose products overflow, or underflow below DROP_THRESHOLD until
+#: a product has lost every entry, plus at times one entry that a move takes
+#: past int64, or that sits at -2^63, past any cap.
+chain_matrices = st.builds(
+    lambda entries, far: FiniteMatrix(entries + far),
+    st.one_of(
+        st.lists(st.tuples(small_keys, awkward_values), max_size=8),
+        st.lists(
+            st.tuples(small_keys, st.sampled_from([1e-298, -1e-299, 1e-290])),
+            min_size=1,
+            max_size=3,
+        ),
+    ),
+    st.one_of(
+        st.just([]),
+        st.just([]),
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.tuples(far_index, st.integers(-5, 5)),
+                    st.tuples(st.integers(-5, 5), far_index),
+                ),
+                st.floats(-4.0, 4.0),
+            ),
+            min_size=1,
+            max_size=1,
+        ),
+    ),
+)
+#: Powers within and, now and then, beyond the horizon, or beyond int64.
+chain_powers = st.sampled_from(
+    list(range(-15, 16)) * 3 + [40, -10**20, 10**20, 1 << 62]
+)
+horizons = st.sampled_from([12, 10_000])
+window_caps = st.sampled_from([6, 12, 1 << 20, 10**30])
+
+
+def per_product(a, factors, side, **kw):
+    """Every product of ``factors`` (K powers each) on ``a``, one product
+    and one factor at a time, in product order."""
+    count = len(factors[0][1])
+    return [
+        dict_shift_chain(dict_of(a), [(s, ps[k]) for s, ps in factors], side, **kw)
+        for k in range(count)
+    ]
+
+
+@given(
+    chain_matrices,
+    st.integers(1, 2).flatmap(
+        lambda n_factors: st.integers(1, 4).flatmap(
+            lambda count: st.lists(
+                st.tuples(transport_shifts, st.lists(chain_powers, min_size=count, max_size=count)),
+                min_size=n_factors,
+                max_size=n_factors,
+            )
+        )
+    ),
+    st.sampled_from(["left", "right"]),
+    horizons,
+    window_caps,
+)
+@example(
+    # W^8 drops product 0's only entry below DROP_THRESHOLD, so its power
+    # past the horizon in the next factor is never checked
+    FiniteMatrix({(0, 0): 1e-299}),
+    [(w1(), [10**20, 1]), (w1(), [8, 1])],
+    "left",
+    12,
+    1 << 20,
+)
+@settings(max_examples=300)
+def test_batched_shift_multiply_equals_the_per_product_walk(a, factors, side, horizon, window_cap):
+    # the same entries, norms and first error (type and message)
+    kw = dict(horizon=horizon, window_cap=window_cap)
+    got = outcome(
+        lambda: [(list(x.items()), op_norm(x)) for x in shift_multiply(a, factors, side, **kw)]
+    )
+    want = outcome(
+        lambda: [
+            (list(d.items()), op_norm(FiniteMatrix(d)))
+            for d in per_product(a, factors, side, **kw)
+        ]
+    )
+    assert got == want
+
+
+def per_iterate_family_norms(inst, ns, d_seq, g_seqs, side):
+    """_family_norms as one product per chain and iterate, in that order."""
+    kw = dict(horizon=inst.horizon, window_cap=inst.window_cap)
+    norms = {}
+    for chain in family_chains(inst.n_ops):
+        walk = chain if side == "left" else chain[::-1]
+        _, seq = chain_witness(chain, d_seq, g_seqs)
+        norms[chain] = [
+            op_norm(
+                FiniteMatrix(
+                    dict_shift_chain(dict_of(a), chain_factors(inst, walk, n), side, **kw)
+                )
+            )
+            for n, a in zip(ns, seq)
+        ]
+    return norms
+
+
+@given(
+    st.lists(chain_matrices, min_size=1, max_size=3),
+    st.integers(1, 5).flatmap(
+        lambda count: st.tuples(
+            # iterates in any order, beyond the horizon and int64 included
+            st.lists(
+                st.sampled_from(list(range(1, 9)) * 4 + [30, 10**20]),
+                min_size=count,
+                max_size=count,
+            ),
+            st.lists(st.integers(0, 2), min_size=3 * count, max_size=3 * count),
+        )
+    ),
+    st.tuples(transport_shifts, transport_shifts),
+    st.sampled_from(["left", "right"]),
+    horizons,
+    window_caps,
+)
+@example(
+    # D_k = A, B, A: B's power past the horizon at k = 2 comes before A's
+    # at k = 3, though A's run of iterates starts first
+    [unit(0, 0), unit(1, 1)],
+    ([1, 30, 40], [0, 0, 0, 1, 0, 0, 0, 0, 0]),
+    (w1(), w2()),
+    "left",
+    12,
+    1 << 20,
+)
+@settings(max_examples=150)
+def test_family_norms_equal_the_per_iterate_walk(pool, iterates, shifts, side, horizon, window_cap):
+    # witnesses drawn from a small pool, so iterates share one object or not
+    ns, picks = iterates
+    count = len(ns)
+    seqs = [[pool[i % len(pool)] for i in picks[j::3]] for j in range(3)]
+    inst = CriterionInstance(
+        shifts=shifts,
+        unitary=translation(1),
+        r_list=(1, 2),
+        n_seq=NSeq.all_k(),
+        m=1,
+        k_max=count,
+        horizon=horizon,
+        window_cap=window_cap,
+    )
+    args = (inst, ns, seqs[0], seqs[1:], side)
+    assert outcome(_family_norms, *args) == outcome(per_iterate_family_norms, *args)
