@@ -282,7 +282,8 @@ def _family_norms(inst, ns, d_seq, g_seqs, side) -> dict[Chain, list[float]]:
     ||A_k X'||, X' the reversed chain.
 
     Each run of consecutive iterates that share one witness object is one
-    ``shift_multiply`` call.  The runs go in k order, so the first error
+    ``shift_multiply`` call; an error in it is raised by ``finmat._transport``
+    at the least k of the run.  The runs go in k order, so the first error
     raised is the one a walk over k meets first."""
     kw = dict(horizon=inst.horizon, window_cap=inst.window_cap)
     norms = {}

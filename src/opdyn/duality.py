@@ -41,11 +41,13 @@ from .criteria import (
     make_report,
 )
 from .elementary import ElementaryOp, apply_power
+from .errors import NonFiniteEntry
 from .finmat import (
     DEFAULT_WINDOW_CAP,
     FiniteMatrix,
     _distinct,
     _matches,
+    _quiet,
     _run_starts,
     compose,
     op_norm,
@@ -64,6 +66,14 @@ class FunctionalRep:
     representer: FiniteMatrix
 
 
+def _fsum(terms) -> float:
+    """math.fsum, and nan for a sum past the float range (or inf - inf)."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
 def eval_functional(phi: FunctionalRep, f: FiniteMatrix) -> float:
     """trace(A F) summed over the shared support of A and F."""
     terms = []
@@ -71,7 +81,10 @@ def eval_functional(phi: FunctionalRep, f: FiniteMatrix) -> float:
         w = f.entry(q, p)
         if w != 0.0:
             terms.append(v * w)
-    return math.fsum(terms)
+    total = _fsum(terms)
+    if not math.isfinite(total):
+        raise NonFiniteEntry("non-finite trace pairing")
+    return total
 
 
 def m_d(phi: FunctionalRep, d: FiniteMatrix) -> FunctionalRep:
@@ -144,16 +157,13 @@ def default_probes(m: int) -> TestSet:
     return TestSet(probes=tuple(probes))
 
 
-def _probe_values(phi: FunctionalRep, probes: TestSet) -> list[float]:
-    """[eval_functional(phi, f) for f in probes.probes], bit for bit."""
-    return _probe_array(phi, probes).tolist()
-
-
+@_quiet
 def _probe_array(phi: FunctionalRep, probes: TestSet) -> np.ndarray:
     """The probe values of phi from one pairing of the representer with
     every probe.  Each value is the fsum of the same products, so it is
     bit-identical; a one-term sum is its term plus 0.0, which is what fsum
-    returns for it (-0.0 included)."""
+    returns for it (-0.0 included).  A value that is not finite raises
+    NonFiniteEntry, as eval_functional does."""
     ps, qs, keys, weights, number = probes._pairing
     a = phi.representer
     rp, rq = ps.searchsorted(a._rows), qs.searchsorted(a._cols)
@@ -172,7 +182,11 @@ def _probe_array(phi: FunctionalRep, probes: TestSet) -> np.ndarray:
         k, terms = k[~one][order], terms[~one][order].tolist()
         starts = np.flatnonzero(_run_starts(k)).tolist()
         for j, lo, hi in zip(k[starts].tolist(), starts, starts[1:] + [len(terms)]):
-            values[j] = math.fsum(terms[lo:hi])
+            values[j] = _fsum(terms[lo:hi])
+    finite = np.isfinite(values)
+    if not finite.all():
+        # the first probe whose eval_functional raises
+        raise NonFiniteEntry(f"non-finite trace pairing with probe {np.argmin(finite)}")
     return values
 
 

@@ -19,13 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    FormatError,
-    HorizonExceeded,
-    NonFiniteEntry,
-    WindowExceeded,
-)
+from .errors import ConvergenceError, FormatError, NonFiniteEntry, WindowExceeded
 from .lattice import (
     DEFAULT_HORIZON,
     PermutationUnitary,
@@ -408,83 +402,54 @@ def shift_multiply(
     K copies of ``a`` move together, one array pass per factor, and each
     entry gets the float operations of multiplying by one factor at a time:
     its coefficient exp(log weight sum), the product with its value, then
-    the drop below DROP_THRESHOLD.  A copy left with no entry moves no
-    further and checks nothing.
+    the drop below DROP_THRESHOLD.
 
-    The error raised is the one that multiplying product by product, factor
-    by factor, meets first: the least k, then the first factor to act; within
-    one factor the horizon, then the window cap (or int64) at the first entry
-    out of it, then the first non-finite entry.
+    That pass only detects trouble, and may over-report it: a power past the
+    horizon, an index within ``horizon`` of either end of int64 or outside
+    the window cap, a non-finite value.  Then every product is multiplied
+    out one factor at a time by ``_transport``, which raises the error of
+    the least k that has one, or returns the same products.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     walk = [(shift, [int(p) for p in ps]) for shift, ps in factors]
     if side == "left":
         walk.reverse()  # the rightmost factor acts first
-    limit = len(walk[0][1]) if walk else 0
-    if not walk or any(len(ps) != limit for _, ps in walk):
+    count = len(walk[0][1]) if walk else 0
+    if not walk or any(len(ps) != count for _, ps in walk):
         raise ValueError("need one or more factors, each with one power per product")
-    copy = np.repeat(np.arange(limit), a.nnz)
-    rows, cols, vals = (np.tile(x, limit) for x in (a._rows, a._cols, a._vals))
-    cap, error = min(window_cap, _INDEX_MAX), None
-
-    def fail(k, exc):
-        # copies from k on can no longer give the first error
-        nonlocal limit, error, copy, rows, cols, vals
-        limit, error = k, exc
-        n = copy.searchsorted(k)
-        copy, rows, cols, vals = copy[:n], rows[:n], cols[:n], vals[:n]
-
+    # `safe` is at most the window cap, and from an index within it a move
+    # of at most `horizon` steps stays in int64
+    safe = min(window_cap, _INDEX_MAX - horizon)
+    trouble = any(abs(p) > horizon for _, ps in walk for p in ps)
+    trouble = trouble or (_outside(a._rows, safe) | _outside(a._cols, safe)).any()
+    idx, fixed = (a._rows, a._cols) if side == "left" else (a._cols, a._rows)
+    copy = np.repeat(np.arange(count), a.nnz)
+    idx, fixed, vals = (np.tile(x, count) for x in (idx, fixed, a._vals))
     for shift, ps in walk:
-        if not len(copy):
+        if trouble or not len(copy):
             break
-        for k in copy[_run_starts(copy)].tolist():
-            if abs(ps[k]) > horizon:
-                msg = f"shift power {ps[k]} exceeds horizon {horizon}"
-                fail(k, HorizonExceeded(msg))
-                break
-        p = [q if abs(q) <= horizon else 0 for q in ps[:limit]]
-        p = np.array(p, np.int64)[copy]
         if side == "right":
             shift = shift.star()  # W^p on the right moves columns as (W*)^p
-        idx = rows if side == "left" else cols
-        step = -p if shift.adjoint else p
-        # a landing past int64 is caught before the int64 add
-        over = np.where(
-            step > 0,
-            idx > _INDEX_MAX - np.maximum(step, 0),
-            idx < _INDEX_MIN - np.minimum(step, 0),
-        )
-        to, lg = shift_power_apply(shift, np.where(over, 0, p), idx, horizon=horizon)
-        new_rows, new_cols = (to, cols) if side == "left" else (rows, to)
-        out = over | _outside(new_rows, cap) | _outside(new_cols, cap)
-        if out.any():
-            e = int(np.argmax(out))
-            position = [int(new_rows[e]), int(new_cols[e])]
-            if over[e]:
-                position[side == "right"] = int(idx[e]) + int(step[e])
-            fail(
-                int(copy[e]),
-                WindowExceeded(
-                    f"transported index {tuple(position)} exceeds window cap {cap}"
-                ),
-            )
-        n = len(copy)
-        rows, cols = new_rows[:n], new_cols[:n]
-        distinct, at = _distinct(lg[:n])
+        idx, lg = shift_power_apply(shift, np.array(ps)[copy], idx, horizon=horizon)
+        distinct, at = _distinct(lg)
         coeff = np.fromiter(map(_exp, distinct.tolist()), np.float64, len(distinct))
         vals = vals * coeff[at]
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            e = int(np.argmax(bad))
-            where = f"({rows[e]}, {cols[e]})"
-            fail(int(copy[e]), NonFiniteEntry(f"non-finite entry at {where}"))
+        trouble = (_outside(idx, safe) | ~np.isfinite(vals)).any()
         keep = np.abs(vals) >= DROP_THRESHOLD
         if not keep.all():
-            copy, rows, cols, vals = copy[keep], rows[keep], cols[keep], vals[keep]
-    if error is not None:
-        raise error
-    ends = copy.searchsorted(np.arange(limit + 1))
+            copy, idx, fixed, vals = copy[keep], idx[keep], fixed[keep], vals[keep]
+    if trouble:
+        products = []
+        for k in range(count):
+            x = a
+            for shift, ps in walk:
+                move = _move(shift, ps[k], side, horizon=horizon)
+                x = _transport(x, **{side: move}, window_cap=window_cap)
+            products.append(x)
+        return products
+    rows, cols = (idx, fixed) if side == "left" else (fixed, idx)
+    ends = copy.searchsorted(np.arange(count + 1))
     return [
         FiniteMatrix._of(rows[lo:hi], cols[lo:hi], vals[lo:hi])
         for lo, hi in zip(ends[:-1].tolist(), ends[1:].tolist())

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +40,7 @@ from opdyn.criteria import all_decay, check_sufficient_decay
 from opdyn.duality import (
     FunctionalRep,
     TestSet,
-    _probe_values,
+    _probe_array,
     check_dual_sufficient,
     check_dual_witness_conditions,
     construct_dual_approximant,
@@ -52,6 +53,7 @@ from opdyn.duality import (
     weak_star_distance,
 )
 from opdyn.elementary import ElementaryOp
+from opdyn.errors import NonFiniteEntry
 
 small_matrices = st.builds(
     random_matrix,
@@ -266,7 +268,7 @@ def wide_functionals(draw):
 @settings(max_examples=150)
 def test_one_pass_probe_values_equal_the_per_probe_pairings(probes, phi, psi):
     per_probe = [eval_functional(phi, f) for f in probes.probes]
-    got = _probe_values(phi, probes)
+    got = _probe_array(phi, probes).tolist()
     assert isinstance(got, list)
     assert got == per_probe
     # == does not tell 0.0 from -0.0
@@ -274,6 +276,19 @@ def test_one_pass_probe_values_equal_the_per_probe_pairings(probes, phi, psi):
     assert weak_star_distance(phi, psi, probes) == max(
         abs(v - eval_functional(psi, f)) for v, f in zip(per_probe, probes.probes)
     )
+
+
+def test_a_pairing_past_the_float_range_is_a_non_finite_entry():
+    # two terms whose exact sum overflows, and one term that overflows (a
+    # probe entry may exceed 1 by the norm tolerance)
+    big = sys.float_info.max
+    phi = FunctionalRep(FiniteMatrix({(0, 0): big, (1, 1): big}))
+    for f in (projection_matrix(1), unit(0, 0, 2.0)):
+        with pytest.raises(NonFiniteEntry, match="^non-finite trace pairing$"):
+            eval_functional(phi, f)
+    for last in (projection_matrix(1), unit(0, 0, 1.0 + 1e-12)):
+        with pytest.raises(NonFiniteEntry, match="^non-finite trace pairing with probe 1$"):
+            _probe_array(phi, TestSet(probes=(unit(1, 1), last)))
 
 
 def test_strong_limit_distance_reads_columns_inside_the_window():

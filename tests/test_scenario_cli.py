@@ -2,6 +2,7 @@
 
 import math
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -852,6 +853,55 @@ def test_run_dual_transitivity_mode(tmp_path):
     out = tmp_path / "o"
     assert run_cli("run", path, "--out", str(out)) == 0
     assert "eta_k0001.finmat" in os.listdir(out)
+
+
+def test_run_dual_transitivity_rows_do_not_depend_on_witness_sharing(tmp_path):
+    # a loaded bundle holds one object per k, so each witness family is one
+    # shift_multiply call per k; the default bundle shares P_m over all k,
+    # so it is one call for all k
+    inst = canonical_instance(m=3, r1=1, k_max=30)
+    save_bundle(default_bundle(inst), inst.r_list, tmp_path / "bundle")
+    text = (
+        "opdyn-scenario v1\nname = du\nmode = dual-transitivity\n"
+        + CANONICAL_LINES
+        + "m = 3\nk_max = 30\nadjoint_weights = true\n"
+    )
+    runs = {}
+    for name, extra in (("shared", ""), ("loaded", "witnesses = bundle\n")):
+        path = write_scenario(tmp_path, text + extra, f"{name}.scenario")
+        out = tmp_path / name
+        assert run_cli("run", path, "--out", str(out)) in (0, 1)
+        lines = (out / "report.csv").read_text().splitlines()
+        rows = [line for line in lines if line.startswith("wstar-dist(")]
+        etas = {p.name: p.read_bytes() for p in sorted(out.glob("eta_k*.finmat"))}
+        runs[name] = rows, etas
+    assert len(runs["shared"][0]) == 3 * 30 and len(runs["shared"][1]) == 30
+    assert runs["loaded"] == runs["shared"]
+
+
+def test_run_dual_transitivity_overflowing_probe_sum_exits_five(tmp_path, capsys):
+    # witnesses near the float maximum: a probe pairing of eta_k sums past
+    # the float range, which is a non-finite value, not a crash
+    inst = canonical_instance(m=2, r1=1, k_max=30)
+    bundle = default_bundle(inst)
+
+    def big(a):
+        return FiniteMatrix({**dict(a.items()), (0, 0): 1.5e308})
+
+    bundle = replace(
+        bundle,
+        d_seq=tuple(map(big, bundle.d_seq)),
+        g_seqs=tuple(tuple(map(big, seq)) for seq in bundle.g_seqs),
+    )
+    save_bundle(bundle, inst.r_list, tmp_path / "bundle")
+    text = (
+        "opdyn-scenario v1\nname = du\nmode = dual-transitivity\n"
+        + CANONICAL_LINES
+        + "m = 2\nk_max = 30\nadjoint_weights = true\nwitnesses = bundle\n"
+    )
+    path = write_scenario(tmp_path, text)
+    assert run_cli("run", path, "--out", str(tmp_path / "o")) == 5
+    assert capsys.readouterr().err == "error: non-finite trace pairing with probe 1\n"
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

@@ -3,7 +3,8 @@
 ``perfbench/tracer.py`` wraps package functions by name; a per-layer metric
 reads 0 when the run computes that layer through some other function.  Each
 seed-0 benchmark workload is run once under the tracer, loaded by path as
-the benchmark worker loads it.
+the benchmark worker loads it.  The ``dual`` witness families must also stay
+on ``shift_multiply``'s batched walk, not its product-by-product recompute.
 """
 
 import importlib.util
@@ -15,6 +16,11 @@ import pytest
 
 import opdyn
 import opdyn.cli
+from _util import dict_of, dict_shift_chain
+from opdyn import default_bundle, projection_matrix, shift_multiply
+from opdyn.cli import _dual_instance
+from opdyn.criteria import chain_factors, family_chains
+from opdyn.scenario import load_scenario
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -66,3 +72,33 @@ def test_traced_layers_are_the_ones_the_run_calls(tmp_path, workload):
     if workload == "construct":
         # one approximant per k, none built twice
         assert calls["constructor.construct_approximant"] == spec.params["k_max"]
+
+
+def test_the_dual_witness_families_take_the_batched_walk(tmp_path, monkeypatch):
+    # the seed-0 dual workload's witness families: P_m moved by each chain at
+    # every n_k in one call.  A flag in the batched walk would recompute the
+    # products one at a time through _transport, which raises here.
+    spec = load("workloads").generate("dual", 0, str(tmp_path))
+    scenario = load_scenario(spec.scenario)
+    inst = _dual_instance(scenario)
+    ns = default_bundle(inst).n_values
+    assert len(ns) == scenario.k_max
+    pm = projection_matrix(inst.m)
+    kw = dict(horizon=inst.horizon, window_cap=inst.window_cap)
+    chains = []
+    for chain in family_chains(inst.n_ops):
+        per_n = [chain_factors(inst, chain[::-1], n) for n in ns]
+        chains.append([(f[0][0], [p for _, p in f]) for f in zip(*per_n)])
+
+    def no_transport(*args, **kwargs):
+        raise AssertionError("shift_multiply left the batched walk")
+
+    monkeypatch.setattr(opdyn.finmat, "_transport", no_transport)
+    batched = [shift_multiply(pm, factors, "right", **kw) for factors in chains]
+    monkeypatch.undo()
+    for factors, products in zip(chains, batched):
+        want = [
+            dict_shift_chain(dict_of(pm), [(s, ps[k]) for s, ps in factors], "right", **kw)
+            for k in range(len(ns))
+        ]
+        assert [dict(x.items()) for x in products] == want

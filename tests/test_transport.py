@@ -275,6 +275,15 @@ def per_product(a, factors, side, **kw):
     12,
     1 << 20,
 )
+@example(
+    # the row is within the horizon of the top of int64, so the batched
+    # walk flags it, yet neither product leaves int64
+    FiniteMatrix({((1 << 63) - 100, 0): 1.0}),
+    [(w1(), [-5, 3])],
+    "left",
+    10_000,
+    10**30,
+)
 @settings(max_examples=300)
 def test_batched_shift_multiply_equals_the_per_product_walk(a, factors, side, horizon, window_cap):
     # the same entries, norms and first error (type and message)
