@@ -19,11 +19,11 @@ bounds them, so the displayed inequalities can be checked numerically.
 from __future__ import annotations
 
 import os
-
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
-from .criteria import CriterionInstance, DecayReport, make_report
+from .criteria import CriterionInstance, DecayReport, make_report, row_families
 from .elementary import apply_power
 from .errors import FormatError
 from .finmat import (
@@ -173,51 +173,46 @@ def verify_approximant_convergence(
 
         ||phi_k - P_m F||        <= ||(D_k - P_m) F|| + sum_l ||S_l^{..}(G E_l)||
         ||T_l^{..}(phi_k) - P_m E_l||
-            <= ||T_l^{..}(D_k F)|| + ||G_k^(l) E_l - P_m E_l||
+            <= ||G_k^(l) E_l - P_m E_l|| + ||T_l^{..}(D_k F)||
                + sum_{s != l} ||T_l^{..}(S_s^{..}(G_k^(s) E_s))||
+
+    Row t is the identity (t = 0) or T_t^{+r_t n}; term u is D_k F (u = 0)
+    or S_u^{r_u n}(G_k^(u) E_u).  Each row is its own gap plus the row on
+    every other term, as ``criteria.row_families`` lists them.
     """
     ns = bundle.n_values
     ops = inst.elementary_ops()
     m = bundle.m
     pm = projection_matrix(m)
-    pmf = truncate_left(targets.f, m)
-    pme = [truncate_left(e, m) for e in targets.e_list]
-
     kwargs = dict(horizon=inst.horizon, window_cap=inst.window_cap)
+    rs = list(enumerate(inst.r_list, start=1))
+    rows = [""] + [f"T{l}^(+{r}n) " for l, r in rs]
+    names = ["F"] + [f"E{l}" for l, _ in rs]
+    gap_labels = [f"(D_k - P{m}) F"] + [f"G{l}_k E{l} - P{m} E{l}" for l, _ in rs]
+    term_labels = ["D_k F"] + [f"S{l}^({r}n) G{l}_k E{l}" for l, r in rs]
+    pms = [truncate_left(x, m) for x in (targets.f, *targets.e_list)]
+
+    def act(t: int, n: int, x: FiniteMatrix) -> FiniteMatrix:
+        # x under row t at iterate n
+        return apply_power(ops[t - 1], inst.r_list[t - 1] * n, x, **kwargs) if t else x
+
     phis = []
-    columns: dict[str, list[float]] = {}
-
-    def col(label: str) -> list[float]:
-        return columns.setdefault(label, [])
-
+    columns: dict[str, list[float]] = defaultdict(list)
     for k, n in enumerate(ns, start=1):
         phi, df, pairs = construct_approximant(bundle, targets, inst, k)
         phis.append(phi)
-        col(f"dist(phi_k - P{m} F)").append(op_norm(phi - pmf))
-        col(f"norm((D_k - P{m}) F)").append(
-            op_norm(compose(bundle.d_seq[k - 1] - pm, targets.f))
-        )
-        for l, (r, (ge, corr)) in enumerate(zip(inst.r_list, pairs), start=1):
-            col(f"norm(S{l}^({r}n) G{l}_k E{l})").append(op_norm(corr))
-            col(f"norm(G{l}_k E{l} - P{m} E{l})").append(
-                op_norm(ge - pme[l - 1])
-            )
-        for l, (op, r) in enumerate(zip(ops, inst.r_list), start=1):
-            moved = apply_power(op, r * n, phi, **kwargs)
-            col(f"dist(T{l}^(+{r}n) phi_k - P{m} E{l})").append(
-                op_norm(moved - pme[l - 1])
-            )
-            col(f"norm(T{l}^(+{r}n) D_k F)").append(
-                op_norm(apply_power(op, r * n, df, **kwargs))
-            )
-            for s, rs in enumerate(inst.r_list, start=1):
-                if s == l:
-                    continue
-                col(
-                    f"norm(T{l}^(+{r}n) S{s}^({rs}n) G{s}_k E{s})"
-                ).append(
-                    op_norm(apply_power(op, r * n, pairs[s - 1][1], **kwargs))
-                )
+        terms = [df] + [corr for _, corr in pairs]
+        for t, (row, pmx) in enumerate(zip(rows, pms)):
+            dist = op_norm(act(t, n, phi) - pmx)
+            columns[f"dist({row}phi_k - P{m} {names[t]})"].append(dist)
+            if t:
+                gap = pairs[t - 1][0] - pmx
+            else:
+                gap = compose(bundle.d_seq[k - 1] - pm, targets.f)
+            columns[f"norm({gap_labels[t]})"].append(op_norm(gap))
+            for u, _ in row_families(t, inst.n_ops):
+                norm = op_norm(act(t, n, terms[u]))
+                columns[f"norm({row}{term_labels[u]})"].append(norm)
 
     reports = [
         make_report(label, ns, vals, tol) for label, vals in columns.items()

@@ -234,13 +234,29 @@ def all_decay(reports: Iterable[DecayReport]) -> bool:
 Chain = tuple[tuple[int, int], ...]
 
 
+def family_chain(row: int, term: int) -> Chain:
+    """The decay family that bounds approximant term ``term`` in row ``row``
+    of the triangle inequality.  Row 0 is the identity and row l the
+    operator T_l^{+r_l n}; term 0 is the D_k term and term l the G_k^{(l)}
+    term, which enters pulled back by T_l^{-r_l n}.  So row 0 with term l is
+    W_l^{-}, row l with term 0 is W_l^{+}, and row l with term s is the
+    cross chain W_l^{+} W_s^{-}."""
+    return ((row, 1),) * (row > 0) + ((term, -1),) * (term > 0)
+
+
+def row_families(row: int, n_ops: int) -> list[tuple[int, Chain]]:
+    """Every term u other than ``row``, ascending, with family_chain(row, u):
+    an approximant check bounds row ``row`` by its own gap plus these."""
+    return [(u, family_chain(row, u)) for u in range(n_ops + 1) if u != row]
+
+
 def family_chains(n_ops: int) -> list[Chain]:
     """The decay families of an n_ops-tuple, in construction order:
     W_l^{+} and W_l^{-} for every l, then the cross term W_l^{+} W_s^{-} for
     every ordered pair l != s.  Reports are sorted by label afterwards."""
     ops = range(1, n_ops + 1)
-    singles = [((l, sign),) for l in ops for sign in (1, -1)]
-    crosses = [((l, 1), (s, -1)) for l in ops for s in ops if s != l]
+    singles = [family_chain(*pair) for l in ops for pair in ((l, 0), (0, l))]
+    crosses = [family_chain(l, s) for l in ops for s in ops if s != l]
     return singles + crosses
 
 
@@ -263,6 +279,14 @@ def chain_terms(inst: CriterionInstance, chain: Chain, letter: str = "W") -> str
     )
 
 
+def witnesses(
+    d_seq: Sequence[FiniteMatrix], g_seqs: Sequence[Sequence[FiniteMatrix]]
+) -> list[tuple[str, Sequence[FiniteMatrix]]]:
+    """The witness of each approximant term with its label: D_k for term 0,
+    then G_k^{(l)} for term l."""
+    return [("D_k", d_seq)] + [(f"G{l}_k", g) for l, g in enumerate(g_seqs, start=1)]
+
+
 def chain_witness(
     chain: Chain,
     d_seq: Sequence[FiniteMatrix],
@@ -271,9 +295,7 @@ def chain_witness(
     """Label and sequence of the witness a chain acts on: D_k when the
     innermost sign is +, otherwise G_k^{(l)} of the innermost operator l."""
     l, sign = chain[-1]
-    if sign > 0:
-        return "D_k", d_seq
-    return f"G{l}_k", g_seqs[l - 1]
+    return witnesses(d_seq, g_seqs)[l if sign < 0 else 0]
 
 
 def _family_norms(inst, ns, d_seq, g_seqs, side) -> dict[Chain, list[float]]:
@@ -281,7 +303,8 @@ def _family_norms(inst, ns, d_seq, g_seqs, side) -> dict[Chain, list[float]]:
     the witness it pairs with; on the ``right`` side the mirrored family
     ||A_k X'||, X' the reversed chain.
 
-    Each run of consecutive iterates that share one witness object is one
+    Each run of consecutive iterates whose witnesses are one object or equal
+    matrices (a loaded bundle holds one object per k) is one
     ``shift_multiply`` call; an error in it is raised by ``finmat._transport``
     at the least k of the run.  The runs go in k order, so the first error
     raised is the one a walk over k meets first."""
@@ -295,7 +318,7 @@ def _family_norms(inst, ns, d_seq, g_seqs, side) -> dict[Chain, list[float]]:
         factors = [(f[0][0], [p for _, p in f]) for f in per_n]
         vals, start = [], 0
         for k in range(1, len(ns) + 1):
-            if k == len(ns) or seq[k] is not seq[start]:
+            if k == len(ns) or not (seq[k] is seq[start] or seq[k] == seq[start]):
                 run = [(shift, ps[start:k]) for shift, ps in factors]
                 vals += map(op_norm, shift_multiply(seq[start], run, side, **kw))
                 start = k
@@ -382,13 +405,9 @@ def check_witness_conditions(
         raise ValueError("g_seqs must be n_ops sequences of k_max members")
     pm = projection_matrix(inst.m)
     reports = []
-
-    vals = [op_norm(d - pm) for d in d_seq]
-    reports.append(make_report(f"norm(D_k - P{inst.m})", ns, vals, tol))
-    for l, g_seq in enumerate(g_seqs, start=1):
-        vals = [op_norm(g - pm) for g in g_seq]
-        reports.append(make_report(f"norm(G{l}_k - P{inst.m})", ns, vals, tol))
-
+    for name, seq in witnesses(d_seq, g_seqs):
+        vals = [op_norm(a - pm) for a in seq]
+        reports.append(make_report(f"norm({name} - P{inst.m})", ns, vals, tol))
     for chain, vals in _family_norms(inst, ns, d_seq, g_seqs, "left").items():
         witness, _ = chain_witness(chain, d_seq, g_seqs)
         label = f"norm({chain_terms(inst, chain)} {witness})"

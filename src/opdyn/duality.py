@@ -39,6 +39,8 @@ from .criteria import (
     chain_terms,
     chain_witness,
     make_report,
+    row_families,
+    witnesses,
 )
 from .elementary import ElementaryOp, apply_power
 from .errors import NonFiniteEntry
@@ -190,9 +192,15 @@ def _probe_array(phi: FunctionalRep, probes: TestSet) -> np.ndarray:
     return values
 
 
+@_quiet
 def _distance_to(phi: FunctionalRep, target: np.ndarray, probes: TestSet) -> float:
-    # weak_star_distance to a functional given by its probe values
-    return float(np.max(np.abs(_probe_array(phi, probes) - target)))
+    # weak_star_distance to a functional given by its probe values; a
+    # difference past the float range raises NonFiniteEntry at its probe
+    diff = np.abs(_probe_array(phi, probes) - target)
+    finite = np.isfinite(diff)
+    if not finite.all():
+        raise NonFiniteEntry(f"non-finite weak-* distance with probe {np.argmin(finite)}")
+    return float(np.max(diff))
 
 
 def weak_star_distance(
@@ -252,14 +260,9 @@ def check_dual_witness_conditions(
     n_win = bundle.m
     pn = projection_matrix(n_win)
     reports = []
-
-    vals = [strong_limit_distance(d, pn, n_win) for d in bundle.d_seq]
-    reports.append(make_report(f"slim-dist(D_k - P{n_win})", ns, vals, tol))
-    for l, g_seq in enumerate(bundle.g_seqs, start=1):
-        vals = [strong_limit_distance(g, pn, n_win) for g in g_seq]
-        reports.append(
-            make_report(f"slim-dist(G{l}_k - P{n_win})", ns, vals, tol)
-        )
+    for name, seq in witnesses(bundle.d_seq, bundle.g_seqs):
+        vals = [strong_limit_distance(a, pn, n_win) for a in seq]
+        reports.append(make_report(f"slim-dist({name} - P{n_win})", ns, vals, tol))
 
     norms = _family_norms(inst, ns, bundle.d_seq, bundle.g_seqs, "right")
     for chain, vals in norms.items():
@@ -299,8 +302,9 @@ def construct_dual_approximant(
 
 def _majorant_norms(inst: CriterionInstance, bundle: WitnessBundle):
     """The norms in verify_dual_convergence's bound column, on the witnesses
-    cut by P_n: ||P_n D_k - P_n|| and ||P_n G_k^(l) - P_n|| along k, and the
-    right-sided witness families.  The cut witnesses are not kept."""
+    cut by P_n: the gap ||P_n A_k - P_n|| along k of each term's witness
+    A_k (D_k, then G_k^(l)), and the right-sided witness families.  The cut
+    witnesses are not kept."""
     pn, seen = projection_matrix(bundle.m), {}
 
     def cut(a):
@@ -311,11 +315,10 @@ def _majorant_norms(inst: CriterionInstance, bundle: WitnessBundle):
             seen[id(a)] = pna, op_norm(pna - pn)
         return seen[id(a)]
 
-    d_cut = [cut(d) for d in bundle.d_seq]
-    g_cuts = [[cut(g) for g in seq] for seq in bundle.g_seqs]
-    cuts = [[a for a, _ in seq] for seq in g_cuts]
-    fam = _family_norms(inst, bundle.n_values, [a for a, _ in d_cut], cuts, "right")
-    return [gap for _, gap in d_cut], [[gap for _, gap in seq] for seq in g_cuts], fam
+    cuts = [[cut(a) for a in seq] for _, seq in witnesses(bundle.d_seq, bundle.g_seqs)]
+    d_cut, *g_cuts = [[a for a, _ in seq] for seq in cuts]
+    fam = _family_norms(inst, bundle.n_values, d_cut, g_cuts, "right")
+    return [[gap for _, gap in seq] for seq in cuts], fam
 
 
 def verify_dual_convergence(
@@ -338,55 +341,35 @@ def verify_dual_convergence(
     n_win = bundle.m
     kwargs = dict(horizon=inst.horizon, window_cap=inst.window_cap)
 
-    # Targets enter only through their probe values, so those are taken once.
-    # The representer of phi(P_n F) is A P_n.
-    psi_target, *phi_targets = [
+    # Row t measures eta_k against psi (t = 0) or, moved by the transpose of
+    # T_t^{+r_t n_k}, against phi_t.  Targets enter only through their probe
+    # values, so those are taken once.  The representer of phi(P_n F) is A P_n.
+    funcs = (psi, *phi_list)
+    targets = [
         _probe_array(FunctionalRep(truncate_right(phi.representer, n_win)), probes)
-        for phi in (psi, *phi_list)
+        for phi in funcs
     ]
-    psi_tn = trace_norm(psi.representer)
-    phi_tns = [trace_norm(phi.representer) for phi in phi_list]
-    d_gaps, g_gaps, fam = _majorant_norms(inst, bundle)
+    tns = [trace_norm(phi.representer) for phi in funcs]
+    gaps, fam = _majorant_norms(inst, bundle)
 
     etas = [
         construct_dual_approximant(bundle, psi, phi_list, inst, k)
         for k in range(1, bundle.k_max + 1)
     ]
 
-    reports = []
-    vals, bounds = [], []
-    for k, eta in enumerate(etas):
-        vals.append(_distance_to(eta, psi_target, probes))
-        bound = psi_tn * d_gaps[k]
-        for l, phi_tn in enumerate(phi_tns, start=1):
-            bound += phi_tn * fam[((l, -1),)][k]
-        bounds.append(bound)
-    reports.append(
-        make_report(
-            f"wstar-dist(eta_k - M_P{n_win} psi)", ns, vals, tol, bounds=bounds
-        )
-    )
-
-    for l, (op_l, rl) in enumerate(zip(inst.elementary_ops(), inst.r_list), start=1):
-        vals, bounds = [], []
+    reports, ops = [], inst.elementary_ops()
+    for t, (target, gap) in enumerate(zip(targets, gaps)):
+        vals, bounds, others = [], [], row_families(t, inst.n_ops)
         for k, (n, eta) in enumerate(zip(ns, etas)):
-            moved = dual_apply_power(op_l, rl * n, eta, **kwargs)
-            vals.append(_distance_to(moved, phi_targets[l - 1], probes))
-
-            bound = psi_tn * fam[((l, 1),)][k]
-            bound += phi_tns[l - 1] * g_gaps[l - 1][k]
-            for s, phi_tn in enumerate(phi_tns, start=1):
-                if s != l:
-                    bound += phi_tn * fam[((l, 1), (s, -1))][k]
+            if t:
+                p = inst.r_list[t - 1] * n
+                eta = dual_apply_power(ops[t - 1], p, eta, **kwargs)
+            vals.append(_distance_to(eta, target, probes))
+            bound = tns[t] * gap[k]
+            for u, chain in others:
+                bound += tns[u] * fam[chain][k]
             bounds.append(bound)
-        reports.append(
-            make_report(
-                f"wstar-dist({chain_terms(inst, ((l, 1),), 'T')}"
-                f" eta_k - M_P{n_win} phi{l})",
-                ns,
-                vals,
-                tol,
-                bounds=bounds,
-            )
-        )
+        row = f"{chain_terms(inst, ((t, 1),), 'T')} " if t else ""
+        label = f"wstar-dist({row}eta_k - M_P{n_win} {f'phi{t}' if t else 'psi'})"
+        reports.append(make_report(label, ns, vals, tol, bounds=bounds))
     return reports, etas

@@ -25,6 +25,7 @@ from opdyn import (
     WeightedShift,
     WeightRule,
     WindowExceeded,
+    parse_scenario,
 )
 from opdyn.errors import NonFiniteEntry, OpdynError
 from opdyn.finmat import DROP_THRESHOLD
@@ -67,6 +68,18 @@ def canonical_instance(m: int = 1, r1: int = 1, k_max: int = 40, **kw) -> Criter
         k_max=k_max,
         **kw,
     )
+
+
+def three_op_instance(m: int = 2, k_max: int = 8) -> CriterionInstance:
+    """Three shifts with exponents (1, 2, 3), the third an explicit table: a
+    bound row then sums two cross families, so their order shows."""
+    text = (
+        "opdyn-scenario v1\nname = three\nmode = corollary\nunitary = translation 1\n"
+        "weight1 = piecewise 2 1/2\nweight2 = piecewise 3 1/3\n"
+        "weight3 = explicit 1.5 -3:2 0:0.25 4:3\nr_list = 1 2 3\n"
+        f"m = {m}\nk_max = {k_max}\n"
+    )
+    return parse_scenario(text).to_instance()
 
 
 def frac_w1(j: int) -> Fraction:

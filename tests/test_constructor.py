@@ -13,6 +13,7 @@ from _util import (
     increasing_r_lists,
     random_matrix,
     table_unitary,
+    three_op_instance,
     translation,
     unit_norm_matrix,
     w1,
@@ -296,6 +297,56 @@ def test_verified_distances_obey_the_triangle_decomposition():
             + reports["norm(T2^(+2n) S1^(1n) G1_k E1)"][k]
         )
         assert lhs2 <= rhs2 + 1e-8
+
+
+def test_three_operator_family_columns_are_the_per_k_products():
+    # every row acting on every other term: 4 dist, 4 gap and 12 family
+    # columns, each family value the op_norm of its apply_power spelling
+    rng = random.Random(17)
+    inst = three_op_instance(m=2, k_max=6)
+    ns = inst.n_values()
+    pm = projection_matrix(2)
+
+    def perturbed():
+        return tuple(pm + random_matrix(rng, 2, scale=4.0**-k) for k in ns)
+
+    b = WitnessBundle(
+        m=2, n_values=ns, d_seq=perturbed(), g_seqs=tuple(perturbed() for _ in range(3))
+    )
+    targets = TargetTuple(
+        random_matrix(rng, 2), tuple(random_matrix(rng, 2) for _ in range(3)), 2
+    )
+    reports, _ = verify_approximant_convergence(b, targets, inst, 1e-6)
+    columns = {r.quantity: [v for _, v in r.values] for r in reports}
+    ops, r = inst.elementary_ops(), inst.r_list
+
+    def power(l, sign, n, x):
+        return apply_power(ops[l - 1], sign * r[l - 1] * n, x)
+
+    def term(s, k, n):
+        # S_s^{r_s n}(G_k^(s) E_s), the s-th correction of phi_k
+        return power(s, -1, n, compose(b.g_seqs[s - 1][k], targets.e_list[s - 1]))
+
+    want = {}
+    for k, n in enumerate(ns):
+        df = compose(b.d_seq[k], targets.f)
+        for s in (1, 2, 3):
+            label = f"norm(S{s}^({r[s - 1]}n) G{s}_k E{s})"
+            want.setdefault(label, []).append(op_norm(term(s, k, n)))
+        for l in (1, 2, 3):
+            row = f"T{l}^(+{r[l - 1]}n)"
+            want.setdefault(f"norm({row} D_k F)", []).append(op_norm(power(l, 1, n, df)))
+            for s in (1, 2, 3):
+                if s != l:
+                    label = f"norm({row} S{s}^({r[s - 1]}n) G{s}_k E{s})"
+                    value = op_norm(power(l, 1, n, term(s, k, n)))
+                    want.setdefault(label, []).append(value)
+
+    assert len(columns) == 20
+    assert sum(label.startswith("dist(") for label in columns) == 4
+    assert sum(" - P2" in label for label in columns if label.startswith("norm(")) == 4
+    assert len(want) == 12
+    assert {label: columns[label] for label in want} == want
 
 
 def test_verified_distances_scale_with_the_targets():

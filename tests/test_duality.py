@@ -18,6 +18,7 @@ from _util import (
     pos_label,
     power_at,
     random_matrix,
+    three_op_instance,
     translation,
     unit_norm_matrix,
     w1,
@@ -54,6 +55,7 @@ from opdyn.duality import (
 )
 from opdyn.elementary import ElementaryOp
 from opdyn.errors import NonFiniteEntry
+from opdyn.finmat import truncate_left
 
 small_matrices = st.builds(
     random_matrix,
@@ -291,6 +293,14 @@ def test_a_pairing_past_the_float_range_is_a_non_finite_entry():
             _probe_array(phi, TestSet(probes=(unit(1, 1), last)))
 
 
+def test_a_distance_past_the_float_range_is_a_non_finite_entry():
+    # both pairings are finite, their difference is not
+    phi = FunctionalRep(unit(0, 0, 1.5e308))
+    psi = FunctionalRep(unit(0, 0, -1.5e308))
+    with pytest.raises(NonFiniteEntry, match="^non-finite weak-\\* distance with probe 0$"):
+        weak_star_distance(phi, psi, default_probes(1))
+
+
 def test_strong_limit_distance_reads_columns_inside_the_window():
     a = projection_matrix(2)
     assert strong_limit_distance(a, a, 2) == 0.0
@@ -496,6 +506,85 @@ def test_verify_dual_convergence_rows_equal_the_per_probe_spelling():
         expected.append((vals, bounds))
 
     assert len(reports) == 3
+    for rep, (vals, bounds) in zip(reports, expected):
+        assert [v for _, v in rep.values] == vals
+        assert [b for _, b in rep.bounds] == bounds
+
+
+def test_verify_dual_convergence_rows_equal_the_per_probe_spelling_on_three_operators():
+    """Each bound of a three-operator run is the trace-norm-weighted sum in
+    the order the row-by-row spelling adds it: row 0 the D_k gap, then W_l^-
+    for l = 1, 2, 3; row l the W_l^+ family, the G_k^(l) gap, then the cross
+    families W_l^+ W_s^- for the other s ascending."""
+    rng = random.Random(11)
+    inst = three_op_instance(m=2, k_max=8).star()
+    ns = inst.n_values()
+    pn = projection_matrix(2)
+
+    def perturbed():
+        return tuple(pn + random_matrix(rng, 2, scale=4.0**-k) for k in ns)
+
+    bundle = WitnessBundle(
+        m=2, n_values=ns, d_seq=perturbed(), g_seqs=tuple(perturbed() for _ in range(3))
+    )
+    psi = FunctionalRep(random_matrix(rng, 2))
+    phis = [FunctionalRep(random_matrix(rng, 2)) for _ in range(3)]
+    probes = TestSet(
+        probes=tuple(projection_matrix(j) for j in range(3))
+        + tuple(unit(i, j) for i in range(-2, 3) for j in range(i, 3))
+        + (unit_norm_matrix(rng, 2),)
+    )
+    reports, etas = verify_dual_convergence(bundle, psi, phis, inst, probes, 1e-6)
+
+    def dist(phi, target):
+        return max(
+            abs(eval_functional(phi, f) - eval_functional(target, f)) for f in probes.probes
+        )
+
+    cut = WitnessBundle(
+        m=2,
+        n_values=ns,
+        d_seq=tuple(truncate_left(d, 2) for d in bundle.d_seq),
+        g_seqs=tuple(tuple(truncate_left(g, 2) for g in seq) for seq in bundle.g_seqs),
+    )
+    fam = {
+        r.quantity: [v for _, v in r.values]
+        for r in check_dual_witness_conditions(inst, cut, 1e-6)
+    }
+    tn = [trace_norm(a.representer) for a in (psi, *phis)]
+    r = inst.r_list
+    ops = inst.elementary_ops()
+
+    def minus(l):
+        return f"W{l}^(*-{r[l - 1]}n)"
+
+    def plus(l):
+        return f"W{l}^(*+{r[l - 1]}n)"
+
+    vals = [dist(eta, m_d(psi, pn)) for eta in etas]
+    bounds = [
+        tn[0] * op_norm(cut.d_seq[k] - pn)
+        + tn[1] * fam[f"norm(G1_k {minus(1)})"][k]
+        + tn[2] * fam[f"norm(G2_k {minus(2)})"][k]
+        + tn[3] * fam[f"norm(G3_k {minus(3)})"][k]
+        for k in range(inst.k_max)
+    ]
+    expected = [(vals, bounds)]
+    for l, (s1, s2) in ((1, (2, 3)), (2, (1, 3)), (3, (1, 2))):
+        vals = [
+            dist(dual_apply_power(ops[l - 1], r[l - 1] * n, eta), m_d(phis[l - 1], pn))
+            for n, eta in zip(ns, etas)
+        ]
+        bounds = [
+            tn[0] * fam[f"norm(D_k {plus(l)})"][k]
+            + tn[l] * op_norm(cut.g_seqs[l - 1][k] - pn)
+            + tn[s1] * fam[f"norm(G{s1}_k {minus(s1)} {plus(l)})"][k]
+            + tn[s2] * fam[f"norm(G{s2}_k {minus(s2)} {plus(l)})"][k]
+            for k in range(inst.k_max)
+        ]
+        expected.append((vals, bounds))
+
+    assert len(reports) == 4
     for rep, (vals, bounds) in zip(reports, expected):
         assert [v for _, v in rep.values] == vals
         assert [b for _, b in rep.bounds] == bounds

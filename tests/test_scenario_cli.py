@@ -856,9 +856,9 @@ def test_run_dual_transitivity_mode(tmp_path):
 
 
 def test_run_dual_transitivity_rows_do_not_depend_on_witness_sharing(tmp_path):
-    # a loaded bundle holds one object per k, so each witness family is one
-    # shift_multiply call per k; the default bundle shares P_m over all k,
-    # so it is one call for all k
+    # the default bundle shares one P_m object over all k; a loaded bundle
+    # holds one object per k, equal matrices that the witness families
+    # still move in one shift_multiply call for all k
     inst = canonical_instance(m=3, r1=1, k_max=30)
     save_bundle(default_bundle(inst), inst.r_list, tmp_path / "bundle")
     text = (

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from _util import (
     TABLE_WINDOW,
     awkward_values,
+    canonical_instance,
     dict_of,
     dict_shift_chain,
     dict_transport,
@@ -45,8 +46,16 @@ from opdyn import (
     shift_multiply,
     unit,
 )
+from opdyn import criteria
 from opdyn.cli import main
-from opdyn.criteria import _family_norms, chain_factors, chain_witness, family_chains
+from opdyn.constructor import default_bundle, load_bundle, save_bundle
+from opdyn.criteria import (
+    _family_norms,
+    chain_factors,
+    chain_witness,
+    check_witness_conditions,
+    family_chains,
+)
 from opdyn.duality import FunctionalRep
 from opdyn.elementary import ElementaryOp
 from opdyn.finmat import _move, _transport, projection_matrix, save_finmat
@@ -300,6 +309,28 @@ def test_batched_shift_multiply_equals_the_per_product_walk(a, factors, side, ho
     assert got == want
 
 
+def test_family_norms_move_a_run_of_equal_witnesses_in_one_call(tmp_path, monkeypatch):
+    # a saved bundle loads one object per k; equal witnesses still share
+    # one shift_multiply call per family, as the in-memory bundle's do
+    inst = canonical_instance(m=2, r1=1, k_max=20)
+    shared = default_bundle(inst)
+    save_bundle(shared, inst.r_list, tmp_path / "bundle")
+    loaded, _ = load_bundle(tmp_path / "bundle")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return shift_multiply(*args, **kwargs)
+
+    monkeypatch.setattr(criteria, "shift_multiply", counted)
+    reports = {}
+    for name, bundle in (("shared", shared), ("loaded", loaded)):
+        calls.clear()
+        reports[name] = check_witness_conditions(inst, bundle.d_seq, bundle.g_seqs)
+        assert len(calls) == len(family_chains(inst.n_ops)) == 6
+    assert reports["loaded"] == reports["shared"]
+
+
 def per_iterate_family_norms(inst, ns, d_seq, g_seqs, side):
     """_family_norms as one product per chain and iterate, in that order."""
     kw = dict(horizon=inst.horizon, window_cap=inst.window_cap)
@@ -328,7 +359,7 @@ def per_iterate_family_norms(inst, ns, d_seq, g_seqs, side):
                 min_size=count,
                 max_size=count,
             ),
-            st.lists(st.integers(0, 2), min_size=3 * count, max_size=3 * count),
+            st.lists(st.integers(0, 5), min_size=3 * count, max_size=3 * count),
         )
     ),
     st.tuples(transport_shifts, transport_shifts),
@@ -348,10 +379,16 @@ def per_iterate_family_norms(inst, ns, d_seq, g_seqs, side):
 )
 @settings(max_examples=150)
 def test_family_norms_equal_the_per_iterate_walk(pool, iterates, shifts, side, horizon, window_cap):
-    # witnesses drawn from a small pool, so iterates share one object or not
+    # witnesses drawn from a small pool, so iterates share one object, an
+    # equal copy of it (as a loaded bundle gives, for picks 3-5), or neither
     ns, picks = iterates
     count = len(ns)
-    seqs = [[pool[i % len(pool)] for i in picks[j::3]] for j in range(3)]
+
+    def witness(i):
+        a = pool[i % len(pool)]
+        return a if i < 3 else FiniteMatrix(a.items())
+
+    seqs = [[witness(i) for i in picks[j::3]] for j in range(3)]
     inst = CriterionInstance(
         shifts=shifts,
         unitary=translation(1),
