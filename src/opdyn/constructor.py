@@ -23,8 +23,14 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
-from .criteria import CriterionInstance, DecayReport, make_report, row_families
-from .elementary import apply_power
+from .criteria import (
+    CriterionInstance,
+    DecayReport,
+    chain_apply,
+    family_chain,
+    make_report,
+    row_families,
+)
 from .errors import FormatError
 from .finmat import (
     FiniteMatrix,
@@ -116,22 +122,15 @@ def extract_witnesses(
     ns = inst.n_values()
     if len(f_seq) != len(ns):
         raise ValueError("f_seq must have k_max members")
-    ops = inst.elementary_ops()
     d_seq = tuple(truncate_right(f, inst.m) for f in f_seq)
-    g_seqs = []
-    for op, r in zip(ops, inst.r_list):
-        g_seq = tuple(
-            truncate_right(
-                apply_power(
-                    op, r * n, f,
-                    horizon=inst.horizon, window_cap=inst.window_cap,
-                ),
-                inst.m,
-            )
+    g_seqs = tuple(
+        tuple(
+            truncate_right(chain_apply(inst, family_chain(l, 0), n, f), inst.m)
             for n, f in zip(ns, f_seq)
         )
-        g_seqs.append(g_seq)
-    return WitnessBundle(m=inst.m, n_values=ns, d_seq=d_seq, g_seqs=tuple(g_seqs))
+        for l in range(1, inst.n_ops + 1)
+    )
+    return WitnessBundle(m=inst.m, n_values=ns, d_seq=d_seq, g_seqs=g_seqs)
 
 
 def construct_approximant(
@@ -150,13 +149,9 @@ def construct_approximant(
     n = bundle.n_values[k - 1]
     df = compose(bundle.d_seq[k - 1], targets.f)
     phi, pairs = df, []
-    for op, r, g_seq, e in zip(
-        inst.elementary_ops(), inst.r_list, bundle.g_seqs, targets.e_list
-    ):
+    for l, (g_seq, e) in enumerate(zip(bundle.g_seqs, targets.e_list), start=1):
         ge = compose(g_seq[k - 1], e)
-        correction = apply_power(
-            op, -r * n, ge, horizon=inst.horizon, window_cap=inst.window_cap
-        )
+        correction = chain_apply(inst, family_chain(0, l), n, ge)
         pairs.append((ge, correction))
         phi = phi + correction
     return phi, df, pairs
@@ -181,20 +176,14 @@ def verify_approximant_convergence(
     every other term, as ``criteria.row_families`` lists them.
     """
     ns = bundle.n_values
-    ops = inst.elementary_ops()
     m = bundle.m
     pm = projection_matrix(m)
-    kwargs = dict(horizon=inst.horizon, window_cap=inst.window_cap)
     rs = list(enumerate(inst.r_list, start=1))
     rows = [""] + [f"T{l}^(+{r}n) " for l, r in rs]
     names = ["F"] + [f"E{l}" for l, _ in rs]
     gap_labels = [f"(D_k - P{m}) F"] + [f"G{l}_k E{l} - P{m} E{l}" for l, _ in rs]
     term_labels = ["D_k F"] + [f"S{l}^({r}n) G{l}_k E{l}" for l, r in rs]
     pms = [truncate_left(x, m) for x in (targets.f, *targets.e_list)]
-
-    def act(t: int, n: int, x: FiniteMatrix) -> FiniteMatrix:
-        # x under row t at iterate n
-        return apply_power(ops[t - 1], inst.r_list[t - 1] * n, x, **kwargs) if t else x
 
     phis = []
     columns: dict[str, list[float]] = defaultdict(list)
@@ -203,7 +192,8 @@ def verify_approximant_convergence(
         phis.append(phi)
         terms = [df] + [corr for _, corr in pairs]
         for t, (row, pmx) in enumerate(zip(rows, pms)):
-            dist = op_norm(act(t, n, phi) - pmx)
+            act = family_chain(t, 0)
+            dist = op_norm(chain_apply(inst, act, n, phi) - pmx)
             columns[f"dist({row}phi_k - P{m} {names[t]})"].append(dist)
             if t:
                 gap = pairs[t - 1][0] - pmx
@@ -211,7 +201,7 @@ def verify_approximant_convergence(
                 gap = compose(bundle.d_seq[k - 1] - pm, targets.f)
             columns[f"norm({gap_labels[t]})"].append(op_norm(gap))
             for u, _ in row_families(t, inst.n_ops):
-                norm = op_norm(act(t, n, terms[u]))
+                norm = op_norm(chain_apply(inst, act, n, terms[u]))
                 columns[f"norm({row}{term_labels[u]})"].append(norm)
 
     reports = [

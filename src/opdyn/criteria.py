@@ -116,7 +116,7 @@ class CriterionInstance:
     shifts: tuple[WeightedShift, ...]
     unitary: PermutationUnitary
     r_list: tuple[int, ...]
-    n_seq: NSeq | None
+    n_seq: NSeq
     m: int
     k_max: int = DEFAULT_K_MAX
     horizon: int = DEFAULT_HORIZON
@@ -142,8 +142,6 @@ class CriterionInstance:
         return len(self.shifts)
 
     def n_values(self) -> tuple[int, ...]:
-        if self.n_seq is None:
-            raise ValueError("instance has no iterate sequence")
         return tuple(self.n_seq.value(k) for k in range(1, self.k_max + 1))
 
     def star(self) -> "CriterionInstance":
@@ -267,6 +265,19 @@ def chain_factors(
     return tuple(
         (inst.shifts[l - 1], sign * inst.r_list[l - 1] * n) for l, sign in chain
     )
+
+
+def chain_apply(inst: CriterionInstance, chain: Chain, n: int, x, power=None):
+    """x under the chain at iterate n, rightmost factor first: factor (l, sign)
+    is power(T_l, sign * r_l * n, x).  ``power`` is ``apply_power``, or
+    ``duality.dual_apply_power`` for the transposed action on functionals."""
+    # looked up per call, so a rebinding of criteria.apply_power is seen
+    power = power or apply_power
+    ops = inst.elementary_ops()
+    for l, sign in reversed(chain):
+        p = sign * inst.r_list[l - 1] * n
+        x = power(ops[l - 1], p, x, horizon=inst.horizon, window_cap=inst.window_cap)
+    return x
 
 
 def chain_terms(inst: CriterionInstance, chain: Chain, letter: str = "W") -> str:
@@ -431,7 +442,6 @@ def check_pointwise_decay(
     on the right, and the bound is ||P_m W_s^q W_l^p||.
     """
     ns = inst.n_values()
-    ops = inst.elementary_ops()
     ufw = inst.orientation == "UFW"
     # the UFW bound ||P_m W_s^q W_l^p|| is the chain's column cut on inst.star()
     bound_cuts = _family_cuts(inst.star() if ufw else inst, ns)
@@ -446,14 +456,7 @@ def check_pointwise_decay(
             label = f"norm({chain_terms(inst, chain, 'T')} {seed})"
             vals, bounds = [], []
             for n, lg in zip(ns, logs):
-                mat = f_cut
-                # rightmost factor acts first
-                for l, sign in reversed(chain):
-                    mat = apply_power(
-                        ops[l - 1], sign * inst.r_list[l - 1] * n, mat,
-                        horizon=inst.horizon, window_cap=inst.window_cap,
-                    )
-                value = op_norm(mat)
+                value = op_norm(chain_apply(inst, chain, n, f_cut))
                 bound = _exp(lg) * f_norm
                 if value > bound * (1.0 + BOUND_RTOL) + BOUND_SLACK:
                     raise OpdynError(

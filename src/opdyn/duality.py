@@ -19,6 +19,9 @@ star``); nothing here takes a flag for it.  The right-sided families
 ||P_m X|| are row cuts.  By the mirror identity ||P_m X|| = ||X* P_m|| each
 is the primal column cut of the same family chain on ``inst.star()``, so
 ``check_dual_sufficient`` is the primal family walk on the adjoint instance.
+The dual approximant and its check apply the primal checks' family chains
+(``criteria.chain_apply``) with ``dual_apply_power`` as the action: the
+pull-back of term l is ``family_chain(0, l)`` and row t ``family_chain(t, 0)``.
 """
 
 from __future__ import annotations
@@ -36,8 +39,10 @@ from .criteria import (
     DecayReport,
     _cut_reports,
     _family_norms,
+    chain_apply,
     chain_terms,
     chain_witness,
+    family_chain,
     make_report,
     row_families,
     witnesses,
@@ -287,15 +292,11 @@ def construct_dual_approximant(
         raise ValueError("phi_list, bundle and instance disagree on N")
     n = bundle.n_values[k - 1]
     rep = compose(psi.representer, truncate_left(bundle.d_seq[k - 1], bundle.m))
-    for op, r, g_seq, phi in zip(
-        inst.elementary_ops(), inst.r_list, bundle.g_seqs, phi_list
-    ):
+    for l, (g_seq, phi) in enumerate(zip(bundle.g_seqs, phi_list), start=1):
         inner = FunctionalRep(
             compose(phi.representer, truncate_left(g_seq[k - 1], bundle.m))
         )
-        moved = dual_apply_power(
-            op, -r * n, inner, horizon=inst.horizon, window_cap=inst.window_cap
-        )
+        moved = chain_apply(inst, family_chain(0, l), n, inner, power=dual_apply_power)
         rep = rep + moved.representer
     return FunctionalRep(rep)
 
@@ -305,15 +306,17 @@ def _majorant_norms(inst: CriterionInstance, bundle: WitnessBundle):
     cut by P_n: the gap ||P_n A_k - P_n|| along k of each term's witness
     A_k (D_k, then G_k^(l)), and the right-sided witness families.  The cut
     witnesses are not kept."""
-    pn, seen = projection_matrix(bundle.m), {}
+    pn, prev = projection_matrix(bundle.m), None
 
     def cut(a):
-        # each distinct witness is cut, and its gap ||P_n A - P_n|| taken,
-        # once; the cut is shared in turn, so that _family_norms moves it once
-        if id(a) not in seen:
+        # one cut and one gap ||P_n A - P_n|| per run of equal witnesses (one
+        # object or equal matrices, as _family_norms groups them) over D_k,
+        # then each G_k^(l); _family_norms moves the shared cut once
+        nonlocal prev
+        if prev is None or not (a is prev[0] or a == prev[0]):
             pna = truncate_left(a, bundle.m)
-            seen[id(a)] = pna, op_norm(pna - pn)
-        return seen[id(a)]
+            prev = a, pna, op_norm(pna - pn)
+        return prev[1:]
 
     cuts = [[cut(a) for a in seq] for _, seq in witnesses(bundle.d_seq, bundle.g_seqs)]
     d_cut, *g_cuts = [[a for a, _ in seq] for seq in cuts]
@@ -339,7 +342,6 @@ def verify_dual_convergence(
     """
     ns = bundle.n_values
     n_win = bundle.m
-    kwargs = dict(horizon=inst.horizon, window_cap=inst.window_cap)
 
     # Row t measures eta_k against psi (t = 0) or, moved by the transpose of
     # T_t^{+r_t n_k}, against phi_t.  Targets enter only through their probe
@@ -357,13 +359,11 @@ def verify_dual_convergence(
         for k in range(1, bundle.k_max + 1)
     ]
 
-    reports, ops = [], inst.elementary_ops()
+    reports = []
     for t, (target, gap) in enumerate(zip(targets, gaps)):
         vals, bounds, others = [], [], row_families(t, inst.n_ops)
         for k, (n, eta) in enumerate(zip(ns, etas)):
-            if t:
-                p = inst.r_list[t - 1] * n
-                eta = dual_apply_power(ops[t - 1], p, eta, **kwargs)
+            eta = chain_apply(inst, family_chain(t, 0), n, eta, power=dual_apply_power)
             vals.append(_distance_to(eta, target, probes))
             bound = tns[t] * gap[k]
             for u, chain in others:

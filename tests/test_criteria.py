@@ -25,6 +25,7 @@ from _util import (
     pos_label,
     random_matrix,
     scalar_column_cut,
+    table_unitaries,
     translation,
     w1,
     weighted_shifts,
@@ -39,6 +40,7 @@ from opdyn import (
 from opdyn.criteria import (
     _family_cuts,
     all_decay,
+    chain_apply,
     chain_factors,
     chain_terms,
     check_pointwise_decay,
@@ -51,9 +53,16 @@ from opdyn.criteria import (
     sufficient_decay_logs,
     write_reports_csv,
 )
-from opdyn.duality import check_dual_sufficient, dual_label
+from opdyn.duality import (
+    FunctionalRep,
+    check_dual_sufficient,
+    dual_apply_power,
+    dual_label,
+)
+from opdyn.elementary import apply_power
 from opdyn.errors import OpdynError
 from opdyn.lattice import (
+    DEFAULT_HORIZON,
     WeightedShift,
     WeightRule,
     _exp,
@@ -429,6 +438,50 @@ def test_dual_families_are_the_row_cuts_of_the_reversed_chains(inst):
         ]
         for chain in family_chains(inst.n_ops)
     }
+
+
+@st.composite
+def chain_instances(draw):
+    """1-3 plain or adjoint shifts, either orientation, a translation or a
+    table unitary, and a horizon that some chains pass."""
+    n_ops = draw(st.integers(1, 3))
+    translations = st.sampled_from((1, -1, 2)).map(translation)
+    return CriterionInstance(
+        shifts=tuple(draw(weighted_shifts()) for _ in range(n_ops)),
+        unitary=draw(st.one_of(translations, table_unitaries())),
+        r_list=draw(increasing_r_lists(n_ops, 4)),
+        n_seq=NSeq.all_k(),
+        m=2,
+        horizon=draw(st.sampled_from((12, DEFAULT_HORIZON))),
+        orientation=draw(st.sampled_from(("WFU", "UFW"))),
+    )
+
+
+def bits(x):
+    """Rows, columns and value bits of a matrix or a functional's representer."""
+    a = x.representer if isinstance(x, FunctionalRep) else x
+    return a._rows.tobytes(), a._cols.tobytes(), a._vals.tobytes()
+
+
+@given(chain_instances(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_chain_apply_is_the_per_factor_walk_rightmost_first(inst, n, seed):
+    # the primal action on matrices, and the transposed one on functionals
+    x = random_matrix(random.Random(seed), 2)
+    ops = inst.elementary_ops()
+    kw = dict(horizon=inst.horizon, window_cap=inst.window_cap)
+    for chain in family_chains(inst.n_ops) + [()]:
+        for power, y, extra in (
+            (apply_power, x, {}),
+            (dual_apply_power, FunctionalRep(x), {"power": dual_apply_power}),
+        ):
+            def walk(z=y):
+                for l, sign in reversed(chain):
+                    z = power(ops[l - 1], sign * inst.r_list[l - 1] * n, z, **kw)
+                return bits(z)
+
+            got = outcome(lambda: bits(chain_apply(inst, chain, n, y, **extra)))
+            assert got == outcome(walk)
 
 
 @given(shift_instances(), st.integers(0, 2**32 - 1))

@@ -36,11 +36,13 @@ from opdyn import (
     truncate_right,
     unit,
 )
-from opdyn.constructor import WitnessBundle, default_bundle
+from opdyn import duality
+from opdyn.constructor import WitnessBundle, default_bundle, load_bundle, save_bundle
 from opdyn.criteria import all_decay, check_sufficient_decay
 from opdyn.duality import (
     FunctionalRep,
     TestSet,
+    _majorant_norms,
     _probe_array,
     check_dual_sufficient,
     check_dual_witness_conditions,
@@ -435,6 +437,28 @@ def test_verify_dual_convergence_decays_and_respects_bounds():
         assert rep.bounds is not None
         for (k, v), (_, b) in zip(rep.values, rep.bounds):
             assert v <= b + 1e-8
+
+
+def test_majorant_norms_cut_a_run_of_equal_witnesses_once(tmp_path, monkeypatch):
+    # a saved bundle loads one object per k; its equal witnesses are cut, and
+    # their gap taken, once, as the in-memory bundle's one shared P_m is
+    inst = canonical_instance(m=2, r1=1, k_max=20).star()
+    shared = default_bundle(inst)
+    save_bundle(shared, inst.r_list, tmp_path / "bundle")
+    loaded, _ = load_bundle(tmp_path / "bundle")
+    calls = []
+
+    def counted(fn):
+        return lambda *args: calls.append(fn.__name__) or fn(*args)
+
+    monkeypatch.setattr(duality, "truncate_left", counted(truncate_left))
+    monkeypatch.setattr(duality, "op_norm", counted(op_norm))
+    norms = {}
+    for name, bundle in (("shared", shared), ("loaded", loaded)):
+        calls.clear()
+        norms[name] = _majorant_norms(inst, bundle)
+        assert sorted(calls) == ["op_norm", "truncate_left"]
+    assert norms["loaded"] == norms["shared"]
 
 
 def test_verify_dual_convergence_rows_equal_the_per_probe_spelling():
