@@ -27,6 +27,7 @@ from .errors import HorizonExceeded, OpdynError
 from .finmat import (
     DEFAULT_WINDOW_CAP,
     FiniteMatrix,
+    MatrixStack,
     op_norm,
     projection_matrix,
     shift_multiply,
@@ -267,15 +268,18 @@ def chain_factors(
     )
 
 
-def chain_apply(inst: CriterionInstance, chain: Chain, n: int, x, power=None):
+def chain_apply(inst: CriterionInstance, chain: Chain, n, x, power=None):
     """x under the chain at iterate n, rightmost factor first: factor (l, sign)
     is power(T_l, sign * r_l * n, x).  ``power`` is ``apply_power``, or
-    ``duality.dual_apply_power`` for the transposed action on functionals."""
+    ``duality.dual_apply_power`` for the transposed action on functionals.
+    On a stack of copies, n is a tuple with the iterate of each copy, and
+    each factor is one call with the list of the copies' powers."""
     # looked up per call, so a rebinding of criteria.apply_power is seen
     power = power or apply_power
     ops = inst.elementary_ops()
     for l, sign in reversed(chain):
-        p = sign * inst.r_list[l - 1] * n
+        r = sign * inst.r_list[l - 1]
+        p = [r * v for v in n] if isinstance(n, tuple) else r * n
         x = power(ops[l - 1], p, x, horizon=inst.horizon, window_cap=inst.window_cap)
     return x
 
@@ -309,16 +313,26 @@ def chain_witness(
     return witnesses(d_seq, g_seqs)[l if sign < 0 else 0]
 
 
+def equal_runs(seq: Sequence[FiniteMatrix]) -> list[int]:
+    """The start of each run of consecutive members that are one object or
+    equal matrices (a loaded bundle holds one object per k), and len(seq)."""
+    starts = [0] if len(seq) else []
+    for k in range(1, len(seq)):
+        if not (seq[k] is seq[starts[-1]] or seq[k] == seq[starts[-1]]):
+            starts.append(k)
+    return starts + [len(seq)]
+
+
 def _family_norms(inst, ns, d_seq, g_seqs, side) -> dict[Chain, list[float]]:
     """||X A_k|| along k for every family chain, X the chain at n_k and A_k
     the witness it pairs with; on the ``right`` side the mirrored family
     ||A_k X'||, X' the reversed chain.
 
-    Each run of consecutive iterates whose witnesses are one object or equal
-    matrices (a loaded bundle holds one object per k) is one
-    ``shift_multiply`` call; an error in it is raised by ``finmat._transport``
-    at the least k of the run.  The runs go in k order, so the first error
-    raised is the one a walk over k meets first."""
+    Each run of equal witnesses (``equal_runs``) is one ``shift_multiply``
+    call, whose products are measured as one stack; an error in it is
+    raised by ``finmat._transport`` at the least k of the run.  The runs go
+    in k order, so the first error raised is the one a walk over k meets
+    first."""
     kw = dict(horizon=inst.horizon, window_cap=inst.window_cap)
     norms = {}
     for chain in family_chains(inst.n_ops):
@@ -327,12 +341,10 @@ def _family_norms(inst, ns, d_seq, g_seqs, side) -> dict[Chain, list[float]]:
         # each factor's shift, with its power at every iterate
         per_n = zip(*[chain_factors(inst, walk, n) for n in ns])
         factors = [(f[0][0], [p for _, p in f]) for f in per_n]
-        vals, start = [], 0
-        for k in range(1, len(ns) + 1):
-            if k == len(ns) or not (seq[k] is seq[start] or seq[k] == seq[start]):
-                run = [(shift, ps[start:k]) for shift, ps in factors]
-                vals += map(op_norm, shift_multiply(seq[start], run, side, **kw))
-                start = k
+        vals, runs = [], equal_runs(seq)
+        for start, stop in zip(runs, runs[1:]):
+            run = [(shift, ps[start:stop]) for shift, ps in factors]
+            vals += MatrixStack.of(shift_multiply(seq[start], run, side, **kw)).op_norms()
         norms[chain] = vals
     return norms
 

@@ -22,6 +22,10 @@ is the primal column cut of the same family chain on ``inst.star()``, so
 The dual approximant and its check apply the primal checks' family chains
 (``criteria.chain_apply``) with ``dual_apply_power`` as the action: the
 pull-back of term l is ``family_chain(0, l)`` and row t ``family_chain(t, 0)``.
+``verify_dual_convergence`` builds, moves and pairs every eta_k as one
+``finmat.MatrixStack`` of k_max copies, with no loop over k; each copy is
+bit-identical to the one-copy build ``construct_dual_approximant``, and
+each row's distances are checked against its bound column.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ import numpy as np
 
 from .constructor import WitnessBundle
 from .criteria import (
+    BOUND_RTOL,
+    BOUND_SLACK,
     Chain,
     CriterionInstance,
     DecayReport,
@@ -42,21 +48,24 @@ from .criteria import (
     chain_apply,
     chain_terms,
     chain_witness,
+    equal_runs,
     family_chain,
     make_report,
     row_families,
     witnesses,
 )
 from .elementary import ElementaryOp, apply_power
-from .errors import NonFiniteEntry
+from .errors import NonFiniteEntry, OpdynError
 from .finmat import (
     DEFAULT_WINDOW_CAP,
     FiniteMatrix,
+    MatrixStack,
     _distinct,
     _matches,
     _quiet,
     _run_starts,
     compose,
+    compose_each,
     op_norm,
     projection_matrix,
     trace_norm,
@@ -68,9 +77,11 @@ from .lattice import DEFAULT_HORIZON
 
 @dataclass(frozen=True)
 class FunctionalRep:
-    """phi(F) = trace(representer . F); linear in both arguments."""
+    """phi(F) = trace(representer . F); linear in both arguments.  A
+    MatrixStack representer holds K functionals, which ``dual_apply_power``
+    moves with one power per copy."""
 
-    representer: FiniteMatrix
+    representer: FiniteMatrix | MatrixStack
 
 
 def _fsum(terms) -> float:
@@ -102,7 +113,7 @@ def m_d(phi: FunctionalRep, d: FiniteMatrix) -> FunctionalRep:
 
 def dual_apply_power(
     op: ElementaryOp,
-    p: int,
+    p: int | Sequence[int],
     phi: FunctionalRep,
     *,
     horizon: int = DEFAULT_HORIZON,
@@ -112,7 +123,8 @@ def dual_apply_power(
 
     For T(F) = W F U the representer moves to U^p A W^p; negative p gives the
     transposed inverse.  The mirrored orientation U F W moves it to W^p A U^p.
-    Either way it is op^p with the orientation flipped.
+    Either way it is op^p with the orientation flipped.  On a stack of
+    representers, p lists one power per copy (see ``apply_power``).
     """
     flipped = replace(op, orientation="UFW" if op.orientation == "WFU" else "WFU")
     kwargs = dict(horizon=horizon, window_cap=window_cap)
@@ -165,23 +177,23 @@ def default_probes(m: int) -> TestSet:
 
 
 @_quiet
-def _probe_array(phi: FunctionalRep, probes: TestSet) -> np.ndarray:
-    """The probe values of phi from one pairing of the representer with
-    every probe.  Each value is the fsum of the same products, so it is
+def _pairings(reps: MatrixStack, probes: TestSet) -> np.ndarray:
+    """The (copies, probes) array of the probe values of every copy, from
+    one pairing of all representer entries with every probe.  Each value is
+    the fsum of the products eval_functional sums, in its order, so it is
     bit-identical; a one-term sum is its term plus 0.0, which is what fsum
-    returns for it (-0.0 included).  A value that is not finite raises
-    NonFiniteEntry, as eval_functional does."""
+    returns for it (-0.0 included).  A value past the float range is left
+    non-finite for the caller to report."""
     ps, qs, keys, weights, number = probes._pairing
-    a = phi.representer
-    rp, rq = ps.searchsorted(a._rows), qs.searchsorted(a._cols)
-    hit = ps.searchsorted(a._rows, "right") > rp
-    hit &= qs.searchsorted(a._cols, "right") > rq
+    width = len(probes.probes)
+    rp, rq = ps.searchsorted(reps._rows), qs.searchsorted(reps._cols)
+    hit = ps.searchsorted(reps._rows, "right") > rp
+    hit &= qs.searchsorted(reps._cols, "right") > rq
     at, pair = _matches(keys, (rp * len(qs) + rq)[hit])
-    terms = a._vals[hit][at] * weights[pair]
-    k = number[pair]
-    size = np.bincount(k, minlength=len(probes.probes))
-    values = np.zeros(len(size))
-    one = size[k] == 1
+    terms = reps._vals[hit][at] * weights[pair]
+    k = reps._copy[hit][at] * width + number[pair]
+    one = np.bincount(k, minlength=reps.count * width)[k] == 1
+    values = np.zeros(reps.count * width)
     values[k[one]] = terms[one] + 0.0
     if not one.all():
         # each probe's terms in representer order, as eval_functional has them
@@ -190,28 +202,43 @@ def _probe_array(phi: FunctionalRep, probes: TestSet) -> np.ndarray:
         starts = np.flatnonzero(_run_starts(k)).tolist()
         for j, lo, hi in zip(k[starts].tolist(), starts, starts[1:] + [len(terms)]):
             values[j] = _fsum(terms[lo:hi])
+    return values.reshape(reps.count, width)
+
+
+def _probe_array(phi: FunctionalRep, probes: TestSet) -> np.ndarray:
+    """The probe values of phi; a value that is not finite raises
+    NonFiniteEntry at the first such probe, whose eval_functional raises."""
+    (values,) = _pairings(MatrixStack.of([phi.representer]), probes)
     finite = np.isfinite(values)
     if not finite.all():
-        # the first probe whose eval_functional raises
         raise NonFiniteEntry(f"non-finite trace pairing with probe {np.argmin(finite)}")
     return values
 
 
 @_quiet
-def _distance_to(phi: FunctionalRep, target: np.ndarray, probes: TestSet) -> float:
-    # weak_star_distance to a functional given by its probe values; a
-    # difference past the float range raises NonFiniteEntry at its probe
-    diff = np.abs(_probe_array(phi, probes) - target)
+def _distances(reps: MatrixStack, target: np.ndarray, probes: TestSet) -> list[float]:
+    """weak_star_distance of every copy to a functional given by its probe
+    values.  The least copy with a non-finite probe value or difference
+    raises NonFiniteEntry at its first such probe, a pairing before a
+    difference, as a walk over the copies meets them."""
+    diff = _pairings(reps, probes)
+    paired = np.isfinite(diff)
+    diff -= target  # in place: the (copies, probes) arrays are the largest here
+    np.abs(diff, out=diff)
     finite = np.isfinite(diff)
     if not finite.all():
-        raise NonFiniteEntry(f"non-finite weak-* distance with probe {np.argmin(finite)}")
-    return float(np.max(diff))
+        k = int(np.argmin(finite.all(axis=1)))
+        if not paired[k].all():
+            raise NonFiniteEntry(f"non-finite trace pairing with probe {np.argmin(paired[k])}")
+        raise NonFiniteEntry(f"non-finite weak-* distance with probe {np.argmin(finite[k])}")
+    return diff.max(axis=1).tolist()
 
 
 def weak_star_distance(
     phi: FunctionalRep, psi: FunctionalRep, probes: TestSet
 ) -> float:
-    return _distance_to(phi, _probe_array(psi, probes), probes)
+    target = _probe_array(psi, probes)
+    return _distances(MatrixStack.of([phi.representer]), target, probes)[0]
 
 
 def strong_limit_distance(a: FiniteMatrix, b: FiniteMatrix, window: int) -> float:
@@ -277,6 +304,36 @@ def check_dual_witness_conditions(
     return sorted(reports, key=lambda rep: rep.quantity)
 
 
+def _dual_approximants(
+    bundle: WitnessBundle,
+    psi: FunctionalRep,
+    phi_list: Sequence[FunctionalRep],
+    inst: CriterionInstance,
+    ks: Sequence[int],
+) -> MatrixStack:
+    """The representers of eta_k for every k in ks, copy i for ks[i], as one
+    stack: A_psi P_n D_k plus, for each l, A_{phi_l} P_n G_k^(l) pulled back
+    by family_chain(0, l) at n_k.  Each product with a cut witness is taken
+    once per run of equal witnesses, and each pull-back is one call for all
+    copies, so each copy is the walk of its k alone, float for float."""
+    if not all(1 <= k <= bundle.k_max for k in ks):
+        raise ValueError("k outside the bundle range")
+    if len(phi_list) != inst.n_ops or bundle.n_ops != inst.n_ops:
+        raise ValueError("phi_list, bundle and instance disagree on N")
+    ns = tuple(bundle.n_values[k - 1] for k in ks)
+    eta = None
+    terms = zip((psi, *phi_list), witnesses(bundle.d_seq, bundle.g_seqs))
+    for l, (phi, (_, seq)) in enumerate(terms):
+        seq = [seq[k - 1] for k in ks]
+        runs = equal_runs(seq)
+        cut = MatrixStack.of(truncate_left(seq[start], bundle.m) for start in runs[:-1])
+        run_of = np.repeat(np.arange(len(runs) - 1), np.diff(runs))
+        term = FunctionalRep(compose_each(phi.representer, cut).take(run_of))
+        term = chain_apply(inst, family_chain(0, l), ns, term, power=dual_apply_power)
+        eta = term.representer if eta is None else eta + term.representer
+    return eta
+
+
 def construct_dual_approximant(
     bundle: WitnessBundle,
     psi: FunctionalRep,
@@ -285,19 +342,9 @@ def construct_dual_approximant(
     k: int,
 ) -> FunctionalRep:
     """eta_k with representer A_psi P_n D_k + sum_l of the transported
-    A_{phi_l} P_n G_k^(l) pulled back by the inverse transpose powers."""
-    if not 1 <= k <= bundle.k_max:
-        raise ValueError("k outside the bundle range")
-    if len(phi_list) != inst.n_ops or bundle.n_ops != inst.n_ops:
-        raise ValueError("phi_list, bundle and instance disagree on N")
-    n = bundle.n_values[k - 1]
-    rep = compose(psi.representer, truncate_left(bundle.d_seq[k - 1], bundle.m))
-    for l, (g_seq, phi) in enumerate(zip(bundle.g_seqs, phi_list), start=1):
-        inner = FunctionalRep(
-            compose(phi.representer, truncate_left(g_seq[k - 1], bundle.m))
-        )
-        moved = chain_apply(inst, family_chain(0, l), n, inner, power=dual_apply_power)
-        rep = rep + moved.representer
+    A_{phi_l} P_n G_k^(l) pulled back by the inverse transpose powers: the
+    one-copy case of the stacked build."""
+    (rep,) = _dual_approximants(bundle, psi, phi_list, inst, [k]).split()
     return FunctionalRep(rep)
 
 
@@ -338,9 +385,17 @@ def verify_dual_convergence(
     The bound column majorizes each probe distance: probe norms are at most
     one, the functional norm of a representer is at most its trace norm, and
     right factors split off at operator norm.  What remains of each term is
-    a dual witness family on the witnesses cut by P_n.
+    a dual witness family on the witnesses cut by P_n.  A distance above its
+    bound by more than a relative BOUND_RTOL plus BOUND_SLACK raises
+    OpdynError naming the row and k.
+
+    Every eta_k is built, moved and paired with the probes as one stack of
+    k_max copies, with no loop over k.  A power past the horizon in a build
+    or a row move is met first by the witness families: each nonzero term
+    of eta_k comes from a nonzero cut witness, which a family moves by the
+    same power.
     """
-    ns = bundle.n_values
+    ns = tuple(bundle.n_values)
     n_win = bundle.m
 
     # Row t measures eta_k against psi (t = 0) or, moved by the transpose of
@@ -353,23 +408,24 @@ def verify_dual_convergence(
     ]
     tns = [trace_norm(phi.representer) for phi in funcs]
     gaps, fam = _majorant_norms(inst, bundle)
-
-    etas = [
-        construct_dual_approximant(bundle, psi, phi_list, inst, k)
-        for k in range(1, bundle.k_max + 1)
-    ]
+    etas = FunctionalRep(
+        _dual_approximants(bundle, psi, phi_list, inst, range(1, bundle.k_max + 1))
+    )
 
     reports = []
     for t, (target, gap) in enumerate(zip(targets, gaps)):
-        vals, bounds, others = [], [], row_families(t, inst.n_ops)
-        for k, (n, eta) in enumerate(zip(ns, etas)):
-            eta = chain_apply(inst, family_chain(t, 0), n, eta, power=dual_apply_power)
-            vals.append(_distance_to(eta, target, probes))
-            bound = tns[t] * gap[k]
-            for u, chain in others:
-                bound += tns[u] * fam[chain][k]
-            bounds.append(bound)
+        moved = chain_apply(inst, family_chain(t, 0), ns, etas, power=dual_apply_power)
+        vals = _distances(moved.representer, target, probes)
+        bounds = tns[t] * np.array(gap)
+        for u, chain in row_families(t, inst.n_ops):
+            bounds = bounds + tns[u] * np.array(fam[chain])
         row = f"{chain_terms(inst, ((t, 1),), 'T')} " if t else ""
         label = f"wstar-dist({row}eta_k - M_P{n_win} {f'phi{t}' if t else 'psi'})"
-        reports.append(make_report(label, ns, vals, tol, bounds=bounds))
-    return reports, etas
+        over = np.array(vals) > bounds * (1.0 + BOUND_RTOL) + BOUND_SLACK
+        if over.any():
+            k = int(np.argmax(over))
+            raise OpdynError(
+                f"{label} at k={k + 1}: measured {vals[k]} exceeds bound {bounds[k].item()}"
+            )
+        reports.append(make_report(label, ns, vals, tol, bounds=bounds.tolist()))
+    return reports, [FunctionalRep(rep) for rep in etas.representer.split()]

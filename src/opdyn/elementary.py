@@ -11,7 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .finmat import DEFAULT_WINDOW_CAP, FiniteMatrix, _move, _transport, op_norm
+from .finmat import (
+    DEFAULT_WINDOW_CAP,
+    FiniteMatrix,
+    MatrixStack,
+    _move,
+    _transport,
+    _transport_stack,
+    op_norm,
+)
 from .lattice import DEFAULT_HORIZON, PermutationUnitary, WeightedShift
 
 ORIENTATIONS = ("WFU", "UFW")
@@ -32,13 +40,26 @@ class ElementaryOp:
 
 def apply_power(
     op: ElementaryOp,
-    p: int,
-    f: FiniteMatrix,
+    p: int | Sequence[int],
+    f: FiniteMatrix | MatrixStack,
     *,
     horizon: int = DEFAULT_HORIZON,
     window_cap: int = DEFAULT_WINDOW_CAP,
-) -> FiniteMatrix:
-    """T^p(F) by one-pass entry transport; negative p inverts the power."""
+) -> FiniteMatrix | MatrixStack:
+    """T^p(F) by one-pass entry transport; negative p inverts the power.
+
+    On a MatrixStack, ``p`` lists one power per copy, and copy k moves by
+    T^p[k] in the one pass of all copies.  When a copy may fail, each copy
+    moves alone, so the least copy that fails raises its own error.
+    """
+    if isinstance(f, MatrixStack):
+        wfu = op.orientation == "WFU"
+        left, right = (op.shift, op.unitary) if wfu else (op.unitary, op.shift)
+        kwargs = dict(horizon=horizon, window_cap=window_cap)
+        moved = _transport_stack(f, p, left, right, **kwargs)
+        if moved is None:
+            moved = MatrixStack.of([apply_power(op, q, x, **kwargs) for q, x in zip(p, f.split())])
+        return moved
     if p == 0:
         return f
     wfu = op.orientation == "WFU"

@@ -213,6 +213,112 @@ def _summed(a: FiniteMatrix, b: FiniteMatrix, b_vals: np.ndarray) -> FiniteMatri
     )
 
 
+class MatrixStack:
+    """K matrices as one value: the canonical columns of copy 0, copy 1, ...
+    laid end to end, with the copy of each entry (so sorted by copy, row,
+    col).
+
+    An operation on a stack does, for every copy, the float operations of
+    the same operation on that copy alone, in the same order, so each copy
+    of the result is bit-identical to it; an error is raised at the least
+    copy that has one, with the text the copy alone gives.
+    """
+
+    __slots__ = ("count", "_copy", "_rows", "_cols", "_vals")
+
+    @classmethod
+    def _of(cls, count, copy, rows, cols, vals) -> "MatrixStack":
+        # columns already canonical
+        s = object.__new__(cls)
+        s.count, s._copy, s._rows, s._cols, s._vals = count, copy, rows, cols, vals
+        return s
+
+    @classmethod
+    def of(cls, mats) -> "MatrixStack":
+        """The stack of a nonempty sequence of matrices, copy k for mats[k]."""
+        mats = list(mats)
+        copy = np.repeat(np.arange(len(mats)), [a.nnz for a in mats])
+        columns = ([getattr(a, name) for a in mats] for name in ("_rows", "_cols", "_vals"))
+        return cls._of(len(mats), copy, *map(np.concatenate, columns))
+
+    def _ends(self) -> np.ndarray:
+        # copy k holds the entries ends[k]:ends[k + 1]
+        return self._copy.searchsorted(np.arange(self.count + 1))
+
+    def split(self) -> list[FiniteMatrix]:
+        ends = self._ends().tolist()
+        return [
+            FiniteMatrix._of(self._rows[lo:hi], self._cols[lo:hi], self._vals[lo:hi])
+            for lo, hi in zip(ends[:-1], ends[1:])
+        ]
+
+    def take(self, copies) -> "MatrixStack":
+        """The stack whose copy i is copy ``copies[i]`` of this one."""
+        ends = self._ends()
+        copies = np.asarray(copies, dtype=np.intp)
+        lo, size = ends[copies], (ends[1:] - ends[:-1])[copies]
+        at = np.arange(size.sum()) + np.repeat(lo - (np.cumsum(size) - size), size)
+        copy = np.repeat(np.arange(len(copies)), size)
+        return MatrixStack._of(len(copies), copy, self._rows[at], self._cols[at], self._vals[at])
+
+    def __add__(self, other: "MatrixStack") -> "MatrixStack":
+        # copy k of each, summed as FiniteMatrix.__add__ sums them
+        columns = ("_copy", "_rows", "_cols", "_vals")
+        return _sum_by_copy_key(
+            self.count, *(np.concatenate((getattr(self, c), getattr(other, c))) for c in columns)
+        )
+
+    def op_norms(self) -> list[float]:
+        """op_norm of every copy: a monomial copy's max |value| as one
+        segmented max, which is op_norm's monomial rule; a dense copy through
+        op_norm itself, in copy order."""
+        norms = np.zeros(self.count)
+        if not len(self._vals):
+            return norms.tolist()
+        ends = self._ends()
+        starts = ends[:-1][ends[1:] > ends[:-1]]
+        norms[self._copy[starts]] = np.maximum.reduceat(np.abs(self._vals), starts)
+        # a copy is dense when a row or a column holds two of its entries
+        by_col = np.lexsort((self._cols, self._copy))
+        dense = np.zeros(self.count, dtype=bool)
+        for copy, idx in ((self._copy, self._rows), (self._copy[by_col], self._cols[by_col])):
+            twice = (copy[1:] == copy[:-1]) & (idx[1:] == idx[:-1])
+            dense[copy[1:][twice]] = True
+        norms = norms.tolist()
+        if dense.any():
+            mats = self.split()
+            for k in np.flatnonzero(dense).tolist():
+                norms[k] = op_norm(mats[k])
+        return norms
+
+
+def _sum_by_copy_key(count, copy, rows, cols, vals) -> MatrixStack:
+    """_sum_by_key per (copy, row, col) key: each copy's sums are that
+    copy's _sum_by_key, and a non-finite sum is reported at the least copy
+    that has one."""
+    order = np.lexsort((cols, rows, copy))
+    new = _run_starts(copy[order]) | _run_starts(rows[order]) | _run_starts(cols[order])
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    sums = np.bincount(group, weights=vals, minlength=int(new.sum()))
+    first = order[new]
+    return _checked_stack(count, copy[first], rows[first], cols[first], sums, met=first)
+
+
+def _checked_stack(count, copy, rows, cols, vals, met) -> MatrixStack:
+    """_checked on every copy: a non-finite value raises at the least copy
+    that has one, at the key ``met`` ranks first in it."""
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        k = np.flatnonzero(bad)
+        k = k[np.lexsort((met[k], copy[k]))[0]]
+        raise NonFiniteEntry(f"non-finite entry at ({rows[k]}, {cols[k]})")
+    keep = np.abs(vals) >= DROP_THRESHOLD
+    if not keep.all():
+        copy, rows, cols, vals = copy[keep], rows[keep], cols[keep], vals[keep]
+    return MatrixStack._of(count, copy, rows, cols, vals)
+
+
 def unit(i: int, j: int, value: float = 1.0) -> FiniteMatrix:
     """Rank-one matrix with a single entry at (i, j)."""
     return FiniteMatrix({(i, j): value})
@@ -240,6 +346,18 @@ def compose(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:
     # every product a[i, k] * b[k, j] in (i, k, j) order, summed per (i, j)
     ai, bi = _matches(b._rows, a._cols)
     return _sum_by_key(a._rows[ai], b._cols[bi], a._vals[ai] * b._vals[bi])
+
+
+@_quiet
+def compose_each(a: FiniteMatrix, s: MatrixStack) -> MatrixStack:
+    """a @ every copy of s.  The products come by a's entries, then by copy
+    and column, so each copy's key sums its products in the order compose
+    sums them."""
+    by_row = np.lexsort((s._cols, s._copy, s._rows))
+    ai, bi = _matches(s._rows[by_row], a._cols)
+    bi = by_row[bi]
+    vals = a._vals[ai] * s._vals[bi]
+    return _sum_by_copy_key(s.count, s._copy[bi], a._rows[ai], s._cols[bi], vals)
 
 
 def truncate_left(a: FiniteMatrix, m: int) -> FiniteMatrix:
@@ -385,6 +503,58 @@ def _transport(a, left=None, right=None, *, window_cap):
     return _checked(rows[order], cols[order], vals[order], met=order)
 
 
+def _stack_move(factor, p, idx, side, *, horizon):
+    """The landings of ``idx`` under factor^p on the given side, one int64
+    power per index, and their coefficients (None for a unitary): the rule
+    of ``_move``, which the caller has checked stays inside int64."""
+    if isinstance(factor, PermutationUnitary):
+        return unitary_power_apply(factor, p if side == "left" else -p, idx, horizon=horizon), None
+    shift = factor.star() if side == "right" else factor
+    to, lg = shift_power_apply(shift, p, idx, horizon=horizon)
+    distinct, at = _distinct(lg)
+    return to, np.fromiter(map(_exp, distinct.tolist()), np.float64, len(distinct))[at]
+
+
+@_quiet
+def _transport_stack(s, powers, left, right, *, horizon, window_cap):
+    """Copy k of s moved by left^powers[k] on the left and right^powers[k]
+    on the right (a shift or a unitary each, as ``_move`` takes them), as
+    ``_transport`` moves each copy; or None when a copy may fail.
+
+    The powers are Python ints, checked against the horizon before any
+    int64 conversion.  A copy may fail, as ``_transport`` would, when it has
+    entries and a power past the horizon, an index that may move past
+    int64, or a landing outside the window cap or a table window; a copy
+    without entries never fails.  Otherwise a non-finite value raises at
+    the least copy that has one, as ``_transport`` names it.
+    """
+    live = np.bincount(s._copy, minlength=s.count) > 0
+    powers = [p if z else 0 for p, z in zip(powers, live.tolist())]
+    reach = max(map(abs, powers), default=0)
+    if reach > horizon:
+        return None
+    step = max(abs(f.t) if isinstance(f, PermutationUnitary) else 1 for f in (left, right))
+    safe = _INDEX_MAX - reach * step
+    if safe < 0 or (_outside(s._rows, safe) | _outside(s._cols, safe)).any():
+        return None
+    p = np.array(powers, dtype=np.int64)[s._copy]
+    try:
+        rows, ci = _stack_move(left, p, s._rows, "left", horizon=horizon)
+        cols, cj = _stack_move(right, p, s._cols, "right", horizon=horizon)
+    except WindowExceeded:
+        return None  # a table walk left its declared window
+    cap = min(window_cap, _INDEX_MAX)
+    vals = s._vals
+    for coeff in (ci, cj):
+        if coeff is not None:
+            vals = vals * coeff
+    if (_outside(rows, cap) | _outside(cols, cap)).any():
+        return None
+    order = np.lexsort((cols, rows, s._copy))
+    copy, rows, cols, vals = s._copy[order], rows[order], cols[order], vals[order]
+    return _checked_stack(s.count, copy, rows, cols, vals, met=order)
+
+
 @_quiet
 def shift_multiply(
     a: FiniteMatrix,
@@ -449,11 +619,7 @@ def shift_multiply(
             products.append(x)
         return products
     rows, cols = (idx, fixed) if side == "left" else (fixed, idx)
-    ends = copy.searchsorted(np.arange(count + 1))
-    return [
-        FiniteMatrix._of(rows[lo:hi], cols[lo:hi], vals[lo:hi])
-        for lo, hi in zip(ends[:-1].tolist(), ends[1:].tolist())
-    ]
+    return MatrixStack._of(count, copy, rows, cols, vals).split()
 
 
 def permute_multiply(

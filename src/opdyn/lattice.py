@@ -260,13 +260,20 @@ def unitary_power_apply(
     int64 (the caller checks that; ``finmat._move`` does).  A table
     permutation looks the power up on the orbit of j and raises
     WindowExceeded for the first j whose walk leaves the declared window,
-    naming the index it left from, as a step-by-step walk would."""
-    if abs(n) > horizon:
+    naming the index it left from, as a step-by-step walk would.  ``n`` is
+    one power, checked against the horizon here, or an int64 array with one
+    power per index that the caller has checked (as ``shift_power_apply``
+    takes it)."""
+    one = not isinstance(n, np.ndarray)
+    if one and abs(n) > horizon:
         raise HorizonExceeded(f"permutation power {n} exceeds horizon {horizon}")
     if unitary.kind == "translation":
-        step = np.uint64(n * unitary.t % (1 << 64))
+        if one:
+            step = np.uint64(n * unitary.t % (1 << 64))
+        else:
+            step = n.view(np.uint64) * np.uint64(unitary.t % (1 << 64))
         return (idx.view(np.uint64) + step).view(np.int64)
-    if n == 0 or not len(idx):
+    if (one and n == 0) or not len(idx):
         return idx
     nodes = unitary._nodes
     if not len(nodes):
@@ -281,7 +288,8 @@ def unitary_power_apply(
             gone = idx[k]
         else:
             # a path is left at its start walking back, at its end forward
-            gone = unitary._seq[first[k] + (0 if n < 0 else length[k] - 1)]
+            back = (n if one else n[k]) < 0
+            gone = unitary._seq[first[k] + (0 if back else length[k] - 1)]
         raise WindowExceeded(f"index {gone} left the declared permutation window")
     return unitary._seq[first + pos]
 

@@ -484,3 +484,89 @@ def increasing_r_lists(n_ops: int, top: int):
     return st.sets(
         st.integers(1, top), min_size=n_ops, max_size=n_ops
     ).map(lambda rs: tuple(sorted(rs)))
+
+
+# ---------------------------------------------------------------------------
+# The per-k dual approximant check: verify_dual_convergence one k at a time,
+# each eta_k built and moved on its own and paired with one probe at a time.
+# The stacked check must reproduce it bit for bit, errors included.
+
+
+def per_probe_values(rep: FiniteMatrix, probes) -> list[float]:
+    """eval_functional of rep with each probe; the first probe whose pairing
+    is not finite raises NonFiniteEntry naming it."""
+    from opdyn.duality import FunctionalRep, eval_functional
+
+    values = []
+    for j, f in enumerate(probes.probes):
+        try:
+            values.append(eval_functional(FunctionalRep(rep), f))
+        except NonFiniteEntry:
+            raise NonFiniteEntry(f"non-finite trace pairing with probe {j}") from None
+    return values
+
+
+def per_k_dual_approximant(bundle, psi, phi_list, inst, k: int):
+    """eta_k with representer A_psi P_n D_k plus each A_{phi_l} P_n G_k^(l)
+    pulled back by family_chain(0, l) at n_k, one term at a time."""
+    from opdyn import compose, truncate_left
+    from opdyn.criteria import chain_apply, family_chain
+    from opdyn.duality import FunctionalRep, dual_apply_power
+
+    n = bundle.n_values[k - 1]
+    rep = compose(psi.representer, truncate_left(bundle.d_seq[k - 1], bundle.m))
+    for l, (g_seq, phi) in enumerate(zip(bundle.g_seqs, phi_list), start=1):
+        inner = FunctionalRep(
+            compose(phi.representer, truncate_left(g_seq[k - 1], bundle.m))
+        )
+        moved = chain_apply(inst, family_chain(0, l), n, inner, power=dual_apply_power)
+        rep = rep + moved.representer
+    return FunctionalRep(rep)
+
+
+def per_k_dual_convergence(bundle, psi, phi_list, inst, probes, tol):
+    """verify_dual_convergence with a loop over k: every eta_k built, moved
+    by each row's chain and measured on its own, probe by probe; after each
+    row, the first k whose distance exceeds its bound raises."""
+    from opdyn import trace_norm, truncate_right
+    from opdyn.criteria import (
+        BOUND_RTOL,
+        BOUND_SLACK,
+        chain_apply,
+        chain_terms,
+        family_chain,
+        make_report,
+        row_families,
+    )
+    from opdyn.duality import _majorant_norms, dual_apply_power
+
+    ns, n_win = bundle.n_values, bundle.m
+    funcs = (psi, *phi_list)
+    targets = [per_probe_values(truncate_right(phi.representer, n_win), probes) for phi in funcs]
+    tns = [trace_norm(phi.representer) for phi in funcs]
+    gaps, fam = _majorant_norms(inst, bundle)
+    etas = [
+        per_k_dual_approximant(bundle, psi, phi_list, inst, k)
+        for k in range(1, bundle.k_max + 1)
+    ]
+    reports = []
+    for t, (target, gap) in enumerate(zip(targets, gaps)):
+        vals, bounds, others = [], [], row_families(t, inst.n_ops)
+        for k, (n, eta) in enumerate(zip(ns, etas)):
+            eta = chain_apply(inst, family_chain(t, 0), n, eta, power=dual_apply_power)
+            diffs = [abs(v - w) for v, w in zip(per_probe_values(eta.representer, probes), target)]
+            bad = next((j for j, d in enumerate(diffs) if not math.isfinite(d)), None)
+            if bad is not None:
+                raise NonFiniteEntry(f"non-finite weak-* distance with probe {bad}")
+            vals.append(max(diffs))
+            bound = tns[t] * gap[k]
+            for u, chain in others:
+                bound += tns[u] * fam[chain][k]
+            bounds.append(bound)
+        row = f"{chain_terms(inst, ((t, 1),), 'T')} " if t else ""
+        label = f"wstar-dist({row}eta_k - M_P{n_win} {f'phi{t}' if t else 'psi'})"
+        for k, (value, bound) in enumerate(zip(vals, bounds), start=1):
+            if value > bound * (1.0 + BOUND_RTOL) + BOUND_SLACK:
+                raise OpdynError(f"{label} at k={k}: measured {value} exceeds bound {bound}")
+        reports.append(make_report(label, ns, vals, tol, bounds=bounds))
+    return reports, etas

@@ -9,20 +9,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _util import (
+    TABLE_WINDOW,
     canonical_instance,
     cross_label,
     dual_cross_label,
     dual_single_label,
+    increasing_r_lists,
     log_rel_close,
     neg_label,
+    outcome,
+    per_k_dual_approximant,
+    per_k_dual_convergence,
     pos_label,
     power_at,
     random_matrix,
+    table_unitary,
     three_op_instance,
     translation,
     unit_norm_matrix,
     w1,
     w2,
+    weighted_shifts,
 )
 from opdyn import (
     CriterionInstance,
@@ -42,6 +49,7 @@ from opdyn.criteria import all_decay, check_sufficient_decay
 from opdyn.duality import (
     FunctionalRep,
     TestSet,
+    _dual_approximants,
     _majorant_norms,
     _probe_array,
     check_dual_sufficient,
@@ -56,7 +64,7 @@ from opdyn.duality import (
     weak_star_distance,
 )
 from opdyn.elementary import ElementaryOp
-from opdyn.errors import NonFiniteEntry
+from opdyn.errors import NonFiniteEntry, OpdynError
 from opdyn.finmat import truncate_left
 
 small_matrices = st.builds(
@@ -612,3 +620,132 @@ def test_verify_dual_convergence_rows_equal_the_per_probe_spelling_on_three_oper
     for rep, (vals, bounds) in zip(reports, expected):
         assert [v for _, v in rep.values] == vals
         assert [b for _, b in rep.bounds] == bounds
+
+
+def perturbed_bundle(rng, inst):
+    """P_m plus a random window matrix of scale 4^-k at every k, a new one
+    for each witness."""
+    pm, ns = projection_matrix(inst.m), inst.n_values()
+
+    def seq():
+        return tuple(pm + random_matrix(rng, inst.m, scale=4.0**-k) for k in ns)
+
+    return WitnessBundle(
+        m=inst.m, n_values=ns, d_seq=seq(), g_seqs=tuple(seq() for _ in range(inst.n_ops))
+    )
+
+
+def test_a_distance_above_its_bound_raises_naming_the_row_and_k(monkeypatch):
+    # with zero phi_l the psi row is bounded by ||psi||_1 times the D_k gap
+    # alone: a gap of zero at k = 3 leaves a bound of 0.0 under a distance
+    # that is not
+    rng = random.Random(7)
+    inst = canonical_instance(m=2, r1=1, k_max=8).star()
+    bundle = perturbed_bundle(rng, inst)
+    psi = FunctionalRep(random_matrix(rng, 2))
+    zeros = [FunctionalRep(FiniteMatrix())] * 2
+    args = (bundle, psi, zeros, inst, default_probes(2), 1e-6)
+    reports, _ = verify_dual_convergence(*args)
+    assert reports[0].quantity == "wstar-dist(eta_k - M_P2 psi)"
+    value = reports[0].values[2][1]
+    assert value > 1e-3
+
+    def gap_zero_at_k3(inst, bundle):
+        gaps, fam = _majorant_norms(inst, bundle)
+        gaps[0][2] = 0.0
+        return gaps, fam
+
+    monkeypatch.setattr(duality, "_majorant_norms", gap_zero_at_k3)
+    with pytest.raises(OpdynError) as exc:
+        verify_dual_convergence(*args)
+    assert str(exc.value) == (
+        f"wstar-dist(eta_k - M_P2 psi) at k=3: measured {value} exceeds bound 0.0"
+    )
+
+
+@st.composite
+def dual_checks(draw):
+    """The arguments of one verify_dual_convergence call, bar tol: 1-3
+    operators (each shift plain or adjoint), WFU or UFW, a translation or a
+    table unitary, horizons 12 and 40.  The witnesses are one shared P_m,
+    equal copies of it, or perturbed matrices drawn from a pool of three,
+    each pick the pool's object or an equal copy, so runs of equal
+    witnesses come both ways.  The probes are not closed under
+    transposition."""
+    rng = draw(st.randoms(use_true_random=False))
+    n_ops = draw(st.integers(1, 3))
+    inst = CriterionInstance(
+        shifts=tuple(draw(weighted_shifts()) for _ in range(n_ops)),
+        unitary=draw(
+            st.one_of(
+                st.sampled_from([1, -1, 2]).map(translation),
+                st.permutations(list(TABLE_WINDOW)).map(table_unitary),
+            )
+        ),
+        r_list=draw(increasing_r_lists(n_ops, 4)),
+        n_seq=NSeq.all_k(),
+        m=draw(st.integers(0, 2)),
+        k_max=draw(st.integers(1, 6)),
+        horizon=draw(st.sampled_from([12, 40])),
+        orientation=draw(st.sampled_from(["WFU", "UFW"])),
+    )
+    m, k_max = inst.m, inst.k_max
+    pm = projection_matrix(m)
+    kind = draw(st.sampled_from(["shared", "copies", "perturbed"]))
+
+    def seq():
+        if kind == "shared":
+            return (pm,) * k_max
+        if kind == "copies":
+            return tuple(FiniteMatrix(pm.items()) for _ in range(k_max))
+        pool = [pm + random_matrix(rng, m, scale=4.0**-j) for j in range(1, 4)]
+        picks = [pool[rng.randrange(3)] for _ in range(k_max)]
+        return tuple(a if rng.random() < 0.5 else FiniteMatrix(a.items()) for a in picks)
+
+    bundle = WitnessBundle(
+        m=m, n_values=inst.n_values(), d_seq=seq(), g_seqs=tuple(seq() for _ in range(n_ops))
+    )
+    choices = [random_matrix(rng, m), random_matrix(rng, m), FiniteMatrix(), unit(0, 0)]
+    psi, *phis = (FunctionalRep(draw(st.sampled_from(choices))) for _ in range(n_ops + 1))
+    dense = random_matrix(rng, m, density=1.0, scale=1.0) + unit(0, 0, 2.0)
+    probes = TestSet(
+        probes=tuple(projection_matrix(j) for j in range(m + 1))
+        + tuple(unit(i, j) for i in range(-m, m + 1) for j in range(i, m + 1))
+        + (dense * (1.0 / op_norm(dense)),)
+    )
+    return bundle, psi, phis, inst, probes
+
+
+def bytes_of(etas):
+    """Rows, columns and value bytes of each eta_k representer."""
+    return [
+        (eta.representer._rows.tolist(), eta.representer._cols.tolist(),
+         eta.representer._vals.tobytes())
+        for eta in etas
+    ]
+
+
+@given(dual_checks())
+@settings(max_examples=200)
+def test_stacked_dual_check_equals_the_per_k_walk(check):
+    # every report, eta_k and error (type and message) of the one-stack
+    # check is that of the walk over k
+    def run(verify):
+        reports, etas = verify(*check, 1e-6)
+        return reports, bytes_of(etas)
+
+    assert outcome(run, verify_dual_convergence) == outcome(run, per_k_dual_convergence)
+    bundle, psi, phis, inst, _ = check
+    every_k = range(1, bundle.k_max + 1)
+    stacked = outcome(lambda: bytes_of(
+        map(FunctionalRep, _dual_approximants(bundle, psi, phis, inst, every_k).split())
+    ))
+    singles = [
+        outcome(lambda: bytes_of([construct_dual_approximant(bundle, psi, phis, inst, k)]))
+        for k in every_k
+    ]
+    for k, single in zip(every_k, singles):
+        want = outcome(lambda: bytes_of([per_k_dual_approximant(bundle, psi, phis, inst, k)]))
+        assert single == want
+    if stacked[0] == "ok":
+        assert [result for _, (result,) in singles] == stacked[1]

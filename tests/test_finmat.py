@@ -47,7 +47,9 @@ from opdyn import (
 from opdyn.errors import NonFiniteEntry
 from opdyn.finmat import (
     DROP_THRESHOLD,
+    MatrixStack,
     _dense_block,
+    compose_each,
     _singular_values,
     is_monomial,
     permute_multiply,
@@ -165,6 +167,48 @@ def test_dense_products_sum_in_the_order_of_the_walk(a, b):
     assert list(compose(a, b).items()) == list(
         dict_compose(dict_of(a), dict_of(b)).items()
     )
+
+
+@given(
+    entry_lists,
+    st.lists(st.tuples(entry_lists, entry_lists), min_size=1, max_size=4),
+    st.lists(st.integers(0, 3), max_size=6),
+)
+@settings(max_examples=150)
+def test_stack_products_and_sums_equal_each_copy_alone(x, pairs, picks):
+    # the same entries and the first error as compose and + on each copy in
+    # copy order; take and split give the copies back
+    a = FiniteMatrix(x)
+    bs = [FiniteMatrix(y) for y, _ in pairs]
+    cs = [FiniteMatrix(z) for _, z in pairs]
+    stack = MatrixStack.of(bs)
+    assert stack.split() == bs
+    picks = [k % len(bs) for k in picks]
+    assert stack.take(picks).split() == [bs[k] for k in picks]
+    assert outcome(lambda: [list(p.items()) for p in compose_each(a, stack).split()]) == (
+        outcome(lambda: [list(compose(a, b).items()) for b in bs])
+    )
+    assert outcome(lambda: [list(p.items()) for p in (stack + MatrixStack.of(cs)).split()]) == (
+        outcome(lambda: [list((b + c).items()) for b, c in zip(bs, cs)])
+    )
+
+
+#: Monomial matrices: a permutation of [-3, 3] with awkward values, some
+#: dropped below DROP_THRESHOLD, so that some rows and columns are empty.
+monomials = st.builds(
+    lambda perm, vals: FiniteMatrix(zip(zip(range(-3, 4), perm), vals)),
+    st.permutations(range(-3, 4)),
+    st.lists(awkward_values, min_size=7, max_size=7),
+)
+
+
+@given(
+    st.lists(st.one_of(small_matrices, monomials, st.just(FiniteMatrix())), min_size=1, max_size=5)
+)
+def test_stack_norms_equal_op_norm_of_each_copy(mats):
+    # monomial copies (empty ones included) by the segmented max, dense
+    # ones through op_norm
+    assert MatrixStack.of(mats).op_norms() == [op_norm(a) for a in mats]
 
 
 def test_overflowing_product_is_named_at_the_key_met_first():

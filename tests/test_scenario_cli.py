@@ -904,6 +904,35 @@ def test_run_dual_transitivity_overflowing_probe_sum_exits_five(tmp_path, capsys
     assert capsys.readouterr().err == "error: non-finite trace pairing with probe 1\n"
 
 
+#: Three operators on a table unitary of the window [-6, 6], the third
+#: weight an explicit table.
+THREE_TABLE_LINES = """\
+unitary = table -6:2 -5:-6 -4:5 -3:-4 -2:-5 -1:6 0:0 1:-3 2:1 3:-1 4:4 5:-2 6:3
+weight1 = piecewise 2 1/2
+weight2 = piecewise 3 1/3
+weight3 = explicit 1.5 -3:2 0:0.25 4:3
+r_list = 1 2 3
+"""
+
+
+@pytest.mark.parametrize("orientation", ["WFU", "UFW"])
+@pytest.mark.parametrize("horizon, power", [(40, 42), (50, 51)])
+def test_run_three_operator_dual_transitivity_past_the_horizon_exits_three(
+    tmp_path, capsys, orientation, horizon, power
+):
+    # check_dual_sufficient meets the first over-horizon power, W3 at k = 14
+    # or W3 at k = 17, before the eta_k are built
+    text = (
+        "opdyn-scenario v1\nname = three\nmode = dual-transitivity\n"
+        + THREE_TABLE_LINES
+        + f"orientation = {orientation}\nm = 2\nk_max = 20\nadjoint_weights = false\n"
+    )
+    path = write_scenario(tmp_path, text)
+    argv = ("run", path, "--out", str(tmp_path / "o"), "--horizon", str(horizon))
+    assert run_cli(*argv) == 3
+    assert capsys.readouterr().err == f"error: shift power {power} exceeds horizon {horizon}\n"
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     path = write_scenario(tmp_path, corollary_text(m=1, k_max=35))
     out_a, out_b = tmp_path / "a", tmp_path / "b"

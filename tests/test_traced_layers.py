@@ -72,6 +72,10 @@ def test_traced_layers_are_the_ones_the_run_calls(tmp_path, workload):
     if workload == "construct":
         # one approximant per k, none built twice
         assert calls["constructor.construct_approximant"] == spec.params["k_max"]
+    if workload == "dual":
+        # each pull-back of the eta_k and each row move is one call on the
+        # stack of every k, with no copy moved alone
+        assert calls["duality.dual_apply_power"] == calls["elementary.apply_power"] == 4
 
 
 def test_the_dual_witness_families_take_the_batched_walk(tmp_path, monkeypatch):

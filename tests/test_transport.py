@@ -7,6 +7,7 @@ for table permutations alike.  ``shift_multiply`` moves every product of a
 family at once, and must agree exactly with the per-product walk.
 """
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -46,7 +47,7 @@ from opdyn import (
     shift_multiply,
     unit,
 )
-from opdyn import criteria
+from opdyn import criteria, elementary
 from opdyn.cli import main
 from opdyn.constructor import default_bundle, load_bundle, save_bundle
 from opdyn.criteria import (
@@ -58,7 +59,7 @@ from opdyn.criteria import (
 )
 from opdyn.duality import FunctionalRep
 from opdyn.elementary import ElementaryOp
-from opdyn.finmat import _move, _transport, projection_matrix, save_finmat
+from opdyn.finmat import MatrixStack, _move, _transport, projection_matrix, save_finmat
 
 small_matrices = st.builds(
     random_matrix,
@@ -401,3 +402,43 @@ def test_family_norms_equal_the_per_iterate_walk(pool, iterates, shifts, side, h
     )
     args = (inst, ns, seqs[0], seqs[1:], side)
     assert outcome(_family_norms, *args) == outcome(per_iterate_family_norms, *args)
+
+
+@given(
+    st.lists(chain_matrices, min_size=1, max_size=4),
+    st.builds(
+        ElementaryOp,
+        unitary=transport_unitaries,
+        shift=transport_shifts,
+        orientation=st.sampled_from(["WFU", "UFW"]),
+    ),
+    st.data(),
+    horizons,
+    window_caps,
+)
+@settings(max_examples=300)
+def test_apply_power_on_a_stack_equals_each_copy_alone(mats, op, data, horizon, window_cap):
+    # the same entries and the first error (type and message) as moving
+    # each copy by its own power in copy order
+    powers = data.draw(st.lists(chain_powers, min_size=len(mats), max_size=len(mats)))
+    kw = dict(horizon=horizon, window_cap=window_cap)
+    stack = MatrixStack.of(mats)
+    got = outcome(lambda: [list(x.items()) for x in apply_power(op, powers, stack, **kw).split()])
+    want = outcome(
+        lambda: [list(apply_power(op, p, a, **kw).items()) for p, a in zip(powers, mats)]
+    )
+    assert got == want
+
+
+def test_apply_power_on_a_stack_moves_every_copy_in_one_pass(monkeypatch):
+    # copies within the horizon, int64 and the window cap never move alone
+    op = ElementaryOp(table_unitary(list(TABLE_WINDOW)[::-1]), w1(), "UFW")
+    mats = [random_matrix(random.Random(k), 2) for k in range(5)]
+
+    def alone(*args, **kwargs):
+        raise AssertionError("a copy moved alone")
+
+    monkeypatch.setattr(elementary, "_transport", alone)
+    moved = apply_power(op, [1, -2, 3, 0, 8], MatrixStack.of(mats)).split()
+    monkeypatch.undo()
+    assert moved == [apply_power(op, p, a) for p, a in zip([1, -2, 3, 0, 8], mats)]
