@@ -505,8 +505,11 @@ def _transport(a, left=None, right=None, *, window_cap):
 
 def _stack_move(factor, p, idx, side, *, horizon):
     """The landings of ``idx`` under factor^p on the given side, one int64
-    power per index, and their coefficients (None for a unitary): the rule
-    of ``_move``, which the caller has checked stays inside int64."""
+    power per index, and their coefficients (None for a unitary, or for no
+    factor, which keeps the indices): the rule of ``_move``, which the
+    caller has checked stays inside int64."""
+    if factor is None:
+        return idx, None
     if isinstance(factor, PermutationUnitary):
         return unitary_power_apply(factor, p if side == "left" else -p, idx, horizon=horizon), None
     shift = factor.star() if side == "right" else factor
@@ -516,17 +519,19 @@ def _stack_move(factor, p, idx, side, *, horizon):
 
 
 @_quiet
-def _transport_stack(s, powers, left, right, *, horizon, window_cap):
+def _transport_stack(s, powers, left=None, right=None, *, horizon, window_cap):
     """Copy k of s moved by left^powers[k] on the left and right^powers[k]
-    on the right (a shift or a unitary each, as ``_move`` takes them), as
-    ``_transport`` moves each copy; or None when a copy may fail.
+    on the right (a shift or a unitary each, as ``_move`` takes them; None
+    keeps that side), as ``_transport`` moves each copy; or None when a copy
+    may fail.
 
     The powers are Python ints, checked against the horizon before any
     int64 conversion.  A copy may fail, as ``_transport`` would, when it has
     entries and a power past the horizon, an index that may move past
-    int64, or a landing outside the window cap or a table window; a copy
-    without entries never fails.  Otherwise a non-finite value raises at
-    the least copy that has one, as ``_transport`` names it.
+    int64, a landing outside the window cap or a table window, or a value
+    that is not finite; a copy without entries never fails.  The caller
+    then moves each copy alone, and the error is raised by the copy that
+    meets it.
     """
     live = np.bincount(s._copy, minlength=s.count) > 0
     powers = [p if z else 0 for p, z in zip(powers, live.tolist())]
@@ -548,14 +553,13 @@ def _transport_stack(s, powers, left, right, *, horizon, window_cap):
     for coeff in (ci, cj):
         if coeff is not None:
             vals = vals * coeff
-    if (_outside(rows, cap) | _outside(cols, cap)).any():
+    if (_outside(rows, cap) | _outside(cols, cap)).any() or not np.isfinite(vals).all():
         return None
     order = np.lexsort((cols, rows, s._copy))
     copy, rows, cols, vals = s._copy[order], rows[order], cols[order], vals[order]
     return _checked_stack(s.count, copy, rows, cols, vals, met=order)
 
 
-@_quiet
 def shift_multiply(
     a: FiniteMatrix,
     factors,
@@ -569,16 +573,15 @@ def shift_multiply(
 
     ``factors`` lists the (shift, powers) factors leftmost outermost, each
     with K integer powers: product k is W_1^{p_1[k]} ... W_r^{p_r[k]}.  The
-    K copies of ``a`` move together, one array pass per factor, and each
-    entry gets the float operations of multiplying by one factor at a time:
-    its coefficient exp(log weight sum), the product with its value, then
-    the drop below DROP_THRESHOLD.
+    K copies of ``a`` are one MatrixStack, moved by one factor at a time
+    for all copies (``_transport_stack``), so each entry gets the float
+    operations of multiplying by one factor at a time: its coefficient
+    exp(log weight sum), the product with its value, then the drop below
+    DROP_THRESHOLD.
 
-    That pass only detects trouble, and may over-report it: a power past the
-    horizon, an index within ``horizon`` of either end of int64 or outside
-    the window cap, a non-finite value.  Then every product is multiplied
-    out one factor at a time by ``_transport``, which raises the error of
-    the least k that has one, or returns the same products.
+    When a copy may fail, every product is multiplied out one factor at a
+    time by ``_transport``, which raises the error of the least k that has
+    one, or returns the same products.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -588,38 +591,22 @@ def shift_multiply(
     count = len(walk[0][1]) if walk else 0
     if not walk or any(len(ps) != count for _, ps in walk):
         raise ValueError("need one or more factors, each with one power per product")
-    # `safe` is at most the window cap, and from an index within it a move
-    # of at most `horizon` steps stays in int64
-    safe = min(window_cap, _INDEX_MAX - horizon)
-    trouble = any(abs(p) > horizon for _, ps in walk for p in ps)
-    trouble = trouble or (_outside(a._rows, safe) | _outside(a._cols, safe)).any()
-    idx, fixed = (a._rows, a._cols) if side == "left" else (a._cols, a._rows)
-    copy = np.repeat(np.arange(count), a.nnz)
-    idx, fixed, vals = (np.tile(x, count) for x in (idx, fixed, a._vals))
+    kw = dict(horizon=horizon, window_cap=window_cap)
+    stack = MatrixStack.of([a]).take([0] * count)
     for shift, ps in walk:
-        if trouble or not len(copy):
+        stack = _transport_stack(stack, ps, **{side: shift}, **kw)
+        if stack is None:
             break
-        if side == "right":
-            shift = shift.star()  # W^p on the right moves columns as (W*)^p
-        idx, lg = shift_power_apply(shift, np.array(ps)[copy], idx, horizon=horizon)
-        distinct, at = _distinct(lg)
-        coeff = np.fromiter(map(_exp, distinct.tolist()), np.float64, len(distinct))
-        vals = vals * coeff[at]
-        trouble = (_outside(idx, safe) | ~np.isfinite(vals)).any()
-        keep = np.abs(vals) >= DROP_THRESHOLD
-        if not keep.all():
-            copy, idx, fixed, vals = copy[keep], idx[keep], fixed[keep], vals[keep]
-    if trouble:
-        products = []
-        for k in range(count):
-            x = a
-            for shift, ps in walk:
-                move = _move(shift, ps[k], side, horizon=horizon)
-                x = _transport(x, **{side: move}, window_cap=window_cap)
-            products.append(x)
-        return products
-    rows, cols = (idx, fixed) if side == "left" else (fixed, idx)
-    return MatrixStack._of(count, copy, rows, cols, vals).split()
+    if stack is not None:
+        return stack.split()
+    products = []
+    for k in range(count):
+        x = a
+        for shift, ps in walk:
+            move = _move(shift, ps[k], side, horizon=horizon)
+            x = _transport(x, **{side: move}, window_cap=window_cap)
+        products.append(x)
+    return products
 
 
 def permute_multiply(

@@ -526,12 +526,9 @@ def per_k_dual_approximant(bundle, psi, phi_list, inst, k: int):
 
 def per_k_dual_convergence(bundle, psi, phi_list, inst, probes, tol):
     """verify_dual_convergence with a loop over k: every eta_k built, moved
-    by each row's chain and measured on its own, probe by probe; after each
-    row, the first k whose distance exceeds its bound raises."""
+    by each row's chain and measured on its own, probe by probe."""
     from opdyn import trace_norm, truncate_right
     from opdyn.criteria import (
-        BOUND_RTOL,
-        BOUND_SLACK,
         chain_apply,
         chain_terms,
         family_chain,
@@ -565,8 +562,5 @@ def per_k_dual_convergence(bundle, psi, phi_list, inst, probes, tol):
             bounds.append(bound)
         row = f"{chain_terms(inst, ((t, 1),), 'T')} " if t else ""
         label = f"wstar-dist({row}eta_k - M_P{n_win} {f'phi{t}' if t else 'psi'})"
-        for k, (value, bound) in enumerate(zip(vals, bounds), start=1):
-            if value > bound * (1.0 + BOUND_RTOL) + BOUND_SLACK:
-                raise OpdynError(f"{label} at k={k}: measured {value} exceeds bound {bound}")
         reports.append(make_report(label, ns, vals, tol, bounds=bounds))
     return reports, etas

@@ -64,8 +64,8 @@ from opdyn.duality import (
     weak_star_distance,
 )
 from opdyn.elementary import ElementaryOp
-from opdyn.errors import NonFiniteEntry, OpdynError
-from opdyn.finmat import truncate_left
+from opdyn.errors import NonFiniteEntry, WindowExceeded
+from opdyn.finmat import MatrixStack, truncate_left
 
 small_matrices = st.builds(
     random_matrix,
@@ -309,6 +309,32 @@ def test_a_distance_past_the_float_range_is_a_non_finite_entry():
     psi = FunctionalRep(unit(0, 0, -1.5e308))
     with pytest.raises(NonFiniteEntry, match="^non-finite weak-\\* distance with probe 0$"):
         weak_star_distance(phi, psi, default_probes(1))
+
+
+def test_distances_pair_the_copies_a_block_at_a_time(monkeypatch):
+    # blocks of one, two and all copies give the same distances, and the
+    # same first error: copy 2's distance before copy 4's pairing, and the
+    # other way round
+    rng = random.Random(3)
+    probes = default_probes(2)
+    target = _probe_array(FunctionalRep(unit(0, 0, -1.5e308)), probes)
+    mats = [random_matrix(rng, 2) for _ in range(6)]
+    apart = unit(0, 0, 1.5e308)  # finite pairing, its difference is not
+    overflow = FiniteMatrix({(0, 0): 1e308, (1, 1): 1e308})  # pairing with P_1
+
+    def runs(stack):
+        got = []
+        for block in (1, 2, len(mats)):
+            monkeypatch.setattr(duality, "_PAIRED_CELLS", block * len(probes.probes))
+            got.append(outcome(duality._distances, stack, target, probes))
+        return got
+
+    ok = MatrixStack.of(mats)
+    assert runs(ok) == [("ok", duality._distances(ok, target, probes))] * 3
+    first = MatrixStack.of(mats[:2] + [apart] + mats[3:4] + [overflow] + mats[5:])
+    assert runs(first) == [(NonFiniteEntry, "non-finite weak-* distance with probe 0")] * 3
+    first = MatrixStack.of(mats[:2] + [overflow] + mats[3:4] + [apart] + mats[5:])
+    assert runs(first) == [(NonFiniteEntry, "non-finite trace pairing with probe 1")] * 3
 
 
 def test_strong_limit_distance_reads_columns_inside_the_window():
@@ -622,44 +648,33 @@ def test_verify_dual_convergence_rows_equal_the_per_probe_spelling_on_three_oper
         assert [b for _, b in rep.bounds] == bounds
 
 
-def perturbed_bundle(rng, inst):
-    """P_m plus a random window matrix of scale 4^-k at every k, a new one
-    for each witness."""
-    pm, ns = projection_matrix(inst.m), inst.n_values()
-
-    def seq():
-        return tuple(pm + random_matrix(rng, inst.m, scale=4.0**-k) for k in ns)
-
-    return WitnessBundle(
-        m=inst.m, n_values=ns, d_seq=seq(), g_seqs=tuple(seq() for _ in range(inst.n_ops))
+def test_a_pairing_error_at_one_k_comes_before_a_move_error_at_a_later_k():
+    # row T1 moves eta_1 onto the diagonal of P_1, where the pairing with
+    # probe 1 overflows, and eta_2's row -11 past the window cap, to 9: the
+    # walk over k pairs eta_1 before it moves eta_2
+    inst = CriterionInstance(
+        shifts=(w1(),),
+        unitary=translation(10),
+        r_list=(1,),
+        n_seq=NSeq.all_k(),
+        m=1,
+        k_max=2,
+        window_cap=5,
     )
+    psi = FunctionalRep(FiniteMatrix({(-11, -1): 1.0, (-10, 0): 1.0, (-9, 1): 1.0}))
+    pm = projection_matrix(1)
 
+    def check(d_1):
+        bundle = WitnessBundle(m=1, n_values=(1, 2), d_seq=(d_1, unit(-1, 0)), g_seqs=((pm, pm),))
+        args = (bundle, psi, [FunctionalRep(FiniteMatrix())], inst, default_probes(1), 1e-6)
+        got = outcome(verify_dual_convergence, *args)
+        assert got == outcome(per_k_dual_convergence, *args)
+        return got
 
-def test_a_distance_above_its_bound_raises_naming_the_row_and_k(monkeypatch):
-    # with zero phi_l the psi row is bounded by ||psi||_1 times the D_k gap
-    # alone: a gap of zero at k = 3 leaves a bound of 0.0 under a distance
-    # that is not
-    rng = random.Random(7)
-    inst = canonical_instance(m=2, r1=1, k_max=8).star()
-    bundle = perturbed_bundle(rng, inst)
-    psi = FunctionalRep(random_matrix(rng, 2))
-    zeros = [FunctionalRep(FiniteMatrix())] * 2
-    args = (bundle, psi, zeros, inst, default_probes(2), 1e-6)
-    reports, _ = verify_dual_convergence(*args)
-    assert reports[0].quantity == "wstar-dist(eta_k - M_P2 psi)"
-    value = reports[0].values[2][1]
-    assert value > 1e-3
-
-    def gap_zero_at_k3(inst, bundle):
-        gaps, fam = _majorant_norms(inst, bundle)
-        gaps[0][2] = 0.0
-        return gaps, fam
-
-    monkeypatch.setattr(duality, "_majorant_norms", gap_zero_at_k3)
-    with pytest.raises(OpdynError) as exc:
-        verify_dual_convergence(*args)
-    assert str(exc.value) == (
-        f"wstar-dist(eta_k - M_P2 psi) at k=3: measured {value} exceeds bound 0.0"
+    huge = FiniteMatrix({(-1, 0): 4.25e307, (0, 1): 1.7e308, (1, 2): 1.7e308})
+    assert check(huge) == (NonFiniteEntry, "non-finite trace pairing with probe 1")
+    assert check(huge * 1e-300) == (
+        WindowExceeded, "transported index (9, -2) exceeds window cap 5"
     )
 
 
@@ -716,6 +731,39 @@ def dual_checks(draw):
     return bundle, psi, phis, inst, probes
 
 
+@st.composite
+def failing_dual_checks(draw):
+    """verify_dual_convergence arguments near the float range and the
+    window cap: the canonical pair with a translation by 1, 3 or 10, plain
+    or adjoint, WFU or UFW, window caps 6 to 30; each witness is P_m or P_m
+    plus a random matrix, each functional a random matrix, of a scale drawn
+    per matrix from 1 to 8e307.  So the build, the row moves and the
+    pairings overflow or leave the window cap at different k and steps."""
+    rng = draw(st.randoms(use_true_random=False))
+    inst = CriterionInstance(
+        shifts=(w1(), w2()),
+        unitary=translation(draw(st.sampled_from([1, 3, 10]))),
+        r_list=(1, 2),
+        n_seq=NSeq.all_k(),
+        m=draw(st.integers(1, 2)),
+        k_max=draw(st.integers(2, 8)),
+        window_cap=draw(st.sampled_from([6, 10, 15, 30])),
+        orientation=draw(st.sampled_from(["WFU", "UFW"])),
+    )
+    inst = inst.star() if draw(st.booleans()) else inst
+    m, pm = inst.m, projection_matrix(inst.m)
+
+    def matrix():
+        return random_matrix(rng, m, scale=rng.choice([1.0, 1e150, 1e300, 8e307]))
+
+    def seq():
+        return tuple(pm + matrix() if rng.random() < 0.5 else pm for _ in range(inst.k_max))
+
+    bundle = WitnessBundle(m=m, n_values=inst.n_values(), d_seq=seq(), g_seqs=(seq(), seq()))
+    psi, *phis = (FunctionalRep(matrix()) for _ in range(3))
+    return bundle, psi, phis, inst, default_probes(m)
+
+
 def bytes_of(etas):
     """Rows, columns and value bytes of each eta_k representer."""
     return [
@@ -749,3 +797,20 @@ def test_stacked_dual_check_equals_the_per_k_walk(check):
         assert single == want
     if stacked[0] == "ok":
         assert [result for _, (result,) in singles] == stacked[1]
+
+
+@given(failing_dual_checks())
+@settings(max_examples=100)
+def test_stacked_dual_check_raises_the_first_error_of_the_walk_over_k(check):
+    # each stacked step raises at its own least copy; the check raises what
+    # the walk over k meets first, a later step at an earlier k included.
+    # Any exception counts: trace_norm's fsum of a functional past the float
+    # range raises OverflowError, before the build, on both sides alike.
+    def run(verify):
+        try:
+            reports, etas = verify(*check, 1e-6)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return reports, bytes_of(etas)
+
+    assert run(verify_dual_convergence) == run(per_k_dual_convergence)

@@ -294,6 +294,15 @@ def per_product(a, factors, side, **kw):
     10_000,
     10**30,
 )
+@example(
+    # the first pass overflows product 1, yet product 0 is multiplied out
+    # first, and its power past the horizon in the next factor is the error
+    FiniteMatrix({(-3, -3): 1e308}),
+    [(w1(), [40, 0]), (w1(), [0, 1])],
+    "left",
+    12,
+    1 << 20,
+)
 @settings(max_examples=300)
 def test_batched_shift_multiply_equals_the_per_product_walk(a, factors, side, horizon, window_cap):
     # the same entries, norms and first error (type and message)
