@@ -23,20 +23,24 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .criteria import (
     CriterionInstance,
     DecayReport,
     chain_apply,
+    equal_runs,
     family_chain,
     make_report,
     row_families,
+    witnesses,
 )
-from .errors import FormatError
+from .errors import FormatError, OpdynError
 from .finmat import (
     FiniteMatrix,
+    MatrixStack,
     compose,
     load_finmat,
-    op_norm,
     projection_matrix,
     read_text,
     save_finmat,
@@ -46,6 +50,10 @@ from .finmat import (
 
 BUNDLE_HEADER = "opdyn-bundle v1"
 _MANIFEST_NAME = "manifest.txt"
+
+#: Products of the phi_k terms (which bound their entries) in one block of
+#: the approximant check; its stacks take some 200 bytes a product.
+_BLOCK_PRODUCTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -133,6 +141,36 @@ def extract_witnesses(
     return WitnessBundle(m=inst.m, n_values=ns, d_seq=d_seq, g_seqs=g_seqs)
 
 
+def _approximants(bundle: WitnessBundle, inst: CriterionInstance, ks, product, power=None):
+    """phi_k for every k in ks as one stack (copy i for ks[i]), the stack of
+    each term it sums, and per term the first witness of each run of equal
+    witnesses, their products and the run of each copy.  Term u is
+    ``product(u, witness)`` of its witness (D_k, then each G_k^(l)), once
+    per run, pulled back by family_chain(0, u) at n_k in one call, so each
+    copy is the walk of its k alone, float for float."""
+    if not all(1 <= k <= bundle.k_max for k in ks):
+        raise ValueError("k outside the bundle range")
+    ns = tuple(bundle.n_values[k - 1] for k in ks)
+    phi, terms, runs = None, [], []
+    for u, (_, seq) in enumerate(witnesses(bundle.d_seq, bundle.g_seqs)):
+        starts = equal_runs([seq[k - 1] for k in ks])
+        firsts = [seq[ks[i] - 1] for i in starts[:-1]]
+        made = MatrixStack.of(product(u, a) for a in firsts)
+        run_of = np.repeat(np.arange(len(firsts)), np.diff(starts))
+        terms.append(chain_apply(inst, family_chain(0, u), ns, made.take(run_of), power=power))
+        runs.append((firsts, made, run_of))
+        phi = terms[0] if phi is None else phi + terms[-1]
+    return phi, terms, runs
+
+
+def _target_product(bundle: WitnessBundle, targets: TargetTuple, inst: CriterionInstance):
+    """The product of each phi_k term: D_k F, G_k^(l) E_l."""
+    if bundle.n_ops != inst.n_ops or len(targets.e_list) != inst.n_ops:
+        raise ValueError("bundle, targets and instance disagree on N")
+    xs = (targets.f, *targets.e_list)
+    return lambda u, a: compose(a, xs[u])
+
+
 def construct_approximant(
     bundle: WitnessBundle,
     targets: TargetTuple,
@@ -141,20 +179,11 @@ def construct_approximant(
 ) -> tuple[FiniteMatrix, FiniteMatrix, list[tuple[FiniteMatrix, FiniteMatrix]]]:
     """phi_k = D_k F + sum_l S_l^{r_l n_k}(G_k^(l) E_l), k one-based, and the
     terms it sums: D_k F, and for each l the pair
-    (G_k^(l) E_l, S_l^{r_l n_k}(G_k^(l) E_l))."""
-    if not 1 <= k <= bundle.k_max:
-        raise ValueError("k outside the bundle range")
-    if bundle.n_ops != inst.n_ops or len(targets.e_list) != inst.n_ops:
-        raise ValueError("bundle, targets and instance disagree on N")
-    n = bundle.n_values[k - 1]
-    df = compose(bundle.d_seq[k - 1], targets.f)
-    phi, pairs = df, []
-    for l, (g_seq, e) in enumerate(zip(bundle.g_seqs, targets.e_list), start=1):
-        ge = compose(g_seq[k - 1], e)
-        correction = chain_apply(inst, family_chain(0, l), n, ge)
-        pairs.append((ge, correction))
-        phi = phi + correction
-    return phi, df, pairs
+    (G_k^(l) E_l, S_l^{r_l n_k}(G_k^(l) E_l)); the one-copy case of the
+    stacked build."""
+    phi, terms, runs = _approximants(bundle, inst, [k], _target_product(bundle, targets, inst))
+    (phi,), (df, *corrections) = phi.split(), [term.split()[0] for term in terms]
+    return phi, df, [(made.split()[0], c) for (_, made, _), c in zip(runs[1:], corrections)]
 
 
 def verify_approximant_convergence(
@@ -174,39 +203,58 @@ def verify_approximant_convergence(
     Row t is the identity (t = 0) or T_t^{+r_t n}; term u is D_k F (u = 0)
     or S_u^{r_u n}(G_k^(u) E_u).  Each row is its own gap plus the row on
     every other term, as ``criteria.row_families`` lists them.
+
+    The phi_k are built, moved and normed as stacks, with no loop over k, a
+    block of k at a time (one at least, else as many as keep the products
+    their terms sum within ``_BLOCK_PRODUCTS``).  A block that raises is
+    checked again one k at a time: the error is the walk over k's first.
     """
-    ns = bundle.n_values
-    m = bundle.m
-    pm = projection_matrix(m)
+    ns, m = bundle.n_values, bundle.m
     rs = list(enumerate(inst.r_list, start=1))
     rows = [""] + [f"T{l}^(+{r}n) " for l, r in rs]
     names = ["F"] + [f"E{l}" for l, _ in rs]
     gap_labels = [f"(D_k - P{m}) F"] + [f"G{l}_k E{l} - P{m} E{l}" for l, _ in rs]
     term_labels = ["D_k F"] + [f"S{l}^({r}n) G{l}_k E{l}" for l, r in rs]
-    pms = [truncate_left(x, m) for x in (targets.f, *targets.e_list)]
-
-    phis = []
+    # - P_m X is added as the negation, which is how FiniteMatrix.__sub__ sums
+    xs = (targets.f, *targets.e_list)
+    minus_pms = [MatrixStack.of([-truncate_left(x, m)]) for x in xs]
+    pm, product = projection_matrix(m), _target_product(bundle, targets, inst)
     columns: dict[str, list[float]] = defaultdict(list)
-    for k, n in enumerate(ns, start=1):
-        phi, df, pairs = construct_approximant(bundle, targets, inst, k)
-        phis.append(phi)
-        terms = [df] + [corr for _, corr in pairs]
-        for t, (row, pmx) in enumerate(zip(rows, pms)):
-            act = family_chain(t, 0)
-            dist = op_norm(chain_apply(inst, act, n, phi) - pmx)
-            columns[f"dist({row}phi_k - P{m} {names[t]})"].append(dist)
-            if t:
-                gap = pairs[t - 1][0] - pmx
-            else:
-                gap = compose(bundle.d_seq[k - 1] - pm, targets.f)
-            columns[f"norm({gap_labels[t]})"].append(op_norm(gap))
-            for u, _ in row_families(t, inst.n_ops):
-                norm = op_norm(chain_apply(inst, act, n, terms[u]))
-                columns[f"norm({row}{term_labels[u]})"].append(norm)
 
-    reports = [
-        make_report(label, ns, vals, tol) for label, vals in columns.items()
-    ]
+    def check(ks) -> list[FiniteMatrix]:
+        # every column at each k in ks, and phi_k
+        phi, terms, runs = _approximants(bundle, inst, ks, product)
+        at = tuple(ns[k - 1] for k in ks)
+        for t, (row, minus) in enumerate(zip(rows, minus_pms)):
+            act, (firsts, made, run_of) = family_chain(t, 0), runs[t]
+            dist = chain_apply(inst, act, at, phi) + minus.take([0] * len(ks))
+            columns[f"dist({row}phi_k - P{m} {names[t]})"] += dist.op_norms()
+            if t:
+                gaps = made + minus.take([0] * made.count)
+            else:
+                gaps = MatrixStack.of(compose(a - pm, targets.f) for a in firsts)
+            columns[f"norm({gap_labels[t]})"] += np.take(gaps.op_norms(), run_of).tolist()
+            for u, _ in row_families(t, inst.n_ops):
+                norms = chain_apply(inst, act, at, terms[u]).op_norms()
+                columns[f"norm({row}{term_labels[u]})"] += norms
+        return phi.split()
+
+    # each block as many k as keep the products of their terms in the bound
+    most = max(
+        sum(np.sum(x._rows.searchsorted(a._cols, "right") - x._rows.searchsorted(a._cols))
+            for a, x in zip(witness, xs))
+        for witness in zip(bundle.d_seq, *bundle.g_seqs)
+    )
+    step, phis = max(1, _BLOCK_PRODUCTS // max(most, 1)), []
+    for lo in range(0, len(ns), step):
+        ks = range(lo + 1, min(lo + step, len(ns)) + 1)
+        try:
+            phis += check(ks)
+        except OpdynError:
+            for k in ks:
+                check([k])
+            raise
+    reports = [make_report(label, ns, vals, tol) for label, vals in columns.items()]
     return sorted(reports, key=lambda rep: rep.quantity), phis
 
 

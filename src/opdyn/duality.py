@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constructor import WitnessBundle
+from .constructor import WitnessBundle, _approximants
 from .criteria import (
     Chain,
     CriterionInstance,
@@ -46,7 +46,6 @@ from .criteria import (
     chain_apply,
     chain_terms,
     chain_witness,
-    equal_runs,
     family_chain,
     make_report,
     row_families,
@@ -60,10 +59,10 @@ from .finmat import (
     MatrixStack,
     _distinct,
     _matches,
+    _outside,
     _quiet,
     _run_starts,
     compose,
-    compose_each,
     op_norm,
     projection_matrix,
     trace_norm,
@@ -250,17 +249,16 @@ def weak_star_distance(
     return _distances(MatrixStack.of([phi.representer]), target, probes)[0]
 
 
+@_quiet
 def strong_limit_distance(a: FiniteMatrix, b: FiniteMatrix, window: int) -> float:
     """max over basis vectors e_j, |j| <= window, of the column norm of
-    (a - b) e_j; the finite proxy for strong convergence on the window."""
+    (a - b) e_j; the finite proxy for strong convergence on the window.
+    Each column sums its squares from 0.0 in row order."""
     diff = a - b
-    sq: dict[int, float] = {}
-    for (_, j), v in diff.items():
-        sq[j] = sq.get(j, 0.0) + v * v
-    return max(
-        (math.sqrt(s) for j, s in sq.items() if abs(j) <= window),
-        default=0.0,
-    )
+    cols, at = _distinct(diff._cols)
+    squares = np.bincount(at, weights=diff._vals * diff._vals, minlength=len(cols))
+    inside = squares[~_outside(cols, window)]
+    return float(np.sqrt(inside).max()) if len(inside) else 0.0
 
 
 def dual_label(inst: CriterionInstance, chain: Chain) -> str:
@@ -313,6 +311,11 @@ def check_dual_witness_conditions(
     return sorted(reports, key=lambda rep: rep.quantity)
 
 
+def _pull_back(op, p, x, **kwargs):
+    # dual_apply_power on a stack of representers
+    return dual_apply_power(op, p, FunctionalRep(x), **kwargs).representer
+
+
 def _dual_approximants(
     bundle: WitnessBundle,
     psi: FunctionalRep,
@@ -322,25 +325,17 @@ def _dual_approximants(
 ) -> MatrixStack:
     """The representers of eta_k for every k in ks, copy i for ks[i], as one
     stack: A_psi P_n D_k plus, for each l, A_{phi_l} P_n G_k^(l) pulled back
-    by family_chain(0, l) at n_k.  Each product with a cut witness is taken
-    once per run of equal witnesses, and each pull-back is one call for all
-    copies, so each copy is the walk of its k alone, float for float."""
-    if not all(1 <= k <= bundle.k_max for k in ks):
-        raise ValueError("k outside the bundle range")
+    by family_chain(0, l) at n_k.  It is the primal build
+    (``constructor._approximants``) with the cut witness on the right and
+    the transpose action, so each copy is the walk of its k alone."""
     if len(phi_list) != inst.n_ops or bundle.n_ops != inst.n_ops:
         raise ValueError("phi_list, bundle and instance disagree on N")
-    ns = tuple(bundle.n_values[k - 1] for k in ks)
-    eta = None
-    terms = zip((psi, *phi_list), witnesses(bundle.d_seq, bundle.g_seqs))
-    for l, (phi, (_, seq)) in enumerate(terms):
-        seq = [seq[k - 1] for k in ks]
-        runs = equal_runs(seq)
-        cut = MatrixStack.of(truncate_left(seq[start], bundle.m) for start in runs[:-1])
-        run_of = np.repeat(np.arange(len(runs) - 1), np.diff(runs))
-        term = FunctionalRep(compose_each(phi.representer, cut).take(run_of))
-        term = chain_apply(inst, family_chain(0, l), ns, term, power=dual_apply_power)
-        eta = term.representer if eta is None else eta + term.representer
-    return eta
+    reps = [phi.representer for phi in (psi, *phi_list)]
+
+    def product(u, a):
+        return compose(reps[u], truncate_left(a, bundle.m))
+
+    return _approximants(bundle, inst, ks, product, power=_pull_back)[0]
 
 
 def construct_dual_approximant(

@@ -113,7 +113,7 @@ class FiniteMatrix:
         return int(max(np.abs(self._rows).max(), np.abs(self._cols).max()))
 
     def transpose(self) -> "FiniteMatrix":
-        order = np.lexsort((self._rows, self._cols))
+        order = _key_order(self._cols, self._rows)[0]
         return FiniteMatrix._of(
             self._cols[order], self._rows[order], self._vals[order]
         )
@@ -156,11 +156,22 @@ def _run_starts(s: np.ndarray) -> np.ndarray:
     return new
 
 
-def _key_order(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable (row, col) order of the keys, and a mask over the sorted keys
-    that marks the first of each run of equal keys."""
-    order = np.lexsort((cols, rows))
-    return order, _run_starts(rows[order]) | _run_starts(cols[order])
+def _key_order(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable order of the key tuples, the first key most significant, and
+    a mask over the sorted tuples that marks the first of each run of equal
+    tuples.  When the key ranges multiply to an int64, the tuples are
+    packed into one int64 key and sorted in one pass: the same order."""
+    bounds = [(int(k.min()), int(k.max()) + 1) if len(k) else (0, 1) for k in keys]
+    if math.prod(hi - lo for lo, hi in bounds) > _INDEX_MAX:
+        order = np.lexsort(keys[::-1])
+        return order, np.logical_or.reduce([_run_starts(k[order]) for k in keys])
+    packed = np.zeros(len(keys[0]), dtype=np.int64)
+    for k, (lo, hi) in zip(keys, bounds):
+        if hi - lo > 1:  # a constant key orders nothing
+            packed *= hi - lo
+            packed += k - lo
+    order = np.lexsort((packed,))
+    return order, _run_starts(packed[order])
 
 
 def _sorted(x: np.ndarray) -> np.ndarray:
@@ -197,9 +208,8 @@ def _sum_by_key(rows, cols, vals) -> FiniteMatrix:
     in that order would; a non-finite sum is reported at the key that dict
     would have met first."""
     order, new = _key_order(rows, cols)
-    group = np.empty(len(order), dtype=np.intp)
-    group[order] = np.cumsum(new) - 1
-    sums = np.bincount(group, weights=vals, minlength=int(new.sum()))
+    # the sort is stable, so each key's terms keep their array order
+    sums = np.bincount(np.cumsum(new) - 1, weights=vals[order])
     first = order[new]
     return _checked(rows[first], cols[first], sums, met=first)
 
@@ -267,40 +277,46 @@ class MatrixStack:
         return _sum_by_copy_key(
             self.count, *(np.concatenate((getattr(self, c), getattr(other, c))) for c in columns)
         )
-
     def op_norms(self) -> list[float]:
         """op_norm of every copy: a monomial copy's max |value| as one
-        segmented max, which is op_norm's monomial rule; a dense copy through
-        op_norm itself, in copy order."""
-        norms = np.zeros(self.count)
-        if not len(self._vals):
+        segmented max, which is op_norm's monomial rule; the dense copies'
+        support blocks, laid out as _dense_block lays them, through one
+        LAPACK call per block shape."""
+        norms, ends = np.zeros(self.count), self._ends()
+        live = np.flatnonzero(ends[1:] > ends[:-1])
+        if not len(live):
             return norms.tolist()
-        ends = self._ends()
-        starts = ends[:-1][ends[1:] > ends[:-1]]
-        norms[self._copy[starts]] = np.maximum.reduceat(np.abs(self._vals), starts)
-        # a copy is dense when a row or a column holds two of its entries
-        by_col = np.lexsort((self._cols, self._copy))
-        dense = np.zeros(self.count, dtype=bool)
-        for copy, idx in ((self._copy, self._rows), (self._copy[by_col], self._cols[by_col])):
-            twice = (copy[1:] == copy[:-1]) & (idx[1:] == idx[:-1])
-            dense[copy[1:][twice]] = True
-        norms = norms.tolist()
-        if dense.any():
-            mats = self.split()
-            for k in np.flatnonzero(dense).tolist():
-                norms[k] = op_norm(mats[k])
-        return norms
+        starts = ends[live]
+        norms[live] = np.maximum.reduceat(np.abs(self._vals), starts)
+        # each entry's row and column in its copy's block: the rank of its
+        # index among the distinct ones of its copy (its rows are in order);
+        # a copy is dense when its block has fewer rows or columns than it
+        # has entries
+        by_col, col_new = _key_order(self._copy, self._cols)
+        new_row = _run_starts(self._copy) | _run_starts(self._rows)
+        at_row, at_col = (np.cumsum(new) for new in (new_row, col_new))
+        first = ends[self._copy]
+        at_row, at_col[by_col] = at_row - at_row[first], at_col - at_col[first]
+        height, width = (np.maximum.reduceat(at, starts) + 1 for at in (at_row, at_col))
+        dense = np.minimum(height, width) < np.diff(ends)[live]
+        for h, w in set(zip(height[dense].tolist(), width[dense].tolist())):
+            members = np.zeros(self.count, dtype=bool)
+            members[live[dense & (height == h) & (width == w)]] = True
+            mine = members[self._copy]
+            slot = (np.cumsum(members) - 1)[self._copy[mine]]
+            blocks = np.zeros((int(members.sum()), h, w))
+            blocks[slot, at_row[mine], at_col[mine]] = self._vals[mine]
+            norms[members] = _singular_values(blocks)[:, 0]
+        return norms.tolist()
 
 
 def _sum_by_copy_key(count, copy, rows, cols, vals) -> MatrixStack:
     """_sum_by_key per (copy, row, col) key: each copy's sums are that
     copy's _sum_by_key, and a non-finite sum is reported at the least copy
     that has one."""
-    order = np.lexsort((cols, rows, copy))
-    new = _run_starts(copy[order]) | _run_starts(rows[order]) | _run_starts(cols[order])
-    group = np.empty(len(order), dtype=np.intp)
-    group[order] = np.cumsum(new) - 1
-    sums = np.bincount(group, weights=vals, minlength=int(new.sum()))
+    order, new = _key_order(copy, rows, cols)
+    # the sort is stable, so each key's terms keep their array order
+    sums = np.bincount(np.cumsum(new) - 1, weights=vals[order])
     first = order[new]
     return _checked_stack(count, copy[first], rows[first], cols[first], sums, met=first)
 
@@ -348,18 +364,6 @@ def compose(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:
     return _sum_by_key(a._rows[ai], b._cols[bi], a._vals[ai] * b._vals[bi])
 
 
-@_quiet
-def compose_each(a: FiniteMatrix, s: MatrixStack) -> MatrixStack:
-    """a @ every copy of s.  The products come by a's entries, then by copy
-    and column, so each copy's key sums its products in the order compose
-    sums them."""
-    by_row = np.lexsort((s._cols, s._copy, s._rows))
-    ai, bi = _matches(s._rows[by_row], a._cols)
-    bi = by_row[bi]
-    vals = a._vals[ai] * s._vals[bi]
-    return _sum_by_copy_key(s.count, s._copy[bi], a._rows[ai], s._cols[bi], vals)
-
-
 def truncate_left(a: FiniteMatrix, m: int) -> FiniteMatrix:
     """P_m @ a: keep only the rows in [-m, m]."""
     lo, hi = a._rows.searchsorted(-m), a._rows.searchsorted(m, "right")
@@ -388,10 +392,11 @@ def _dense_block(a: FiniteMatrix) -> np.ndarray:
     return block
 
 
-def _singular_values(a: FiniteMatrix) -> np.ndarray:
-    """Singular values of the support block, largest first (LAPACK gesdd)."""
+def _singular_values(a: FiniteMatrix | np.ndarray) -> np.ndarray:
+    """Singular values of the support block of a, or of each of a stack of
+    blocks, largest first (LAPACK gesdd)."""
     try:
-        return np.linalg.svd(_dense_block(a), compute_uv=False)
+        return np.linalg.svd(_dense_block(a) if isinstance(a, FiniteMatrix) else a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK SVD did not converge: {exc}") from exc
 
@@ -413,13 +418,16 @@ def trace_norm(a: FiniteMatrix) -> float:
     """Sum of singular values of the dense support block, computed by LAPACK.
 
     For a monomial matrix the columns are already orthogonal and the result
-    is the exact sum of absolute coefficients.
+    is the exact sum of absolute coefficients.  A sum past the float range
+    raises NonFiniteEntry.
     """
     if a.is_zero():
         return 0.0
-    if is_monomial(a):
-        return math.fsum(np.abs(a._vals).tolist())
-    return math.fsum(_singular_values(a).tolist())
+    values = np.abs(a._vals) if is_monomial(a) else _singular_values(a)
+    try:
+        return math.fsum(values.tolist())
+    except OverflowError as exc:
+        raise NonFiniteEntry("non-finite trace norm") from exc
 
 
 def _move(factor, p, side, *, horizon):
@@ -475,6 +483,11 @@ def _outside(idx: np.ndarray, cap: int) -> np.ndarray:
     return (idx > cap) | (idx < -cap)
 
 
+def _beyond(cap: int, *indices: np.ndarray) -> bool:
+    # _outside(idx, cap).any() for some idx, from its least and greatest
+    return any(len(idx) and (idx.min() < -cap or idx.max() > cap) for idx in indices)
+
+
 @_quiet
 def _transport(a, left=None, right=None, *, window_cap):
     """The one entry transport: (i, j) -> (left(i), right(j)), scaled by
@@ -499,7 +512,7 @@ def _transport(a, left=None, right=None, *, window_cap):
     for coeff in (ci, cj):
         if coeff is not None:
             vals = vals * coeff
-    order = np.lexsort((cols, rows))
+    order = _key_order(rows, cols)[0]
     return _checked(rows[order], cols[order], vals[order], met=order)
 
 
@@ -533,29 +546,31 @@ def _transport_stack(s, powers, left=None, right=None, *, horizon, window_cap):
     then moves each copy alone, and the error is raised by the copy that
     meets it.
     """
-    live = np.bincount(s._copy, minlength=s.count) > 0
+    live = np.diff(s._ends()) > 0
     powers = [p if z else 0 for p, z in zip(powers, live.tolist())]
     reach = max(map(abs, powers), default=0)
     if reach > horizon:
         return None
     step = max(abs(f.t) if isinstance(f, PermutationUnitary) else 1 for f in (left, right))
     safe = _INDEX_MAX - reach * step
-    if safe < 0 or (_outside(s._rows, safe) | _outside(s._cols, safe)).any():
+    if safe < 0 or _beyond(safe, s._rows, s._cols):
         return None
     p = np.array(powers, dtype=np.int64)[s._copy]
+    # the rows of a copy are in order, so each run of one row moves once
+    head = _run_starts(s._copy) | _run_starts(s._rows)
     try:
-        rows, ci = _stack_move(left, p, s._rows, "left", horizon=horizon)
+        rows, ci = _stack_move(left, p[head], s._rows[head], "left", horizon=horizon)
         cols, cj = _stack_move(right, p, s._cols, "right", horizon=horizon)
     except WindowExceeded:
         return None  # a table walk left its declared window
-    cap = min(window_cap, _INDEX_MAX)
-    vals = s._vals
-    for coeff in (ci, cj):
+    at = np.cumsum(head) - 1
+    cap, vals, rows = min(window_cap, _INDEX_MAX), s._vals, rows[at]
+    for coeff in (None if ci is None else ci[at], cj):
         if coeff is not None:
             vals = vals * coeff
-    if (_outside(rows, cap) | _outside(cols, cap)).any() or not np.isfinite(vals).all():
+    if _beyond(cap, rows, cols) or not np.isfinite(vals).all():
         return None
-    order = np.lexsort((cols, rows, s._copy))
+    order = _key_order(s._copy, rows, cols)[0]
     copy, rows, cols, vals = s._copy[order], rows[order], cols[order], vals[order]
     return _checked_stack(s.count, copy, rows, cols, vals, met=order)
 

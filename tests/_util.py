@@ -564,3 +564,68 @@ def per_k_dual_convergence(bundle, psi, phi_list, inst, probes, tol):
         label = f"wstar-dist({row}eta_k - M_P{n_win} {f'phi{t}' if t else 'psi'})"
         reports.append(make_report(label, ns, vals, tol, bounds=bounds))
     return reports, etas
+
+
+def dict_strong_limit_distance(a: FiniteMatrix, b: FiniteMatrix, window: int) -> float:
+    """strong_limit_distance as a walk over the entries of a - b: each
+    column's squares summed in row order, the largest root inside the
+    window."""
+    sq: dict[int, float] = {}
+    for (_, j), v in (a - b).items():
+        sq[j] = sq.get(j, 0.0) + v * v
+    return max((math.sqrt(s) for j, s in sq.items() if abs(j) <= window), default=0.0)
+
+
+# ---------------------------------------------------------------------------
+# The per-k approximant check: verify_approximant_convergence one k at a
+# time, each phi_k built, moved and normed as FiniteMatrix values.  The
+# stacked check must reproduce it bit for bit, errors included.
+
+
+def per_k_approximant(bundle, targets, inst, k: int):
+    """phi_k = D_k F + sum_l S_l^{r_l n_k}(G_k^(l) E_l), one term at a time,
+    with D_k F and the pairs (G_k^(l) E_l, S_l^{r_l n_k}(G_k^(l) E_l))."""
+    from opdyn import compose
+    from opdyn.criteria import chain_apply, family_chain
+
+    n = bundle.n_values[k - 1]
+    df = compose(bundle.d_seq[k - 1], targets.f)
+    phi, pairs = df, []
+    for l, (g_seq, e) in enumerate(zip(bundle.g_seqs, targets.e_list), start=1):
+        ge = compose(g_seq[k - 1], e)
+        correction = chain_apply(inst, family_chain(0, l), n, ge)
+        pairs.append((ge, correction))
+        phi = phi + correction
+    return phi, df, pairs
+
+
+def per_k_approximant_convergence(bundle, targets, inst, tol):
+    """verify_approximant_convergence with a loop over k: phi_k built, then
+    every row's distance, gap and family norms at that k, through op_norm."""
+    from opdyn import compose, op_norm, projection_matrix, truncate_left
+    from opdyn.criteria import chain_apply, family_chain, make_report, row_families
+
+    m = bundle.m
+    pm = projection_matrix(m)
+    rs = list(enumerate(inst.r_list, start=1))
+    rows = [""] + [f"T{l}^(+{r}n) " for l, r in rs]
+    names = ["F"] + [f"E{l}" for l, _ in rs]
+    gap_labels = [f"(D_k - P{m}) F"] + [f"G{l}_k E{l} - P{m} E{l}" for l, _ in rs]
+    term_labels = ["D_k F"] + [f"S{l}^({r}n) G{l}_k E{l}" for l, r in rs]
+    pms = [truncate_left(x, m) for x in (targets.f, *targets.e_list)]
+    phis, columns = [], {}
+    for k, n in enumerate(bundle.n_values, start=1):
+        phi, df, pairs = per_k_approximant(bundle, targets, inst, k)
+        phis.append(phi)
+        terms = [df] + [corr for _, corr in pairs]
+        for t, (row, pmx) in enumerate(zip(rows, pms)):
+            act = family_chain(t, 0)
+            dist = op_norm(chain_apply(inst, act, n, phi) - pmx)
+            columns.setdefault(f"dist({row}phi_k - P{m} {names[t]})", []).append(dist)
+            gap = pairs[t - 1][0] - pmx if t else compose(bundle.d_seq[k - 1] - pm, targets.f)
+            columns.setdefault(f"norm({gap_labels[t]})", []).append(op_norm(gap))
+            for u, _ in row_families(t, inst.n_ops):
+                norm = op_norm(chain_apply(inst, act, n, terms[u]))
+                columns.setdefault(f"norm({row}{term_labels[u]})", []).append(norm)
+    reports = [make_report(label, bundle.n_values, vals, tol) for label, vals in columns.items()]
+    return sorted(reports, key=lambda rep: rep.quantity), phis

@@ -11,16 +11,21 @@ from _util import (
     TABLE_WINDOW,
     canonical_instance,
     increasing_r_lists,
+    outcome,
+    per_k_approximant,
+    per_k_approximant_convergence,
     random_matrix,
     table_unitary,
     three_op_instance,
     translation,
     unit_norm_matrix,
     w1,
+    w2,
     weighted_shifts,
 )
 from opdyn import (
     CriterionInstance,
+    FiniteMatrix,
     FormatError,
     NSeq,
     apply_power,
@@ -30,6 +35,8 @@ from opdyn import (
     truncate_right,
     unit,
 )
+from opdyn import constructor
+from opdyn.errors import NonFiniteEntry, WindowExceeded
 from opdyn.constructor import (
     TargetTuple,
     WitnessBundle,
@@ -246,6 +253,164 @@ def test_verified_approximants_are_the_constructed_ones(case):
         construct_approximant(bundle, targets, inst, k)[0]
         for k in range(1, inst.k_max + 1)
     ]
+
+
+@st.composite
+def approximant_checks(draw):
+    """The arguments of one verify_approximant_convergence call, bar tol:
+    1-3 operators (each shift plain or adjoint), WFU or UFW, a translation
+    or a table unitary, horizons 12 and 40.  The witnesses are one shared
+    P_m, equal copies of it, or perturbed matrices drawn from a pool of
+    three, each pick the pool's object or an equal copy, so runs of equal
+    witnesses come both ways; the targets are random window matrices or
+    zero."""
+    rng = draw(st.randoms(use_true_random=False))
+    n_ops = draw(st.integers(1, 3))
+    inst = CriterionInstance(
+        shifts=tuple(draw(weighted_shifts()) for _ in range(n_ops)),
+        unitary=draw(
+            st.one_of(
+                st.sampled_from([1, -1, 2]).map(translation),
+                st.permutations(list(TABLE_WINDOW)).map(table_unitary),
+            )
+        ),
+        r_list=draw(increasing_r_lists(n_ops, 4)),
+        n_seq=NSeq.arithmetic(draw(st.integers(1, 3)), draw(st.integers(1, 3))),
+        m=draw(st.integers(0, 2)),
+        k_max=draw(st.integers(1, 6)),
+        horizon=draw(st.sampled_from([12, 40])),
+        orientation=draw(st.sampled_from(["WFU", "UFW"])),
+    )
+    m, k_max = inst.m, inst.k_max
+    pm = projection_matrix(m)
+    kind = draw(st.sampled_from(["shared", "copies", "perturbed"]))
+
+    def seq():
+        if kind == "shared":
+            return (pm,) * k_max
+        if kind == "copies":
+            return tuple(FiniteMatrix(pm.items()) for _ in range(k_max))
+        pool = [pm + random_matrix(rng, m, scale=4.0**-j) for j in range(1, 4)]
+        picks = [pool[rng.randrange(3)] for _ in range(k_max)]
+        return tuple(a if rng.random() < 0.5 else FiniteMatrix(a.items()) for a in picks)
+
+    bundle = WitnessBundle(
+        m=m, n_values=inst.n_values(), d_seq=seq(), g_seqs=tuple(seq() for _ in range(n_ops))
+    )
+    choices = [random_matrix(rng, m), random_matrix(rng, m), FiniteMatrix(), unit(0, 0)]
+    f, *es = (draw(st.sampled_from(choices)) for _ in range(n_ops + 1))
+    return bundle, TargetTuple(f, tuple(es), m), inst
+
+
+@st.composite
+def failing_approximant_checks(draw):
+    """verify_approximant_convergence arguments near the float range and the
+    window cap: the canonical pair with a translation by 1, 3 or 10, plain
+    or adjoint, WFU or UFW, window caps 6 to 30; each witness is P_m or P_m
+    plus a random matrix, each target a random matrix, of a scale drawn per
+    matrix from 1 to 8e307.  So the build and the row moves overflow or
+    leave the window cap at different k and steps."""
+    rng = draw(st.randoms(use_true_random=False))
+    inst = CriterionInstance(
+        shifts=(w1(), w2()),
+        unitary=translation(draw(st.sampled_from([1, 3, 10]))),
+        r_list=(1, 2),
+        n_seq=NSeq.all_k(),
+        m=draw(st.integers(1, 2)),
+        k_max=draw(st.integers(2, 8)),
+        window_cap=draw(st.sampled_from([6, 10, 15, 30])),
+        orientation=draw(st.sampled_from(["WFU", "UFW"])),
+    )
+    inst = inst.star() if draw(st.booleans()) else inst
+    m, pm = inst.m, projection_matrix(inst.m)
+
+    def matrix():
+        return random_matrix(rng, m, scale=rng.choice([1.0, 1e150, 1e300, 8e307]))
+
+    def seq():
+        return tuple(pm + matrix() if rng.random() < 0.5 else pm for _ in range(inst.k_max))
+
+    bundle = WitnessBundle(m=m, n_values=inst.n_values(), d_seq=seq(), g_seqs=(seq(), seq()))
+    return bundle, TargetTuple(matrix(), (matrix(), matrix()), m), inst
+
+
+def bytes_of(mats):
+    """Rows, columns and value bytes of each matrix."""
+    return [(a._rows.tolist(), a._cols.tolist(), a._vals.tobytes()) for a in mats]
+
+
+def checked(verify, check):
+    """The reports and phi_k bytes of one check, or its error."""
+    reports, phis = verify(*check, 1e-6)
+    return reports, bytes_of(phis)
+
+
+@given(approximant_checks())
+@settings(max_examples=150)
+def test_stacked_approximant_check_equals_the_per_k_walk(check):
+    # every report, phi_k and error (type and message) of the stacked check
+    # is that of the walk over k, and construct_approximant(..., k) is the
+    # walk's phi_k with its terms
+    assert outcome(checked, verify_approximant_convergence, check) == outcome(
+        checked, per_k_approximant_convergence, check
+    )
+    bundle, targets, inst = check
+    for k in range(1, bundle.k_max + 1):
+        def build(construct):
+            phi, df, pairs = construct(bundle, targets, inst, k)
+            return bytes_of([phi, df, *(a for pair in pairs for a in pair)])
+
+        assert outcome(build, construct_approximant) == outcome(build, per_k_approximant)
+
+
+@given(failing_approximant_checks())
+@settings(max_examples=100)
+def test_stacked_approximant_check_raises_the_first_error_of_the_walk_over_k(check):
+    # a block raises at its own least copy and step; the check raises what
+    # the walk over k meets first, a later step at an earlier k included
+    assert outcome(checked, verify_approximant_convergence, check) == outcome(
+        checked, per_k_approximant_convergence, check
+    )
+
+
+def test_blocks_of_one_two_and_all_copies_give_the_same_check(monkeypatch):
+    # the default bundle: every phi_k's terms sum 3 * 9 products at m = 1
+    rng = random.Random(3)
+    inst = canonical_instance(m=1, k_max=7)
+    bundle = default_bundle(inst)
+    targets = TargetTuple(
+        random_matrix(rng, 1, density=1.0), tuple(random_matrix(rng, 1) for _ in range(2)), 1
+    )
+    runs = []
+    for cap in (1, 2 * 27, 1 << 30):
+        monkeypatch.setattr(constructor, "_BLOCK_PRODUCTS", cap)
+        runs.append(checked(verify_approximant_convergence, (bundle, targets, inst)))
+    assert runs[0] == runs[1] == runs[2] == checked(
+        per_k_approximant_convergence, (bundle, targets, inst)
+    )
+
+
+def test_a_row_move_error_at_copy_3_comes_before_a_build_error_at_copy_5(monkeypatch):
+    # D_3 holds row 5, which T2^(+2n) moves to 11, past the window cap of 10,
+    # at k = 3; G1_5 E1 overflows at k = 5.  One block builds every phi_k
+    # before it moves any, so its first error is k = 5's; the walk over k
+    # meets k = 3's row move first.
+    inst = canonical_instance(m=1, k_max=6, window_cap=10)
+    pm = projection_matrix(1)
+    d_seq = tuple(pm + unit(5, 0) if k == 3 else pm for k in range(1, 7))
+    g1 = tuple(pm + unit(0, 0, 1e308) if k == 5 else pm for k in range(1, 7))
+    bundle = WitnessBundle(m=1, n_values=inst.n_values(), d_seq=d_seq, g_seqs=(g1, (pm,) * 6))
+    targets = TargetTuple(pm, (unit(0, 0, 1e308), pm), 1)
+    want = (WindowExceeded, "transported index (11, -6) exceeds window cap 10")
+    assert outcome(checked, per_k_approximant_convergence, (bundle, targets, inst)) == want
+    for cap in (1, 1 << 30):
+        monkeypatch.setattr(constructor, "_BLOCK_PRODUCTS", cap)
+        assert outcome(checked, verify_approximant_convergence, (bundle, targets, inst)) == want
+    # without the rerun one copy at a time, the block would raise k = 5's
+    monkeypatch.setattr(constructor, "OpdynError", ())
+    assert outcome(checked, verify_approximant_convergence, (bundle, targets, inst)) == (
+        NonFiniteEntry, "non-finite entry at (0, 0)"
+    )
 
 
 def test_verify_convergence_on_random_targets():

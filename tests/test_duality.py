@@ -4,14 +4,17 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _util import (
     TABLE_WINDOW,
+    awkward_values,
     canonical_instance,
     cross_label,
+    dict_strong_limit_distance,
     dual_cross_label,
     dual_single_label,
     increasing_r_lists,
@@ -335,6 +338,22 @@ def test_distances_pair_the_copies_a_block_at_a_time(monkeypatch):
     assert runs(first) == [(NonFiniteEntry, "non-finite weak-* distance with probe 0")] * 3
     first = MatrixStack.of(mats[:2] + [overflow] + mats[3:4] + [apart] + mats[5:])
     assert runs(first) == [(NonFiniteEntry, "non-finite trace pairing with probe 1")] * 3
+
+
+@given(
+    st.lists(st.tuples(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), awkward_values)),
+    st.lists(st.tuples(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), awkward_values)),
+    st.integers(0, 5),
+)
+def test_strong_limit_distance_is_the_walk_over_entries(x, y, window):
+    # one bincount of squares per column, in row order, has the bits of the
+    # dict walk, squares past the float range included, or a - b's error
+    a, b = FiniteMatrix(x), FiniteMatrix(y)
+
+    def bits(distance):
+        return np.array(distance(a, b, window)).tobytes()
+
+    assert outcome(bits, strong_limit_distance) == outcome(bits, dict_strong_limit_distance)
 
 
 def test_strong_limit_distance_reads_columns_inside_the_window():
@@ -804,8 +823,8 @@ def test_stacked_dual_check_equals_the_per_k_walk(check):
 def test_stacked_dual_check_raises_the_first_error_of_the_walk_over_k(check):
     # each stacked step raises at its own least copy; the check raises what
     # the walk over k meets first, a later step at an earlier k included.
-    # Any exception counts: trace_norm's fsum of a functional past the float
-    # range raises OverflowError, before the build, on both sides alike.
+    # Any exception counts: trace_norm of a functional past the float range
+    # raises NonFiniteEntry, before the build, on both sides alike.
     def run(verify):
         try:
             reports, etas = verify(*check, 1e-6)

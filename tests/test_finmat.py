@@ -49,7 +49,7 @@ from opdyn.finmat import (
     DROP_THRESHOLD,
     MatrixStack,
     _dense_block,
-    compose_each,
+    _key_order,
     _singular_values,
     is_monomial,
     permute_multiply,
@@ -170,26 +170,25 @@ def test_dense_products_sum_in_the_order_of_the_walk(a, b):
 
 
 @given(
-    entry_lists,
     st.lists(st.tuples(entry_lists, entry_lists), min_size=1, max_size=4),
     st.lists(st.integers(0, 3), max_size=6),
 )
 @settings(max_examples=150)
-def test_stack_products_and_sums_equal_each_copy_alone(x, pairs, picks):
-    # the same entries and the first error as compose and + on each copy in
-    # copy order; take and split give the copies back
-    a = FiniteMatrix(x)
+def test_stack_products_and_sums_equal_each_copy_alone(pairs, picks):
+    # the same entries and the first error as + and - on each copy in copy
+    # order; take and split give the copies back
     bs = [FiniteMatrix(y) for y, _ in pairs]
     cs = [FiniteMatrix(z) for _, z in pairs]
     stack = MatrixStack.of(bs)
     assert stack.split() == bs
     picks = [k % len(bs) for k in picks]
     assert stack.take(picks).split() == [bs[k] for k in picks]
-    assert outcome(lambda: [list(p.items()) for p in compose_each(a, stack).split()]) == (
-        outcome(lambda: [list(compose(a, b).items()) for b in bs])
-    )
     assert outcome(lambda: [list(p.items()) for p in (stack + MatrixStack.of(cs)).split()]) == (
         outcome(lambda: [list((b + c).items()) for b, c in zip(bs, cs)])
+    )
+    # b - c sums as b + (-c)
+    assert outcome(lambda: [list(p.items()) for p in (stack + MatrixStack.of(-c for c in cs)).split()]) == (
+        outcome(lambda: [list((b - c).items()) for b, c in zip(bs, cs)])
     )
 
 
@@ -209,6 +208,47 @@ def test_stack_norms_equal_op_norm_of_each_copy(mats):
     # monomial copies (empty ones included) by the segmented max, dense
     # ones through op_norm
     assert MatrixStack.of(mats).op_norms() == [op_norm(a) for a in mats]
+
+
+def moved(a: FiniteMatrix, di: int, dj: int) -> FiniteMatrix:
+    """a with every entry moved by (di, dj): the same support block."""
+    return FiniteMatrix({(i + di, j + dj): v for (i, j), v in a.items()})
+
+
+@given(
+    st.lists(small_matrices, min_size=1, max_size=3),
+    st.lists(
+        st.one_of(
+            st.tuples(st.integers(0, 2), st.integers(-40, 40), st.integers(-40, 40)),
+            monomials,
+            st.just(FiniteMatrix()),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+)
+@settings(max_examples=150)
+def test_batched_dense_norms_are_op_norm_of_each_copy_bit_for_bit(pool, picks):
+    # dense copies picked from a small pool and moved, so block shapes repeat
+    # and several copies share one LAPACK call, between monomial and empty
+    # copies; each norm has the bits of op_norm on that copy alone
+    mats = [moved(pool[p[0] % len(pool)], *p[1:]) if isinstance(p, tuple) else p for p in picks]
+    stack = MatrixStack.of(mats)
+    want = [op_norm(a) for a in stack.split()]
+    assert np.array(stack.op_norms()).tobytes() == np.array(want).tobytes()
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-9, 9), st.integers(-9, 9))),
+       st.sampled_from([1, 1 << 40, 1 << 62]))
+def test_key_order_is_the_lexicographic_order_of_the_keys(triples, scale):
+    # packed into one key while the ranges fit int64, by lexsort past that;
+    # the first key most significant, ties in array order
+    keys = np.array(triples, dtype=np.int64).reshape(-1, 3).T * np.array([[1], [scale], [scale]])
+    order, new = _key_order(*keys)
+    want = np.lexsort(keys[::-1])
+    assert order.tolist() == want.tolist()
+    tuples = [tuple(keys[:, k]) for k in want]
+    assert new.tolist() == [k == 0 or tuples[k] != tuples[k - 1] for k in range(len(tuples))]
 
 
 def test_overflowing_product_is_named_at_the_key_met_first():
@@ -337,6 +377,17 @@ def test_monomial_fast_path_agrees_with_dense_svd():
 
 # ---------------------------------------------------------------------------
 # trace norm
+
+
+def test_trace_norm_past_the_float_range_is_a_non_finite_entry():
+    # the sum of two singular values of 1e308 overflows in fsum: on the
+    # monomial path and on the LAPACK path alike
+    monomial = FiniteMatrix({(0, 0): 1e308, (1, 1): 1e308})
+    dense = FiniteMatrix({(0, 0): 1e308, (0, 1): 1e300, (1, 1): 1e308})
+    assert is_monomial(monomial) and not is_monomial(dense)
+    for a in (monomial, dense):
+        with pytest.raises(NonFiniteEntry, match="non-finite trace norm"):
+            trace_norm(a)
 
 
 def test_trace_norm_examples():

@@ -806,6 +806,17 @@ def test_run_construct_phi_mode_saves_approximants(tmp_path):
     assert (out / "approximant_k0040.finmat").exists()
 
 
+def test_run_construct_past_the_horizon_names_the_first_power_of_the_walk_over_k(
+    tmp_path, capsys
+):
+    # the walk over k builds phi_16 before any later k moves: its S2 pull-back
+    # at -2 * 16 is the first power past the horizon, not S1's at k = 31
+    scenario = load("workloads").generate("construct", 0, str(tmp_path / "in")).scenario
+    argv = ("run", scenario, "--out", str(tmp_path / "o"), "--horizon", "30")
+    assert run_cli(*argv) == 3
+    assert capsys.readouterr().err == "error: shift power -32 exceeds horizon 30\n"
+
+
 def test_run_construct_phi_rejects_oversized_targets(tmp_path):
     save_finmat(projection_matrix(1), tmp_path / "f.finmat")
     save_finmat(unit(2, 0), tmp_path / "e1.finmat")

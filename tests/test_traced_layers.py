@@ -17,7 +17,7 @@ import pytest
 import opdyn
 import opdyn.cli
 from _util import dict_of, dict_shift_chain
-from opdyn import default_bundle, projection_matrix, shift_multiply
+from opdyn import constructor, default_bundle, projection_matrix, shift_multiply
 from opdyn.cli import _dual_instance
 from opdyn.criteria import chain_factors, family_chains
 from opdyn.scenario import load_scenario
@@ -70,8 +70,14 @@ def test_traced_layers_are_the_ones_the_run_calls(tmp_path, workload):
         if workload in workloads:
             assert calls[layer] > 0, layer
     if workload == "construct":
-        # one approximant per k, none built twice
-        assert calls["constructor.construct_approximant"] == spec.params["k_max"]
+        # every block of k is built, moved and normed as stacks: two pull-backs
+        # and, in the rows of T1 and T2, three moves each, with no copy moved
+        # alone.  A block takes as many k as keep their 3 * 17 * 17 products
+        # within the bound (P_8 times dense 17 x 17 targets).
+        per_block = constructor._BLOCK_PRODUCTS // (3 * 17 * 17)
+        blocks = -(-spec.params["k_max"] // per_block)
+        assert calls["elementary.apply_power"] == 8 * blocks
+        assert calls["constructor.construct_approximant"] == 0
     if workload == "dual":
         # each pull-back of the eta_k and each row move is one call on the
         # stack of every k, with no copy moved alone
