@@ -56,7 +56,8 @@ def apply_power(
         wfu = op.orientation == "WFU"
         left, right = (op.shift, op.unitary) if wfu else (op.unitary, op.shift)
         kwargs = dict(horizon=horizon, window_cap=window_cap)
-        moved = _transport_stack(f, p, left, right, **kwargs)
+        # one copy takes the one-matrix route, which does fewer array passes
+        moved = _transport_stack(f, p, left, right, **kwargs) if f.count > 1 else None
         if moved is None:
             moved = MatrixStack.of([apply_power(op, q, x, **kwargs) for q, x in zip(p, f.split())])
         return moved

@@ -282,6 +282,8 @@ class MatrixStack:
         segmented max, which is op_norm's monomial rule; the dense copies'
         support blocks, laid out as _dense_block lays them, through one
         LAPACK call per block shape."""
+        if self.count == 1:  # the one-matrix route does fewer array passes
+            return [op_norm(FiniteMatrix._of(self._rows, self._cols, self._vals))]
         norms, ends = np.zeros(self.count), self._ends()
         live = np.flatnonzero(ends[1:] > ends[:-1])
         if not len(live):
@@ -317,22 +319,24 @@ def _sum_by_copy_key(count, copy, rows, cols, vals) -> MatrixStack:
     order, new = _key_order(copy, rows, cols)
     # the sort is stable, so each key's terms keep their array order
     sums = np.bincount(np.cumsum(new) - 1, weights=vals[order])
-    first = order[new]
-    return _checked_stack(count, copy[first], rows[first], cols[first], sums, met=first)
+    order = order[new]  # the full order is no longer held
+    return _checked_stack(count, order, copy, rows, cols, sums)
 
 
-def _checked_stack(count, copy, rows, cols, vals, met) -> MatrixStack:
-    """_checked on every copy: a non-finite value raises at the least copy
-    that has one, at the key ``met`` ranks first in it."""
+def _checked_stack(count, at, copy, rows, cols, vals) -> MatrixStack:
+    """The stack of the keys at positions ``at`` of copy, rows and cols,
+    with values vals: _checked on every copy.  A non-finite value raises at
+    the least copy that has one, at its key met first (the least position),
+    and the keys are gathered once, after the drop."""
     bad = ~np.isfinite(vals)
     if bad.any():
-        k = np.flatnonzero(bad)
-        k = k[np.lexsort((met[k], copy[k]))[0]]
+        k = at[np.flatnonzero(bad)]
+        k = k[np.lexsort((k, copy[k]))[0]]
         raise NonFiniteEntry(f"non-finite entry at ({rows[k]}, {cols[k]})")
     keep = np.abs(vals) >= DROP_THRESHOLD
     if not keep.all():
-        copy, rows, cols, vals = copy[keep], rows[keep], cols[keep], vals[keep]
-    return MatrixStack._of(count, copy, rows, cols, vals)
+        at, vals = at[keep], vals[keep]
+    return MatrixStack._of(count, copy[at], rows[at], cols[at], vals)
 
 
 def unit(i: int, j: int, value: float = 1.0) -> FiniteMatrix:
@@ -571,8 +575,7 @@ def _transport_stack(s, powers, left=None, right=None, *, horizon, window_cap):
     if _beyond(cap, rows, cols) or not np.isfinite(vals).all():
         return None
     order = _key_order(s._copy, rows, cols)[0]
-    copy, rows, cols, vals = s._copy[order], rows[order], cols[order], vals[order]
-    return _checked_stack(s.count, copy, rows, cols, vals, met=order)
+    return _checked_stack(s.count, order, s._copy, rows, cols, vals[order])
 
 
 def shift_multiply(
