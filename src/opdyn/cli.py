@@ -43,8 +43,8 @@ from .criteria import (
 )
 from .duality import (
     FunctionalRep,
+    _dual_witness_conditions,
     check_dual_sufficient,
-    check_dual_witness_conditions,
     default_probes,
     verify_dual_convergence,
 )
@@ -135,7 +135,7 @@ def _dual_instance(scenario: Scenario, m: int | None = None):
     return inst.star() if scenario.adjoint_weights else inst
 
 
-def _dual_etas(scenario: Scenario, inst: CriterionInstance, bundle):
+def _dual_etas(scenario: Scenario, inst: CriterionInstance, bundle, families=None):
     """Weak-* convergence of the dual approximants eta_k for psi = P_m and
     phi_l = E_00, and the eta_k representers as artifacts."""
     reports, etas = verify_dual_convergence(
@@ -145,6 +145,7 @@ def _dual_etas(scenario: Scenario, inst: CriterionInstance, bundle):
         inst,
         default_probes(inst.m),
         scenario.tol,
+        witness_families=families,
     )
     artifacts = {
         f"eta_k{k:04d}.finmat": eta.representer
@@ -155,13 +156,15 @@ def _dual_etas(scenario: Scenario, inst: CriterionInstance, bundle):
 
 def _mode_dual(scenario: Scenario):
     inst = _dual_instance(scenario)
-    reports = check_dual_sufficient(inst, scenario.tol)
+    reports, families = check_dual_sufficient(inst, scenario.tol), None
     if scenario.witnesses is not None:
         bundle = _load_witness_bundle(scenario, inst)
-        reports.extend(check_dual_witness_conditions(inst, bundle, scenario.tol))
+        witness_reports, families = _dual_witness_conditions(inst, bundle, scenario.tol)
+        reports.extend(witness_reports)
     else:
         bundle = default_bundle(inst)
-    eta_reports, artifacts = _dual_etas(scenario, inst, bundle)
+    # the witness families are walked once, and taken again for the bounds
+    eta_reports, artifacts = _dual_etas(scenario, inst, bundle, families)
     return sorted(reports + eta_reports, key=lambda rep: rep.quantity), artifacts
 
 

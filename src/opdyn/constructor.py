@@ -52,8 +52,8 @@ BUNDLE_HEADER = "opdyn-bundle v1"
 _MANIFEST_NAME = "manifest.txt"
 
 #: Products of the phi_k terms (which bound their entries) in one block of
-#: the approximant check; its stacks take some 200 bytes a product.
-_BLOCK_PRODUCTS = 1 << 12
+#: the approximant check; at its peak it holds some 150 bytes a product.
+_BLOCK_PRODUCTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,8 @@ def verify_approximant_convergence(
     names = ["F"] + [f"E{l}" for l, _ in rs]
     gap_labels = [f"(D_k - P{m}) F"] + [f"G{l}_k E{l} - P{m} E{l}" for l, _ in rs]
     term_labels = ["D_k F"] + [f"S{l}^({r}n) G{l}_k E{l}" for l, r in rs]
-    # - P_m X is added as the negation, which is how FiniteMatrix.__sub__ sums
+    # - P_m X is added to every copy as the negation, which is how
+    # FiniteMatrix.__sub__ sums
     xs = (targets.f, *targets.e_list)
     minus_pms = [MatrixStack.of([-truncate_left(x, m)]) for x in xs]
     pm, product = projection_matrix(m), _target_product(bundle, targets, inst)
@@ -227,10 +228,11 @@ def verify_approximant_convergence(
         at = tuple(ns[k - 1] for k in ks)
         for t, (row, minus) in enumerate(zip(rows, minus_pms)):
             act, (firsts, made, run_of) = family_chain(t, 0), runs[t]
-            dist = chain_apply(inst, act, at, phi) + minus.take([0] * len(ks))
-            columns[f"dist({row}phi_k - P{m} {names[t]})"] += dist.op_norms()
+            # no moved or summed stack outlives its norms
+            dist = f"dist({row}phi_k - P{m} {names[t]})"
+            columns[dist] += (chain_apply(inst, act, at, phi) + minus).op_norms()
             if t:
-                gaps = made + minus.take([0] * made.count)
+                gaps = made + minus
             else:
                 gaps = MatrixStack.of(compose(a - pm, targets.f) for a in firsts)
             columns[f"norm({gap_labels[t]})"] += np.take(gaps.op_norms(), run_of).tolist()
@@ -245,7 +247,8 @@ def verify_approximant_convergence(
             for a, x in zip(witness, xs))
         for witness in zip(bundle.d_seq, *bundle.g_seqs)
     )
-    step, phis = max(1, _BLOCK_PRODUCTS // max(most, 1)), []
+    blocks = -(-len(ns) // max(1, _BLOCK_PRODUCTS // max(most, 1)))
+    step, phis = -(-len(ns) // blocks), []  # that many blocks, evened out
     for lo in range(0, len(ns), step):
         ks = range(lo + 1, min(lo + step, len(ns)) + 1)
         try:

@@ -188,7 +188,7 @@ def _pairings(reps: MatrixStack, probes: TestSet) -> np.ndarray:
     hit &= qs.searchsorted(reps._cols, "right") > rq
     at, pair = _matches(keys, (rp * len(qs) + rq)[hit])
     terms = reps._vals[hit][at] * weights[pair]
-    k = reps._copy[hit][at] * width + number[pair]
+    k = reps._copies()[hit][at] * width + number[pair]
     one = np.bincount(k, minlength=reps.count * width)[k] == 1
     values = np.zeros(reps.count * width)
     values[k[one]] = terms[one] + 0.0
@@ -291,6 +291,13 @@ def check_dual_witness_conditions(
     ||G_k^{(s)} W_s^{-r_s n_k} W_l^{+r_l n_k}||: each mirrors its primal
     family and pairs with the same witness.
     """
+    return _dual_witness_conditions(inst, bundle, tol)[0]
+
+
+def _dual_witness_conditions(inst: CriterionInstance, bundle: WitnessBundle, tol: float):
+    """check_dual_witness_conditions' reports, and the right-sided witness
+    families they measure (``_family_norms``), which verify_dual_convergence
+    can take instead of walking them again."""
     ns = inst.n_values()
     if bundle.n_values != ns:
         raise ValueError("bundle iterates disagree with the instance")
@@ -308,7 +315,7 @@ def check_dual_witness_conditions(
         witness, _ = chain_witness(chain, bundle.d_seq, bundle.g_seqs)
         label = f"norm({witness} {chain_terms(inst, chain[::-1])})"
         reports.append(make_report(label, ns, vals, tol))
-    return sorted(reports, key=lambda rep: rep.quantity)
+    return sorted(reports, key=lambda rep: rep.quantity), norms
 
 
 def _pull_back(op, p, x, **kwargs):
@@ -352,11 +359,13 @@ def construct_dual_approximant(
     return FunctionalRep(rep)
 
 
-def _majorant_norms(inst: CriterionInstance, bundle: WitnessBundle):
+def _majorant_norms(inst: CriterionInstance, bundle: WitnessBundle, families=None):
     """The norms in verify_dual_convergence's bound column, on the witnesses
     cut by P_n: the gap ||P_n A_k - P_n|| along k of each term's witness
     A_k (D_k, then G_k^(l)), and the right-sided witness families.  The cut
-    witnesses are not kept."""
+    witnesses are not kept.  When every witness has its rows in [-n, n],
+    it is its own cut, and ``families``, the witnesses' families when
+    given, are taken as they are."""
     pn, prev = projection_matrix(bundle.m), None
 
     def cut(a):
@@ -369,10 +378,15 @@ def _majorant_norms(inst: CriterionInstance, bundle: WitnessBundle):
             prev = a, pna, op_norm(pna - pn)
         return prev[1:]
 
-    cuts = [[cut(a) for a in seq] for _, seq in witnesses(bundle.d_seq, bundle.g_seqs)]
+    seqs = witnesses(bundle.d_seq, bundle.g_seqs)
+    cuts = [[cut(a) for a in seq] for _, seq in seqs]
     d_cut, *g_cuts = [[a for a, _ in seq] for seq in cuts]
-    fam = _family_norms(inst, bundle.n_values, d_cut, g_cuts, "right")
-    return [[gap for _, gap in seq] for seq in cuts], fam
+    # the cut only drops entries: a witness that keeps them all is its cut
+    if families is None or not all(
+        a.nnz == pna.nnz for (_, seq), row in zip(seqs, cuts) for a, (pna, _) in zip(seq, row)
+    ):
+        families = _family_norms(inst, bundle.n_values, d_cut, g_cuts, "right")
+    return [[gap for _, gap in seq] for seq in cuts], families
 
 
 def _walk_each_k(bundle, psi, phi_list, inst, targets, probes) -> None:
@@ -397,6 +411,7 @@ def verify_dual_convergence(
     inst: CriterionInstance,
     probes: TestSet,
     tol: float,
+    witness_families: dict | None = None,
 ) -> tuple[list[DecayReport], list[FunctionalRep]]:
     """Weak-* distances of eta_k to its targets along k, with termwise
     trace-norm bounds, and the eta_k representers themselves.
@@ -404,7 +419,10 @@ def verify_dual_convergence(
     The bound column majorizes each probe distance: probe norms are at most
     one, the functional norm of a representer is at most its trace norm, and
     right factors split off at operator norm.  What remains of each term is
-    a dual witness family on the witnesses cut by P_n.
+    a dual witness family on the witnesses cut by P_n.  ``witness_families``
+    are the families check_dual_witness_conditions measured on the uncut
+    witnesses, if the caller has them: when every witness is its own cut,
+    they are not walked again.
 
     Every eta_k is built and moved as one stack of k_max copies, with no
     loop over k, and paired with the probes by ``_distances``.  A power past the horizon in a build
@@ -425,7 +443,7 @@ def verify_dual_convergence(
         for phi in funcs
     ]
     tns = [trace_norm(phi.representer) for phi in funcs]
-    gaps, fam = _majorant_norms(inst, bundle)
+    gaps, fam = _majorant_norms(inst, bundle, witness_families)
     try:
         etas = FunctionalRep(
             _dual_approximants(bundle, psi, phi_list, inst, range(1, bundle.k_max + 1))

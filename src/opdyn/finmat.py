@@ -156,19 +156,30 @@ def _run_starts(s: np.ndarray) -> np.ndarray:
     return new
 
 
+def _span(columns) -> tuple[int, int]:
+    """The least value over some int64 arrays and the width of their range
+    (1 when they are empty)."""
+    lo, hi = 0, -1
+    for x in columns:
+        if len(x):
+            a, b = int(x.min()), int(x.max())
+            lo, hi = (a, b) if hi < lo else (min(lo, a), max(hi, b))
+    return lo, hi - lo + 1 if hi >= lo else 1
+
+
 def _key_order(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stable order of the key tuples, the first key most significant, and
     a mask over the sorted tuples that marks the first of each run of equal
     tuples.  When the key ranges multiply to an int64, the tuples are
     packed into one int64 key and sorted in one pass: the same order."""
-    bounds = [(int(k.min()), int(k.max()) + 1) if len(k) else (0, 1) for k in keys]
-    if math.prod(hi - lo for lo, hi in bounds) > _INDEX_MAX:
+    spans = [_span([k]) for k in keys]
+    if math.prod(width for _, width in spans) > _INDEX_MAX:
         order = np.lexsort(keys[::-1])
         return order, np.logical_or.reduce([_run_starts(k[order]) for k in keys])
     packed = np.zeros(len(keys[0]), dtype=np.int64)
-    for k, (lo, hi) in zip(keys, bounds):
-        if hi - lo > 1:  # a constant key orders nothing
-            packed *= hi - lo
+    for k, (lo, width) in zip(keys, spans):
+        if width > 1:  # a constant key orders nothing
+            packed *= width
             packed += k - lo
     order = np.lexsort((packed,))
     return order, _run_starts(packed[order])
@@ -225,8 +236,9 @@ def _summed(a: FiniteMatrix, b: FiniteMatrix, b_vals: np.ndarray) -> FiniteMatri
 
 class MatrixStack:
     """K matrices as one value: the canonical columns of copy 0, copy 1, ...
-    laid end to end, with the copy of each entry (so sorted by copy, row,
-    col).
+    laid end to end, copy k holding the entries ends[k]:ends[k + 1] (so
+    sorted by copy, row, col).  The copy of an entry is not stored; a sort
+    by copy packs it into the sort key from the ends.
 
     An operation on a stack does, for every copy, the float operations of
     the same operation on that copy alone, in the same order, so each copy
@@ -234,29 +246,36 @@ class MatrixStack:
     copy that has one, with the text the copy alone gives.
     """
 
-    __slots__ = ("count", "_copy", "_rows", "_cols", "_vals")
+    __slots__ = ("_ends", "_rows", "_cols", "_vals")
 
     @classmethod
-    def _of(cls, count, copy, rows, cols, vals) -> "MatrixStack":
+    def _of(cls, ends, rows, cols, vals) -> "MatrixStack":
         # columns already canonical
         s = object.__new__(cls)
-        s.count, s._copy, s._rows, s._cols, s._vals = count, copy, rows, cols, vals
+        s._ends, s._rows, s._cols, s._vals = ends, rows, cols, vals
         return s
 
     @classmethod
     def of(cls, mats) -> "MatrixStack":
         """The stack of a nonempty sequence of matrices, copy k for mats[k]."""
         mats = list(mats)
-        copy = np.repeat(np.arange(len(mats)), [a.nnz for a in mats])
         columns = ([getattr(a, name) for a in mats] for name in ("_rows", "_cols", "_vals"))
-        return cls._of(len(mats), copy, *map(np.concatenate, columns))
+        return cls._of(_offsets([a.nnz for a in mats]), *map(np.concatenate, columns))
 
-    def _ends(self) -> np.ndarray:
-        # copy k holds the entries ends[k]:ends[k + 1]
-        return self._copy.searchsorted(np.arange(self.count + 1))
+    @property
+    def count(self) -> int:
+        return len(self._ends) - 1
+
+    def _sizes(self) -> np.ndarray:
+        # the number of entries of each copy
+        return self._ends[1:] - self._ends[:-1]
+
+    def _copies(self) -> np.ndarray:
+        # the copy of each entry
+        return np.repeat(np.arange(self.count), self._sizes())
 
     def split(self) -> list[FiniteMatrix]:
-        ends = self._ends().tolist()
+        ends = self._ends.tolist()
         return [
             FiniteMatrix._of(self._rows[lo:hi], self._cols[lo:hi], self._vals[lo:hi])
             for lo, hi in zip(ends[:-1], ends[1:])
@@ -264,19 +283,17 @@ class MatrixStack:
 
     def take(self, copies) -> "MatrixStack":
         """The stack whose copy i is copy ``copies[i]`` of this one."""
-        ends = self._ends()
         copies = np.asarray(copies, dtype=np.intp)
-        lo, size = ends[copies], (ends[1:] - ends[:-1])[copies]
-        at = np.arange(size.sum()) + np.repeat(lo - (np.cumsum(size) - size), size)
-        copy = np.repeat(np.arange(len(copies)), size)
-        return MatrixStack._of(len(copies), copy, self._rows[at], self._cols[at], self._vals[at])
+        lo, size = self._ends[copies], self._sizes()[copies]
+        ends = _offsets(size)
+        at = np.arange(ends[-1]) + np.repeat(lo - ends[:-1], size)
+        return MatrixStack._of(ends, self._rows[at], self._cols[at], self._vals[at])
 
     def __add__(self, other: "MatrixStack") -> "MatrixStack":
-        # copy k of each, summed as FiniteMatrix.__add__ sums them
-        columns = ("_copy", "_rows", "_cols", "_vals")
-        return _sum_by_copy_key(
-            self.count, *(np.concatenate((getattr(self, c), getattr(other, c))) for c in columns)
-        )
+        # copy k of each, summed as FiniteMatrix.__add__ sums them; a
+        # one-copy stack is added to every copy of the other
+        return _sum_by_copy_key(max(self.count, other.count), self, other)
+
     def op_norms(self) -> list[float]:
         """op_norm of every copy: a monomial copy's max |value| as one
         segmented max, which is op_norm's monomial rule; the dense copies'
@@ -284,59 +301,151 @@ class MatrixStack:
         LAPACK call per block shape."""
         if self.count == 1:  # the one-matrix route does fewer array passes
             return [op_norm(FiniteMatrix._of(self._rows, self._cols, self._vals))]
-        norms, ends = np.zeros(self.count), self._ends()
-        live = np.flatnonzero(ends[1:] > ends[:-1])
+        norms, sizes = np.zeros(self.count), self._sizes()
+        live = np.flatnonzero(sizes)
         if not len(live):
             return norms.tolist()
-        starts = ends[live]
+        starts = self._ends[live]
         norms[live] = np.maximum.reduceat(np.abs(self._vals), starts)
         # each entry's row and column in its copy's block: the rank of its
         # index among the distinct ones of its copy (its rows are in order);
         # a copy is dense when its block has fewer rows or columns than it
         # has entries
-        by_col, col_new = _key_order(self._copy, self._cols)
-        new_row = _run_starts(self._copy) | _run_starts(self._rows)
-        at_row, at_col = (np.cumsum(new) for new in (new_row, col_new))
-        first = ends[self._copy]
-        at_row, at_col[by_col] = at_row - at_row[first], at_col - at_col[first]
-        height, width = (np.maximum.reduceat(at, starts) + 1 for at in (at_row, at_col))
-        dense = np.minimum(height, width) < np.diff(ends)[live]
-        for h, w in set(zip(height[dense].tolist(), width[dense].tolist())):
-            members = np.zeros(self.count, dtype=bool)
-            members[live[dense & (height == h) & (width == w)]] = True
-            mine = members[self._copy]
-            slot = (np.cumsum(members) - 1)[self._copy[mine]]
-            blocks = np.zeros((int(members.sum()), h, w))
-            blocks[slot, at_row[mine], at_col[mine]] = self._vals[mine]
-            norms[members] = _singular_values(blocks)[:, 0]
+        row_new = _run_starts(self._rows)
+        row_new[starts] = True
+        height = np.add.reduceat(row_new, starts, dtype=np.intp)
+        copy, _, at_col = _distinct_in_copies(self, self._cols)
+        first = copy.searchsorted(np.arange(self.count + 1))
+        width = (first[1:] - first[:-1])[live]
+        dense = np.minimum(height, width) < sizes[live]
+        if not dense.any():
+            return norms.tolist()
+        at_row = np.cumsum(row_new)
+        at_row -= np.repeat(at_row[starts], sizes[live])
+        at_col -= np.repeat(first[:-1], sizes)
+        # the dense blocks, grouped by shape and in copy order within a
+        # shape, laid end to end in one buffer
+        members, height, width = live[dense], height[dense], width[dense]
+        group = np.lexsort((width, height))
+        members, height, width = members[group], height[group], width[group]
+        cells = _offsets(height * width)
+        corner, wide = np.zeros((2, self.count), dtype=np.intp)
+        corner[members], wide[members] = cells[:-1], width
+        # each entry's cell: its block's first, then row by row
+        at_row *= np.repeat(wide, sizes)
+        at_row += np.repeat(corner, sizes)
+        at_row += at_col
+        del at_col
+        mine = np.repeat(wide > 0, sizes)
+        blocks = np.zeros(cells[-1])
+        blocks[at_row[mine]] = self._vals[mine]
+        bounds = np.flatnonzero(_run_starts(height) | _run_starts(width)).tolist()
+        for lo, hi in zip(bounds, bounds[1:] + [len(members)]):
+            h, w = int(height[lo]), int(width[lo])
+            shape = blocks[cells[lo] : cells[hi]].reshape(hi - lo, h, w)
+            norms[members[lo:hi]] = _singular_values(shape)[:, 0]
         return norms.tolist()
 
 
-def _sum_by_copy_key(count, copy, rows, cols, vals) -> MatrixStack:
-    """_sum_by_key per (copy, row, col) key: each copy's sums are that
-    copy's _sum_by_key, and a non-finite sum is reported at the least copy
-    that has one."""
-    order, new = _key_order(copy, rows, cols)
-    # the sort is stable, so each key's terms keep their array order
-    sums = np.bincount(np.cumsum(new) - 1, weights=vals[order])
-    order = order[new]  # the full order is no longer held
-    return _checked_stack(count, order, copy, rows, cols, sums)
+def _distinct_in_copies(s: MatrixStack, idx: np.ndarray):
+    """The distinct (copy, index) pairs of ``idx``, one index per entry of
+    stack s, in (copy, index) order: the copy and the index of each pair,
+    and each entry's position among them.  A table of every pair in the
+    index range marks them when it is no larger than the column, a sort
+    finds them else."""
+    sizes = s._sizes()
+    lo, width = _span([idx])
+    if s.count * width <= len(idx):
+        key = np.repeat(np.arange(s.count) * width, sizes)
+        key += idx - lo
+        seen = np.zeros(s.count * width, dtype=bool)
+        seen[key] = True
+        at = np.cumsum(seen)[key]
+        at -= 1
+        copy, idx = np.divmod(np.flatnonzero(seen), width)
+        idx += lo
+        return copy, idx, at
+    copies = s._copies()
+    order, new = _key_order(copies, idx)
+    at = np.empty(len(idx), dtype=np.intp)
+    at[order] = np.cumsum(new) - 1
+    first = order[new]
+    return copies[first], idx[first], at
 
 
-def _checked_stack(count, at, copy, rows, cols, vals) -> MatrixStack:
-    """The stack of the keys at positions ``at`` of copy, rows and cols,
-    with values vals: _checked on every copy.  A non-finite value raises at
-    the least copy that has one, at its key met first (the least position),
-    and the keys are gathered once, after the drop."""
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        k = at[np.flatnonzero(bad)]
-        k = k[np.lexsort((k, copy[k]))[0]]
-        raise NonFiniteEntry(f"non-finite entry at ({rows[k]}, {cols[k]})")
-    keep = np.abs(vals) >= DROP_THRESHOLD
+def _offsets(sizes) -> np.ndarray:
+    """The ends of ranges of the given sizes laid end to end, from 0."""
+    ends = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=ends[1:])
+    return ends
+
+
+def _sum_by_copy_key(count, *parts) -> MatrixStack:
+    """_sum_by_key per (copy, row, col) key over the entries of ``parts``,
+    stacks of finite values laid end to end whose copies hold each key once
+    but may hold their entries in any order; a one-copy part counts once
+    for every copy, without a repeat of its columns.  Each copy's sums are
+    that copy's _sum_by_key (0.0 + v is v for every v kept: -0.0 is
+    dropped).
+
+    The sort key packs the copy, row and col into one int64, and the
+    result's columns come back from the sorted keys.  When their ranges do
+    not fit, each copy is summed alone.
+    """
+    (lo_r, wr), (lo_c, wc) = _span(p._rows for p in parts), _span(p._cols for p in parts)
+    if count * wr * wc > _INDEX_MAX:
+        def piece(p, k):
+            lo, hi = (0, len(p._vals)) if p.count == 1 else p._ends[k : k + 2]
+            return p._rows[lo:hi], p._cols[lo:hi], p._vals[lo:hi]
+
+        return MatrixStack.of(
+            _sum_by_key(*map(np.concatenate, zip(*(piece(p, k) for p in parts))))
+            for k in range(count)
+        )
+    width, keys = wr * wc, []
+    base = np.arange(count) * width
+    for p in parts:
+        key = p._rows - lo_r
+        key *= wc
+        key += p._cols
+        key -= lo_c
+        spread = p.count == 1  # once for every copy
+        keys.append((base[:, None] + key).ravel() if spread else np.repeat(base, p._sizes()) + key)
+    keys = np.concatenate(keys) if len(keys) > 1 else keys[0]
+    order = np.lexsort((keys,))
+    keys = keys[order]
+    sums = [np.tile(p._vals, count) if p.count == 1 else p._vals for p in parts]
+    sums = (np.concatenate(sums) if len(sums) > 1 else sums[0])[order]
+    del order
+    if len(parts) > 1:
+        # each key's terms in array order (the sort is stable), summed from
+        # 0.0; a part holds a key of a copy once, so one part sums nothing
+        new = _run_starts(keys)
+        keys = keys[new]
+        at = np.cumsum(new)
+        at -= 1
+        sums = np.bincount(at, weights=sums)
+        del at, new
+    if not np.isfinite(sums).all():
+        # a sum past the float range has two terms, the first from the first
+        # part, whose copies hold their keys in order: the least such key of
+        # the least copy is the one a walk meets first
+        i, j = divmod(int(keys[np.argmin(np.isfinite(sums))]) % width, wc)
+        raise NonFiniteEntry(f"non-finite entry at ({i + lo_r}, {j + lo_c})")
+    keep = np.abs(sums) >= DROP_THRESHOLD
     if not keep.all():
-        at, vals = at[keep], vals[keep]
-    return MatrixStack._of(count, copy[at], rows[at], cols[at], vals)
+        keys, sums = keys[keep], sums[keep]
+    ends = keys.searchsorted(np.arange(count + 1) * width)
+    # a key is (copy * wr + row - lo_r) * wc + col - lo_c; the sorted keys
+    # become the columns in place
+    rows = keys // wc
+    keys -= rows * wc
+    keys += lo_c
+    copy = rows // wr
+    copy *= wr
+    rows -= copy
+    rows += lo_r
+    return MatrixStack._of(ends, rows, keys, sums)
 
 
 def unit(i: int, j: int, value: float = 1.0) -> FiniteMatrix:
@@ -550,8 +659,8 @@ def _transport_stack(s, powers, left=None, right=None, *, horizon, window_cap):
     then moves each copy alone, and the error is raised by the copy that
     meets it.
     """
-    live = np.diff(s._ends()) > 0
-    powers = [p if z else 0 for p, z in zip(powers, live.tolist())]
+    sizes = s._sizes()
+    powers = [p if z else 0 for p, z in zip(powers, (sizes > 0).tolist())]
     reach = max(map(abs, powers), default=0)
     if reach > horizon:
         return None
@@ -559,23 +668,38 @@ def _transport_stack(s, powers, left=None, right=None, *, horizon, window_cap):
     safe = _INDEX_MAX - reach * step
     if safe < 0 or _beyond(safe, s._rows, s._cols):
         return None
-    p = np.array(powers, dtype=np.int64)[s._copy]
-    # the rows of a copy are in order, so each run of one row moves once
-    head = _run_starts(s._copy) | _run_starts(s._rows)
     try:
-        rows, ci = _stack_move(left, p[head], s._rows[head], "left", horizon=horizon)
-        cols, cj = _stack_move(right, p, s._cols, "right", horizon=horizon)
+        rows, cols, vals = _stack_moves(s, np.array(powers, dtype=np.int64), left, right, horizon)
     except WindowExceeded:
         return None  # a table walk left its declared window
-    at = np.cumsum(head) - 1
-    cap, vals, rows = min(window_cap, _INDEX_MAX), s._vals, rows[at]
-    for coeff in (None if ci is None else ci[at], cj):
-        if coeff is not None:
-            vals = vals * coeff
-    if _beyond(cap, rows, cols) or not np.isfinite(vals).all():
+    if _beyond(min(window_cap, _INDEX_MAX), rows, cols) or not np.isfinite(vals).all():
         return None
-    order = _key_order(s._copy, rows, cols)[0]
-    return _checked_stack(s.count, order, s._copy, rows, cols, vals[order])
+    # the moves are injective: a moved copy holds each key once
+    return _sum_by_copy_key(s.count, MatrixStack._of(s._ends, rows, cols, vals))
+
+
+def _stack_moves(s, powers, left, right, horizon):
+    """The rows, columns and values of stack s with the entries of copy k
+    moved by left^powers[k] and right^powers[k] (``_stack_move``).  Each
+    run of one row in a copy moves once, and so does each distinct column
+    of a copy when a table of the (copy, col) pairs is at most half as long
+    as the stack: a longer one costs about what it saves."""
+    sizes = s._sizes()
+    p = np.repeat(powers, sizes)
+    # the rows of a copy are in order
+    head = _run_starts(s._rows)
+    head[s._ends[:-1][sizes > 0]] = True
+    rows, ci = _stack_move(left, p[head], s._rows[head], "left", horizon=horizon)
+    at = np.cumsum(head) - 1
+    rows, vals = rows[at], s._vals if ci is None else s._vals * ci[at]
+    if right is None or 2 * s.count * _span([s._cols])[1] > len(s._cols):
+        # each entry moves
+        cols, cj = _stack_move(right, p, s._cols, "right", horizon=horizon)
+    else:
+        copy, cols, at = _distinct_in_copies(s, s._cols)
+        cols, cj = _stack_move(right, powers[copy], cols, "right", horizon=horizon)
+        cols, cj = cols[at], None if cj is None else cj[at]
+    return rows, cols, vals if cj is None else vals * cj
 
 
 def shift_multiply(

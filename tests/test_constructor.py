@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,9 @@ from opdyn.constructor import (
     verify_approximant_convergence,
 )
 from opdyn.criteria import all_decay, check_witness_conditions
+from opdyn.finmat import load_finmat
+from opdyn.scenario import load_scenario
+from test_traced_layers import load
 
 
 def single_shift_instance(k_max=30) -> CriterionInstance:
@@ -580,3 +584,37 @@ def test_load_bundle_requires_every_witness_file(tmp_path):
     (tmp_path / "b" / "d_0002.finmat").unlink()
     with pytest.raises(FormatError):
         load_bundle(tmp_path / "b")
+
+
+def test_the_approximant_check_stays_within_its_bytes_per_product(tmp_path, monkeypatch):
+    # the construct workload at seed 0 (dense 17 x 17 targets, 867 products
+    # a k, three blocks): tracemalloc's peak over the check, above its
+    # start, per product of its largest block, the approximants of the
+    # earlier blocks included.  It reads 150 bytes with numpy 2.4.  A stack
+    # with a per-entry copy column and a K-copy repeat of - P_m X held 252
+    # in blocks of 18 k (455 in blocks of 4 k); a change that inflates the
+    # stack that far, or a block that takes more k than it counts, fails.
+    # A per-entry copy column alone adds some 13%, within the bound.
+    spec = load("workloads").generate("construct", 0, str(tmp_path))
+    scenario = load_scenario(spec.scenario)
+    inst = scenario.to_instance()
+    f, *es = (load_finmat(path) for path in scenario.targets)
+    args = (default_bundle(inst), TargetTuple(f, tuple(es), inst.m), inst, scenario.tol)
+    verify_approximant_convergence(*args)  # lazy set-up out of the count
+    sizes, approximants = [], constructor._approximants
+
+    def counted(bundle, inst, ks, *rest, **kwargs):
+        sizes.append(len(ks))
+        return approximants(bundle, inst, ks, *rest, **kwargs)
+
+    monkeypatch.setattr(constructor, "_approximants", counted)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        verify_approximant_convergence(*args)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(sizes) == 3
+    assert peak / (max(sizes) * 3 * 17 * 17) < 150 * 1.2

@@ -171,14 +171,24 @@ def test_dense_products_sum_in_the_order_of_the_walk(a, b):
 
 @given(
     st.lists(st.tuples(entry_lists, entry_lists), min_size=1, max_size=4),
-    st.lists(st.integers(0, 3), max_size=6),
+    st.lists(st.integers(0, 6), max_size=8),
+    st.lists(st.booleans(), min_size=3, max_size=3),
+    st.sampled_from([1, 1 << 40]),
 )
 @settings(max_examples=150)
-def test_stack_products_and_sums_equal_each_copy_alone(pairs, picks):
+def test_stack_products_and_sums_equal_each_copy_alone(pairs, picks, holes, scale):
     # the same entries and the first error as + and - on each copy in copy
-    # order; take and split give the copies back
-    bs = [FiniteMatrix(y) for y, _ in pairs]
-    cs = [FiniteMatrix(z) for _, z in pairs]
+    # order, and as adding one copy to every copy; take and split give the
+    # copies back.  Empty copies may come first, in the middle and last.
+    # At scale 2^40 the (row, col) ranges do not pack into one int64 with
+    # the copy, and the sum ranks the pairs instead.
+    first, middle, last = ([((), ())] if hole else [] for hole in holes)
+    half = len(pairs) // 2
+    pairs = first + pairs[:half] + middle + pairs[half:] + last
+    bs, cs = (
+        [FiniteMatrix({(i * scale, j * scale): v for (i, j), v in side}) for side in copies]
+        for copies in zip(*pairs)
+    )
     stack = MatrixStack.of(bs)
     assert stack.split() == bs
     picks = [k % len(bs) for k in picks]
@@ -189,6 +199,10 @@ def test_stack_products_and_sums_equal_each_copy_alone(pairs, picks):
     # b - c sums as b + (-c)
     assert outcome(lambda: [list(p.items()) for p in (stack + MatrixStack.of(-c for c in cs)).split()]) == (
         outcome(lambda: [list((b - c).items()) for b, c in zip(bs, cs)])
+    )
+    one = MatrixStack.of(cs[-1:])
+    assert outcome(lambda: [list(p.items()) for p in (stack + one).split()]) == (
+        outcome(lambda: [list((b + cs[-1]).items()) for b in bs])
     )
 
 

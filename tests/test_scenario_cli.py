@@ -15,7 +15,8 @@ from opdyn import (
     projection_matrix,
     unit,
 )
-from opdyn.cli import main
+from opdyn import duality
+from opdyn.cli import _dual_instance, main
 from opdyn.constructor import default_bundle, save_bundle
 from opdyn.criteria import chain_factors, family_chains
 from opdyn.duality import dual_label
@@ -888,6 +889,37 @@ def test_run_dual_transitivity_rows_do_not_depend_on_witness_sharing(tmp_path):
         runs[name] = rows, etas
     assert len(runs["shared"][0]) == 3 * 30 and len(runs["shared"][1]) == 30
     assert runs["loaded"] == runs["shared"]
+
+
+def test_dual_transitivity_with_a_saved_bundle_walks_the_witness_families_once(
+    tmp_path, monkeypatch
+):
+    # the saved default bundle of the dual workload: every witness has its
+    # rows in [-n, n], so the bound column takes the families that the
+    # witness conditions measured, and the outputs are those of a second walk
+    spec = load("workloads").generate("dual", 0, str(tmp_path))
+    inst = _dual_instance(load_scenario(spec.scenario))
+    save_bundle(default_bundle(inst), inst.r_list, tmp_path / "bundle")
+    with open(spec.scenario) as fh:
+        path = write_scenario(tmp_path, fh.read() + "witnesses = bundle\n", "saved.scenario")
+    family_norms, majorant_norms, calls = duality._family_norms, duality._majorant_norms, []
+    monkeypatch.setattr(
+        duality, "_family_norms", lambda *args: calls.append(1) or family_norms(*args)
+    )
+    runs = {}
+    for name in ("once", "twice"):
+        if name == "twice":
+            monkeypatch.setattr(
+                duality, "_majorant_norms", lambda inst, bundle, _: majorant_norms(inst, bundle)
+            )
+        calls.clear()
+        out = tmp_path / name
+        code = run_cli("run", path, "--out", str(out))
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs[name] = code, len(calls), files
+    assert [calls for _, calls, _ in runs.values()] == [1, 2]
+    assert {"report.csv", "summary.txt", "eta_k0060.finmat"} <= set(runs["once"][2])
+    assert runs["once"][::2] == runs["twice"][::2]
 
 
 def test_run_dual_transitivity_overflowing_probe_sum_exits_five(tmp_path, capsys):
