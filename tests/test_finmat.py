@@ -181,7 +181,7 @@ def test_stack_products_and_sums_equal_each_copy_alone(pairs, picks, holes, scal
     # order, and as adding one copy to every copy; take and split give the
     # copies back.  Empty copies may come first, in the middle and last.
     # At scale 2^40 the (row, col) ranges do not pack into one int64 with
-    # the copy, and the sum ranks the pairs instead.
+    # the copy, and the sum takes each copy alone.
     first, middle, last = ([((), ())] if hole else [] for hole in holes)
     half = len(pairs) // 2
     pairs = first + pairs[:half] + middle + pairs[half:] + last
