@@ -35,10 +35,12 @@ from .criteria import (
     row_families,
     witnesses,
 )
-from .errors import FormatError, OpdynError
+from .errors import FormatError
 from .finmat import (
     FiniteMatrix,
     MatrixStack,
+    _made,
+    _raise_least,
     compose,
     load_finmat,
     projection_matrix,
@@ -155,7 +157,7 @@ def _approximants(bundle: WitnessBundle, inst: CriterionInstance, ks, product, p
     for u, (_, seq) in enumerate(witnesses(bundle.d_seq, bundle.g_seqs)):
         starts = equal_runs([seq[k - 1] for k in ks])
         firsts = [seq[ks[i] - 1] for i in starts[:-1]]
-        made = MatrixStack.of(product(u, a) for a in firsts)
+        made = MatrixStack.of(_made(product, u, a) for a in firsts)
         run_of = np.repeat(np.arange(len(firsts)), np.diff(starts))
         terms.append(chain_apply(inst, family_chain(0, u), ns, made.take(run_of), power=power))
         runs.append((firsts, made, run_of))
@@ -206,8 +208,9 @@ def verify_approximant_convergence(
 
     The phi_k are built, moved and normed as stacks, with no loop over k, a
     block of k at a time (one at least, else as many as keep the products
-    their terms sum within ``_BLOCK_PRODUCTS``).  A block that raises is
-    checked again one k at a time: the error is the walk over k's first.
+    their terms sum within ``_BLOCK_PRODUCTS``).  The walk over k checks
+    all of phi_k before phi_(k + 1), so a block raises the first error of
+    its least failed copy, and the blocks go in k order.
     """
     ns, m = bundle.n_values, bundle.m
     rs = list(enumerate(inst.r_list, start=1))
@@ -225,38 +228,40 @@ def verify_approximant_convergence(
     def check(ks) -> list[FiniteMatrix]:
         # every column at each k in ks, and phi_k
         phi, terms, runs = _approximants(bundle, inst, ks, product)
-        at = tuple(ns[k - 1] for k in ks)
+        at, failed = tuple(ns[k - 1] for k in ks), {}  # each copy's first error
+
+        def norms(s, of=range(len(ks))):
+            # op_norms of the copies of[i] of s, for ks[i], noting their errors
+            failed.update({i: s._errors[c] for i, c in enumerate(of) if c in s._errors} | failed)
+            return np.take(s.op_norms(), of).tolist()
+
         for t, (row, minus) in enumerate(zip(rows, minus_pms)):
             act, (firsts, made, run_of) = family_chain(t, 0), runs[t]
             # no moved or summed stack outlives its norms
             dist = f"dist({row}phi_k - P{m} {names[t]})"
-            columns[dist] += (chain_apply(inst, act, at, phi) + minus).op_norms()
+            columns[dist] += norms(chain_apply(inst, act, at, phi) + minus)
             if t:
                 gaps = made + minus
             else:
-                gaps = MatrixStack.of(compose(a - pm, targets.f) for a in firsts)
-            columns[f"norm({gap_labels[t]})"] += np.take(gaps.op_norms(), run_of).tolist()
+                gaps = MatrixStack.of(_made(compose, a - pm, targets.f) for a in firsts)
+            columns[f"norm({gap_labels[t]})"] += norms(gaps, run_of)
             for u, _ in row_families(t, inst.n_ops):
-                norms = chain_apply(inst, act, at, terms[u]).op_norms()
-                columns[f"norm({row}{term_labels[u]})"] += norms
+                columns[f"norm({row}{term_labels[u]})"] += norms(chain_apply(inst, act, at, terms[u]))
+        _raise_least(failed)
         return phi.split()
 
-    # each block as many k as keep the products of their terms in the bound
-    most = max(
-        sum(np.sum(x._rows.searchsorted(a._cols, "right") - x._rows.searchsorted(a._cols))
-            for a, x in zip(witness, xs))
-        for witness in zip(bundle.d_seq, *bundle.g_seqs)
-    )
-    blocks = -(-len(ns) // max(1, _BLOCK_PRODUCTS // max(most, 1)))
+    # each block as many k as keep the products of their terms in the
+    # bound, counted once per run of equal witnesses
+    products = np.zeros(len(ns), dtype=np.int64)
+    for (_, seq), x in zip(witnesses(bundle.d_seq, bundle.g_seqs), xs):
+        starts = equal_runs(seq)
+        cols = (seq[i]._cols for i in starts[:-1])
+        counts = [np.sum(x._rows.searchsorted(c, "right") - x._rows.searchsorted(c)) for c in cols]
+        products += np.repeat(counts, np.diff(starts))
+    blocks = -(-len(ns) // max(1, _BLOCK_PRODUCTS // max(int(products.max()), 1)))
     step, phis = -(-len(ns) // blocks), []  # that many blocks, evened out
     for lo in range(0, len(ns), step):
-        ks = range(lo + 1, min(lo + step, len(ns)) + 1)
-        try:
-            phis += check(ks)
-        except OpdynError:
-            for k in ks:
-                check([k])
-            raise
+        phis += check(range(lo + 1, min(lo + step, len(ns)) + 1))
     reports = [make_report(label, ns, vals, tol) for label, vals in columns.items()]
     return sorted(reports, key=lambda rep: rep.quantity), phis
 

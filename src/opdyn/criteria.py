@@ -329,10 +329,9 @@ def _family_norms(inst, ns, d_seq, g_seqs, side) -> dict[Chain, list[float]]:
     ||A_k X'||, X' the reversed chain.
 
     Each run of equal witnesses (``equal_runs``) is one ``shift_multiply``
-    call, whose products are measured as one stack; an error in it is
-    raised by ``finmat._transport`` at the least k of the run.  The runs go
-    in k order, so the first error raised is the one a walk over k meets
-    first."""
+    call, whose products are measured as one stack; an error in it is the
+    first error of the least failed k of the run.  The runs go in k order,
+    so the first error raised is the one a walk over k meets first."""
     kw = dict(horizon=inst.horizon, window_cap=inst.window_cap)
     norms = {}
     for chain in family_chains(inst.n_ops):

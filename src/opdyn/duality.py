@@ -25,7 +25,8 @@ pull-back of term l is ``family_chain(0, l)`` and row t ``family_chain(t, 0)``.
 ``verify_dual_convergence`` builds and moves every eta_k as one
 ``finmat.MatrixStack`` of k_max copies, with no loop over k, and pairs the
 copies with the probes a block at a time; each copy is bit-identical to the
-one-copy build ``construct_dual_approximant``.
+one-copy build ``construct_dual_approximant`` and keeps the first error
+its k meets, which the check raises at the end of the phase it is met in.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .criteria import (
     witnesses,
 )
 from .elementary import ElementaryOp, apply_power
-from .errors import NonFiniteEntry, OpdynError
+from .errors import NonFiniteEntry
 from .finmat import (
     DEFAULT_WINDOW_CAP,
     FiniteMatrix,
@@ -61,6 +62,7 @@ from .finmat import (
     _matches,
     _outside,
     _quiet,
+    _raise_least,
     _run_starts,
     compose,
     op_norm,
@@ -221,24 +223,23 @@ _PAIRED_CELLS = 1 << 14
 def _distances(reps: MatrixStack, target: np.ndarray, probes: TestSet) -> list[float]:
     """weak_star_distance of every copy to a functional given by its probe
     values, pairing a block of copies at a time (one copy at least, else
-    at most _PAIRED_CELLS probe values).  The least copy with a non-finite
-    probe value or difference raises NonFiniteEntry at its first such
-    probe, a pairing before a difference, as a walk over the copies meets
-    them."""
+    at most _PAIRED_CELLS probe values).  A copy's error is the one the
+    stack holds (met before its pairing), else NonFiniteEntry at its first
+    non-finite probe value or difference, a pairing before a difference;
+    the least copy that has one raises it."""
     step = max(1, _PAIRED_CELLS // len(probes.probes))
-    dists = []
+    dists, errors = [], {}
     for lo in range(0, reps.count, step):
         diff = _pairings(reps.take(range(lo, min(lo + step, reps.count))), probes)
         paired = np.isfinite(diff)
         diff -= target
         np.abs(diff, out=diff)
         finite = np.isfinite(diff)
-        if not finite.all():
-            k = int(np.argmin(finite.all(axis=1)))
-            if not paired[k].all():
-                raise NonFiniteEntry(f"non-finite trace pairing with probe {np.argmin(paired[k])}")
-            raise NonFiniteEntry(f"non-finite weak-* distance with probe {np.argmin(finite[k])}")
+        for k in np.flatnonzero(~finite.all(axis=1)).tolist():
+            what, at = ("trace pairing", paired[k]) if not paired[k].all() else ("weak-* distance", finite[k])
+            errors[lo + k] = NonFiniteEntry(f"non-finite {what} with probe {np.argmin(at)}")
         dists += diff.max(axis=1).tolist()
+    _raise_least({**errors, **reps._errors})
     return dists
 
 
@@ -389,21 +390,6 @@ def _majorant_norms(inst: CriterionInstance, bundle: WitnessBundle, families=Non
     return [[gap for _, gap in seq] for seq in cuts], families
 
 
-def _walk_each_k(bundle, psi, phi_list, inst, targets, probes) -> None:
-    """verify_dual_convergence's build, row moves and pairings one k at a
-    time: every eta_k, then row by row each k moved and paired alone.  It
-    raises the first error that walk meets; the stack raises one of the
-    same errors, met at a later k or step."""
-    etas = [
-        construct_dual_approximant(bundle, psi, phi_list, inst, k)
-        for k in range(1, bundle.k_max + 1)
-    ]
-    for t, target in enumerate(targets):
-        for n, eta in zip(bundle.n_values, etas):
-            moved = chain_apply(inst, family_chain(t, 0), n, eta, power=dual_apply_power)
-            _distances(MatrixStack.of([moved.representer]), target, probes)
-
-
 def verify_dual_convergence(
     bundle: WitnessBundle,
     psi: FunctionalRep,
@@ -425,11 +411,10 @@ def verify_dual_convergence(
     they are not walked again.
 
     Every eta_k is built and moved as one stack of k_max copies, with no
-    loop over k, and paired with the probes by ``_distances``.  A power past the horizon in a build
-    or a row move is met first by the witness families: each nonzero term
-    of eta_k comes from a nonzero cut witness, which a family moves by the
-    same power.  Any other error in the stack is raised by ``_walk_each_k``,
-    as the walk over k meets it.
+    loop over k, and paired with the probes by ``_distances``.  Each copy
+    keeps the first error its k meets.  The walk over k builds every eta_k,
+    then moves and pairs them row by row, so the check raises the least
+    failed copy's error at the end of the build and of each row.
     """
     ns = tuple(bundle.n_values)
     n_win = bundle.m
@@ -444,18 +429,12 @@ def verify_dual_convergence(
     ]
     tns = [trace_norm(phi.representer) for phi in funcs]
     gaps, fam = _majorant_norms(inst, bundle, witness_families)
-    try:
-        etas = FunctionalRep(
-            _dual_approximants(bundle, psi, phi_list, inst, range(1, bundle.k_max + 1))
-        )
-        vals = []
-        for t, target in enumerate(targets):
-            moved = chain_apply(inst, family_chain(t, 0), ns, etas, power=dual_apply_power)
-            vals.append(_distances(moved.representer, target, probes))
-    except OpdynError:
-        # each stacked step raises at its own least copy
-        _walk_each_k(bundle, psi, phi_list, inst, targets, probes)
-        raise
+    etas = FunctionalRep(_dual_approximants(bundle, psi, phi_list, inst, range(1, bundle.k_max + 1)))
+    reps = etas.representer.split()  # the build's least failed copy raises
+    vals = []
+    for t, target in enumerate(targets):
+        moved = chain_apply(inst, family_chain(t, 0), ns, etas, power=dual_apply_power)
+        vals.append(_distances(moved.representer, target, probes))
 
     reports = []
     for t, gap in enumerate(gaps):
@@ -465,4 +444,4 @@ def verify_dual_convergence(
         row = f"{chain_terms(inst, ((t, 1),), 'T')} " if t else ""
         label = f"wstar-dist({row}eta_k - M_P{n_win} {f'phi{t}' if t else 'psi'})"
         reports.append(make_report(label, ns, vals[t], tol, bounds=bounds))
-    return reports, [FunctionalRep(rep) for rep in etas.representer.split()]
+    return reports, [FunctionalRep(rep) for rep in reps]

@@ -15,8 +15,7 @@ from .finmat import (
     DEFAULT_WINDOW_CAP,
     FiniteMatrix,
     MatrixStack,
-    _move,
-    _transport,
+    _moved_alone,
     _transport_stack,
     op_norm,
 )
@@ -49,24 +48,13 @@ def apply_power(
     """T^p(F) by one-pass entry transport; negative p inverts the power.
 
     On a MatrixStack, ``p`` lists one power per copy, and copy k moves by
-    T^p[k] in the one pass of all copies.  When a copy may fail, each copy
-    moves alone, so the least copy that fails raises its own error.
+    T^p[k] in the one pass of all copies; a copy that fails keeps its error
+    (see ``finmat.MatrixStack``).
     """
-    if isinstance(f, MatrixStack):
-        wfu = op.orientation == "WFU"
-        left, right = (op.shift, op.unitary) if wfu else (op.unitary, op.shift)
-        kwargs = dict(horizon=horizon, window_cap=window_cap)
-        # one copy takes the one-matrix route, which does fewer array passes
-        moved = _transport_stack(f, p, left, right, **kwargs) if f.count > 1 else None
-        if moved is None:
-            moved = MatrixStack.of([apply_power(op, q, x, **kwargs) for q, x in zip(p, f.split())])
-        return moved
-    if p == 0:
-        return f
     wfu = op.orientation == "WFU"
-    left = _move(op.shift if wfu else op.unitary, p, "left", horizon=horizon)
-    right = _move(op.unitary if wfu else op.shift, p, "right", horizon=horizon)
-    return _transport(f, left, right, window_cap=window_cap)
+    left, right = (op.shift, op.unitary) if wfu else (op.unitary, op.shift)
+    move = _transport_stack if isinstance(f, MatrixStack) else _moved_alone
+    return move(f, p, left, right, horizon=horizon, window_cap=window_cap)
 
 
 def orbit(

@@ -19,11 +19,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConvergenceError, FormatError, NonFiniteEntry, WindowExceeded
+from .errors import ConvergenceError, FormatError, NonFiniteEntry, OpdynError, WindowExceeded
 from .lattice import (
     DEFAULT_HORIZON,
     PermutationUnitary,
     _exp,
+    _table_walk,
     shift_power_apply,
     unitary_power_apply,
 )
@@ -242,25 +243,30 @@ class MatrixStack:
 
     An operation on a stack does, for every copy, the float operations of
     the same operation on that copy alone, in the same order, so each copy
-    of the result is bit-identical to it; an error is raised at the least
-    copy that has one, with the text the copy alone gives.
+    of the result is bit-identical to it.  A copy that fails is empty and
+    keeps the first OpdynError it met, the one the copy alone raises (the
+    copy -> error dict ``_errors``); an empty copy never fails, so later
+    operations skip it.  ``split`` raises the least failed copy's error.
     """
 
-    __slots__ = ("_ends", "_rows", "_cols", "_vals")
+    __slots__ = ("_ends", "_rows", "_cols", "_vals", "_errors")
 
     @classmethod
-    def _of(cls, ends, rows, cols, vals) -> "MatrixStack":
-        # columns already canonical
+    def _of(cls, ends, rows, cols, vals, errors=None) -> "MatrixStack":
+        # columns already canonical, the failed copies empty
         s = object.__new__(cls)
-        s._ends, s._rows, s._cols, s._vals = ends, rows, cols, vals
+        s._ends, s._rows, s._cols, s._vals, s._errors = ends, rows, cols, vals, errors or {}
         return s
 
     @classmethod
     def of(cls, mats) -> "MatrixStack":
-        """The stack of a nonempty sequence of matrices, copy k for mats[k]."""
+        """The stack of a nonempty sequence of matrices, copy k for mats[k];
+        an OpdynError in place of a matrix is a failed copy."""
         mats = list(mats)
+        errors = {k: a for k, a in enumerate(mats) if isinstance(a, OpdynError)}
+        mats = [_EMPTY if k in errors else a for k, a in enumerate(mats)] if errors else mats
         columns = ([getattr(a, name) for a in mats] for name in ("_rows", "_cols", "_vals"))
-        return cls._of(_offsets([a.nnz for a in mats]), *map(np.concatenate, columns))
+        return cls._of(_offsets([a.nnz for a in mats]), *map(np.concatenate, columns), errors)
 
     @property
     def count(self) -> int:
@@ -275,6 +281,7 @@ class MatrixStack:
         return np.repeat(np.arange(self.count), self._sizes())
 
     def split(self) -> list[FiniteMatrix]:
+        _raise_least(self._errors)
         ends = self._ends.tolist()
         return [
             FiniteMatrix._of(self._rows[lo:hi], self._cols[lo:hi], self._vals[lo:hi])
@@ -287,7 +294,10 @@ class MatrixStack:
         lo, size = self._ends[copies], self._sizes()[copies]
         ends = _offsets(size)
         at = np.arange(ends[-1]) + np.repeat(lo - ends[:-1], size)
-        return MatrixStack._of(ends, self._rows[at], self._cols[at], self._vals[at])
+        errors = self._errors and {
+            i: self._errors[k] for i, k in enumerate(copies.tolist()) if k in self._errors
+        }
+        return MatrixStack._of(ends, self._rows[at], self._cols[at], self._vals[at], errors)
 
     def __add__(self, other: "MatrixStack") -> "MatrixStack":
         # copy k of each, summed as FiniteMatrix.__add__ sums them; a
@@ -347,6 +357,23 @@ class MatrixStack:
         return norms.tolist()
 
 
+_EMPTY = FiniteMatrix()
+
+
+def _raise_least(errors: dict) -> None:
+    # the error of the least copy that has one: a walk over the copies meets it first
+    if errors:
+        raise errors[min(errors)]
+
+
+def _made(make, *args, **kwargs):
+    # a copy for MatrixStack.of: make(*args, **kwargs), or the OpdynError it raises
+    try:
+        return make(*args, **kwargs)
+    except OpdynError as exc:
+        return exc
+
+
 def _distinct_in_copies(s: MatrixStack, idx: np.ndarray):
     """The distinct (copy, index) pairs of ``idx``, one index per entry of
     stack s, in (copy, index) order: the copy and the index of each pair,
@@ -386,12 +413,16 @@ def _sum_by_copy_key(count, *parts) -> MatrixStack:
     but may hold their entries in any order; a one-copy part counts once
     for every copy, without a repeat of its columns.  Each copy's sums are
     that copy's _sum_by_key (0.0 + v is v for every v kept: -0.0 is
-    dropped).
+    dropped).  A copy that failed in a part fails, with the first part's
+    error: the left operand of a sum is met first.
 
     The sort key packs the copy, row and col into one int64, and the
     result's columns come back from the sorted keys.  When their ranges do
     not fit, each copy is summed alone.
     """
+    errors = {}
+    for p in reversed(parts):
+        errors.update({k: e for e in p._errors.values() for k in range(count)} if p.count == 1 else p._errors)
     (lo_r, wr), (lo_c, wc) = _span(p._rows for p in parts), _span(p._cols for p in parts)
     if count * wr * wc > _INDEX_MAX:
         def piece(p, k):
@@ -399,7 +430,7 @@ def _sum_by_copy_key(count, *parts) -> MatrixStack:
             return p._rows[lo:hi], p._cols[lo:hi], p._vals[lo:hi]
 
         return MatrixStack.of(
-            _sum_by_key(*map(np.concatenate, zip(*(piece(p, k) for p in parts))))
+            errors.get(k) or _made(_sum_by_key, *map(np.concatenate, zip(*(piece(p, k) for p in parts))))
             for k in range(count)
         )
     width, keys = wr * wc, []
@@ -426,13 +457,18 @@ def _sum_by_copy_key(count, *parts) -> MatrixStack:
         at -= 1
         sums = np.bincount(at, weights=sums)
         del at, new
-    if not np.isfinite(sums).all():
+    bad = ~np.isfinite(sums)
+    if bad.any():
         # a sum past the float range has two terms, the first from the first
         # part, whose copies hold their keys in order: the least such key of
-        # the least copy is the one a walk meets first
-        i, j = divmod(int(keys[np.argmin(np.isfinite(sums))]) % width, wc)
-        raise NonFiniteEntry(f"non-finite entry at ({i + lo_r}, {j + lo_c})")
+        # a copy is the one a walk meets first
+        copy, at = np.divmod(keys[bad], width)
+        for k, key in zip(copy.tolist(), at.tolist()):
+            i, j = divmod(key, wc)
+            errors.setdefault(k, NonFiniteEntry(f"non-finite entry at ({i + lo_r}, {j + lo_c})"))
     keep = np.abs(sums) >= DROP_THRESHOLD
+    if errors:
+        keep &= ~np.isin(keys // width, list(errors))
     if not keep.all():
         keys, sums = keys[keep], sums[keep]
     ends = keys.searchsorted(np.arange(count + 1) * width)
@@ -445,7 +481,7 @@ def _sum_by_copy_key(count, *parts) -> MatrixStack:
     copy *= wr
     rows -= copy
     rows += lo_r
-    return MatrixStack._of(ends, rows, keys, sums)
+    return MatrixStack._of(ends, rows, keys, sums, errors)
 
 
 def unit(i: int, j: int, value: float = 1.0) -> FiniteMatrix:
@@ -544,51 +580,32 @@ def trace_norm(a: FiniteMatrix) -> float:
 
 
 def _move(factor, p, side, *, horizon):
-    """The move of factor^p multiplied on the given side: sorted distinct
+    """The move of factor^p multiplied on the given side (``_stack_move``):
     indices to (landing indices, coefficients or None).
 
-    A factor on the right moves columns as its transpose moves rows (the
-    weights are real): U^p on the right is the move of U^-p, and W^p that of
-    (W*)^p.  A shift or translation power moves every index by one step; a
-    landing past int64 is caught before the int64 add, and the exact
-    landings come back as Python ints for the window cap to reject.
+    A shift or translation power moves every index by one step; a landing
+    past int64 is caught before the int64 add, and the exact landings come
+    back as Python ints for the window cap to reject.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if isinstance(factor, PermutationUnitary):
-        p = p if side == "left" else -p
-        step = p * factor.t  # 0 for a table, which never adds
-
-        def walk(idx):
-            return unitary_power_apply(factor, p, idx, horizon=horizon), None
-
+        step = (p if side == "left" else -p) * factor.t  # 0 for a table, which never adds
     else:
-        shift = factor.star() if side == "right" else factor
-        step = -p if shift.adjoint else p
-
-        def walk(idx):
-            to, lg = shift_power_apply(shift, p, idx, horizon=horizon)
-            return to, np.fromiter(map(_exp, lg.tolist()), np.float64, len(lg))
+        step = -p if factor.adjoint != (side == "right") else p
 
     def move(idx):
-        # a power over the horizon is the walk's to report
+        # each distinct index moves once; a power over the horizon is the
+        # walk's to report
+        distinct, at = _distinct(idx)
         if abs(p) <= horizon and not (
-            _INDEX_MIN <= int(idx[0]) + step and int(idx[-1]) + step <= _INDEX_MAX
+            _INDEX_MIN <= int(distinct[0]) + step and int(distinct[-1]) + step <= _INDEX_MAX
         ):
             return idx.astype(object) + step, None
-        return walk(idx)
+        to, coeff = _stack_move(factor, p, distinct, side, horizon=horizon)
+        return to[at], None if coeff is None else coeff[at]
 
     return move
-
-
-def _moved(idx, move):
-    """One side's indices and coefficients (or None) after ``move``, each
-    distinct index moved once."""
-    if move is None:
-        return idx, None
-    distinct, at = _distinct(idx)
-    to, coeff = move(distinct)
-    return to[at], None if coeff is None else coeff[at]
 
 
 def _outside(idx: np.ndarray, cap: int) -> np.ndarray:
@@ -613,8 +630,8 @@ def _transport(a, left=None, right=None, *, window_cap):
     """
     if a.is_zero():
         return a
-    rows, ci = _moved(a._rows, left)
-    cols, cj = _moved(a._cols, right)
+    rows, ci = left(a._rows) if left else (a._rows, None)
+    cols, cj = right(a._cols) if right else (a._cols, None)
     cap = min(window_cap, _INDEX_MAX)
     out = _outside(rows, cap) | _outside(cols, cap)
     if out.any():
@@ -630,10 +647,14 @@ def _transport(a, left=None, right=None, *, window_cap):
 
 
 def _stack_move(factor, p, idx, side, *, horizon):
-    """The landings of ``idx`` under factor^p on the given side, one int64
-    power per index, and their coefficients (None for a unitary, or for no
-    factor, which keeps the indices): the rule of ``_move``, which the
-    caller has checked stays inside int64."""
+    """The landings of ``idx`` under factor^p on the given side, p one power
+    or an int64 power per index, and their coefficients (None for a unitary,
+    or for no factor, which keeps the indices); the caller has checked that
+    they stay inside int64.
+
+    A factor on the right moves columns as its transpose moves rows (the
+    weights are real): U^p on the right is the move of U^-p, and W^p that of
+    (W*)^p."""
     if factor is None:
         return idx, None
     if isinstance(factor, PermutationUnitary):
@@ -644,38 +665,84 @@ def _stack_move(factor, p, idx, side, *, horizon):
     return to, np.fromiter(map(_exp, distinct.tolist()), np.float64, len(distinct))[at]
 
 
+def _moved_alone(a, p, left=None, right=None, *, horizon, window_cap):
+    """a moved by left^p on the left and right^p on the right (None keeps
+    that side) by ``_transport``; T^0, a power 0 on both sides, leaves a as
+    it is, as ``apply_power`` does."""
+    if not p and left is not None and right is not None:
+        return a
+    moves = [f and _move(f, p, side, horizon=horizon) for f, side in ((left, "left"), (right, "right"))]
+    return _transport(a, *moves, window_cap=window_cap)
+
+
 @_quiet
 def _transport_stack(s, powers, left=None, right=None, *, horizon, window_cap):
     """Copy k of s moved by left^powers[k] on the left and right^powers[k]
     on the right (a shift or a unitary each, as ``_move`` takes them; None
-    keeps that side), as ``_transport`` moves each copy; or None when a copy
-    may fail.
+    keeps that side), as ``_moved_alone`` moves it.
 
     The powers are Python ints, checked against the horizon before any
-    int64 conversion.  A copy may fail, as ``_transport`` would, when it has
-    entries and a power past the horizon, an index that may move past
-    int64, a landing outside the window cap or a table window, or a value
-    that is not finite; a copy without entries never fails.  The caller
-    then moves each copy alone, and the error is raised by the copy that
-    meets it.
+    int64 conversion.  The checks run on the whole stack; when one trips,
+    the copies that may fail are flagged (``_may_fail``, then a landing
+    outside the window cap or a value that is not finite) and move alone,
+    which names the error.  A flagged copy that does not fail rejoins the
+    stack.  A one-copy stack moves alone.
     """
-    sizes = s._sizes()
-    powers = [p if z else 0 for p, z in zip(powers, (sizes > 0).tolist())]
-    reach = max(map(abs, powers), default=0)
-    if reach > horizon:
-        return None
+    powers = [p if z else 0 for p, z in zip(powers, (s._sizes() > 0).tolist())]
+    kw, ends = dict(horizon=horizon, window_cap=window_cap), s._ends.tolist()
+    if s.count == 1:  # the one-matrix route does fewer array passes
+        a = FiniteMatrix._of(s._rows, s._cols, s._vals)
+        return MatrixStack.of([s._errors.get(0) or _made(_moved_alone, a, powers[0], left, right, **kw)])
+    reach = max(map(abs, powers))
     step = max(abs(f.t) if isinstance(f, PermutationUnitary) else 1 for f in (left, right))
     safe = _INDEX_MAX - reach * step
-    if safe < 0 or _beyond(safe, s._rows, s._cols):
-        return None
+    trips = reach > horizon or safe < 0 or _beyond(safe, s._rows, s._cols)
+    alone = _may_fail(s, powers, left, right, step, horizon) if trips else np.zeros(s.count, dtype=bool)
     try:
-        rows, cols, vals = _stack_moves(s, np.array(powers, dtype=np.int64), left, right, horizon)
-    except WindowExceeded:
-        return None  # a table walk left its declared window
-    if _beyond(min(window_cap, _INDEX_MAX), rows, cols) or not np.isfinite(vals).all():
-        return None
+        moved = _kept_moves(s, alone, powers, left, right, horizon)
+    except WindowExceeded:  # a table walk left its declared window
+        alone = _may_fail(s, powers, left, right, step, horizon)
+        moved = _kept_moves(s, alone, powers, left, right, horizon)
+    cap, rows, cols, vals = min(window_cap, _INDEX_MAX), moved._rows, moved._cols, moved._vals
+    if _beyond(cap, rows, cols) or not np.isfinite(vals).all():
+        alone[moved._copies()[_outside(rows, cap) | _outside(cols, cap) | ~np.isfinite(vals)]] = True
+        moved = _kept_moves(s, alone, powers, left, right, horizon)
     # the moves are injective: a moved copy holds each key once
-    return _sum_by_copy_key(s.count, MatrixStack._of(s._ends, rows, cols, vals))
+    if not alone.any():
+        return _sum_by_copy_key(s.count, moved)
+    solo = MatrixStack.of(
+        _made(_moved_alone, FiniteMatrix._of(s._rows[lo:hi], s._cols[lo:hi], s._vals[lo:hi]), p, left, right, **kw)
+        if flagged else _EMPTY
+        for lo, hi, p, flagged in zip(ends, ends[1:], powers, alone.tolist())
+    )
+    return _sum_by_copy_key(s.count, moved, solo)
+
+
+def _may_fail(s, powers, left, right, step, horizon) -> np.ndarray:
+    """The copies of s that may fail before they land: those with a power
+    past the horizon, an index within |power| * step of the int64 ends, or
+    an index whose table walk leaves its declared window."""
+    safe = [_INDEX_MAX - abs(p) * step if abs(p) <= horizon else -1 for p in powers]
+    alone = np.array([x < 0 for x in safe])
+    at = np.repeat(np.array([max(x, 0) for x in safe], dtype=np.int64), s._sizes())
+    out = _outside(s._rows, at) | _outside(s._cols, at)
+    p = np.repeat(np.array([p if x >= 0 else 0 for p, x in zip(powers, safe)], dtype=np.int64), s._sizes())
+    for f, idx, q in ((left, s._rows, p), (right, s._cols, -p)):
+        if isinstance(f, PermutationUnitary) and f.kind == "table":
+            _, length, pos, off = _table_walk(f, q, idx)
+            out |= off | (pos >= length)
+    alone[s._copies()[out]] = True
+    return alone
+
+
+def _kept_moves(s, alone, powers, left, right, horizon) -> MatrixStack:
+    # the copies of s that do not move alone, moved as one stack, the
+    # others emptied; s's failed copies keep their errors
+    ps = np.array([0 if a else p for p, a in zip(powers, alone.tolist())], dtype=np.int64)
+    if alone.any():
+        keep, sizes = np.repeat(~alone, s._sizes()), np.where(alone, 0, s._sizes())
+        s = MatrixStack._of(_offsets(sizes), s._rows[keep], s._cols[keep], s._vals[keep], s._errors)
+    return MatrixStack._of(s._ends, *_stack_moves(s, ps, left, right, horizon), s._errors)
 
 
 def _stack_moves(s, powers, left, right, horizon):
@@ -721,9 +788,8 @@ def shift_multiply(
     exp(log weight sum), the product with its value, then the drop below
     DROP_THRESHOLD.
 
-    When a copy may fail, every product is multiplied out one factor at a
-    time by ``_transport``, which raises the error of the least k that has
-    one, or returns the same products.
+    A product that fails raises the error of the walk over the products:
+    the least failed copy's first error.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -737,18 +803,7 @@ def shift_multiply(
     stack = MatrixStack.of([a]).take([0] * count)
     for shift, ps in walk:
         stack = _transport_stack(stack, ps, **{side: shift}, **kw)
-        if stack is None:
-            break
-    if stack is not None:
-        return stack.split()
-    products = []
-    for k in range(count):
-        x = a
-        for shift, ps in walk:
-            move = _move(shift, ps[k], side, horizon=horizon)
-            x = _transport(x, **{side: move}, window_cap=window_cap)
-        products.append(x)
-    return products
+    return stack.split()
 
 
 def permute_multiply(

@@ -37,7 +37,7 @@ from opdyn import (
     unit,
 )
 from opdyn import constructor
-from opdyn.errors import NonFiniteEntry, WindowExceeded
+from opdyn.errors import WindowExceeded
 from opdyn.constructor import (
     TargetTuple,
     WitnessBundle,
@@ -395,11 +395,39 @@ def test_blocks_of_one_two_and_all_copies_give_the_same_check(monkeypatch):
     )
 
 
+def test_a_saved_bundle_is_checked_in_the_blocks_of_the_in_memory_one(tmp_path, monkeypatch):
+    # a loaded bundle holds one object per k, the default bundle one object
+    # per term: the products of each run of equal witnesses are counted
+    # once either way, and the blocks and the check come out the same
+    inst = canonical_instance(m=1, k_max=7)
+    shared = default_bundle(inst)
+    save_bundle(shared, inst.r_list, tmp_path / "bundle")
+    loaded, _ = load_bundle(tmp_path / "bundle")
+    rng = random.Random(5)
+    targets = TargetTuple(
+        random_matrix(rng, 1, density=1.0), tuple(random_matrix(rng, 1) for _ in range(2)), 1
+    )
+    approximants, runs = constructor._approximants, {}
+
+    def counted(bundle, inst, ks, *rest, **kwargs):
+        runs[name].append(list(ks))
+        return approximants(bundle, inst, ks, *rest, **kwargs)
+
+    monkeypatch.setattr(constructor, "_approximants", counted)
+    monkeypatch.setattr(constructor, "_BLOCK_PRODUCTS", 2 * 27)
+    checks = {}
+    for name, bundle in (("shared", shared), ("loaded", loaded)):
+        runs[name] = []
+        checks[name] = checked(verify_approximant_convergence, (bundle, targets, inst))
+    assert runs["shared"] == runs["loaded"] == [[1, 2], [3, 4], [5, 6], [7]]
+    assert checks["shared"] == checks["loaded"]
+
+
 def test_a_row_move_error_at_copy_3_comes_before_a_build_error_at_copy_5(monkeypatch):
     # D_3 holds row 5, which T2^(+2n) moves to 11, past the window cap of 10,
     # at k = 3; G1_5 E1 overflows at k = 5.  One block builds every phi_k
-    # before it moves any, so its first error is k = 5's; the walk over k
-    # meets k = 3's row move first.
+    # before it moves any, so it meets k = 5's error first; the walk over k
+    # meets k = 3's row move first, and that is the least failed copy's.
     inst = canonical_instance(m=1, k_max=6, window_cap=10)
     pm = projection_matrix(1)
     d_seq = tuple(pm + unit(5, 0) if k == 3 else pm for k in range(1, 7))
@@ -411,11 +439,6 @@ def test_a_row_move_error_at_copy_3_comes_before_a_build_error_at_copy_5(monkeyp
     for cap in (1, 1 << 30):
         monkeypatch.setattr(constructor, "_BLOCK_PRODUCTS", cap)
         assert outcome(checked, verify_approximant_convergence, (bundle, targets, inst)) == want
-    # without the rerun one copy at a time, the block would raise k = 5's
-    monkeypatch.setattr(constructor, "OpdynError", ())
-    assert outcome(checked, verify_approximant_convergence, (bundle, targets, inst)) == (
-        NonFiniteEntry, "non-finite entry at (0, 0)"
-    )
 
 
 def test_verify_convergence_on_random_targets():

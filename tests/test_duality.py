@@ -697,6 +697,30 @@ def test_a_pairing_error_at_one_k_comes_before_a_move_error_at_a_later_k():
     )
 
 
+def test_a_build_error_at_copy_5_comes_before_a_row_move_error_at_copy_3():
+    # eta_3 alone holds row 15 (psi's row 15 meets D_3's row 1, which the
+    # other D_k lack), which T2's transpose at n = 3 moves to 21, past the
+    # window cap of 20; A_phi1 G1_5 overflows in the build at k = 5.  The
+    # dual walk builds every eta_k before it moves any, so k = 5's build
+    # error comes first, unlike the primal walk's k-major order.
+    inst = canonical_instance(m=1, k_max=6, window_cap=20)
+    pm, p0 = projection_matrix(1), projection_matrix(0)
+    psi = FunctionalRep(pm + unit(15, 1))
+    phis = [FunctionalRep(unit(0, 0, 1e200)), FunctionalRep(pm)]
+    d_seq = tuple(pm if k == 3 else p0 for k in range(1, 7))
+
+    def check(g_5):
+        g1 = tuple(g_5 if k == 5 else pm for k in range(1, 7))
+        bundle = WitnessBundle(m=1, n_values=inst.n_values(), d_seq=d_seq, g_seqs=(g1, (pm,) * 6))
+        args = (bundle, psi, phis, inst, default_probes(1), 1e-6)
+        got = outcome(verify_dual_convergence, *args)
+        assert got == outcome(per_k_dual_convergence, *args)
+        return got
+
+    assert check(pm + unit(0, 0, 1e150)) == (NonFiniteEntry, "non-finite entry at (0, 0)")
+    assert check(pm) == (WindowExceeded, "transported index (21, -5) exceeds window cap 20")
+
+
 @st.composite
 def dual_checks(draw):
     """The arguments of one verify_dual_convergence call, bar tol: 1-3

@@ -47,7 +47,7 @@ from opdyn import (
     shift_multiply,
     unit,
 )
-from opdyn import criteria, elementary
+from opdyn import criteria, finmat
 from opdyn.cli import main
 from opdyn.constructor import default_bundle, load_bundle, save_bundle
 from opdyn.criteria import (
@@ -447,7 +447,36 @@ def test_apply_power_on_a_stack_moves_every_copy_in_one_pass(monkeypatch):
     def alone(*args, **kwargs):
         raise AssertionError("a copy moved alone")
 
-    monkeypatch.setattr(elementary, "_transport", alone)
+    monkeypatch.setattr(finmat, "_transport", alone)
     moved = apply_power(op, [1, -2, 3, 0, 8], MatrixStack.of(mats)).split()
     monkeypatch.undo()
     assert moved == [apply_power(op, p, a) for p, a in zip([1, -2, 3, 0, 8], mats)]
+
+
+def test_an_over_reported_copy_moves_alone_once(monkeypatch):
+    # the rows sit within reach of the top of int64 for copy 2's power
+    # -200, so the check over the whole stack trips, yet no power takes
+    # them past int64: only copy 2 moves alone, once, and it rejoins the
+    # stack with the entries of the walk over the copies, bit for bit
+    a = FiniteMatrix({((1 << 63) - 100, 0): 1.0, ((1 << 63) - 101, 2): 3.0})
+    powers = [-5, 3, -200, 1, 7]
+    op = ElementaryOp(translation(1), w1(), "WFU")
+    kw = dict(horizon=10_000, window_cap=10**30)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _transport(*args, **kwargs)
+
+    def raw(x):
+        return x._rows.tolist(), x._cols.tolist(), x._vals.tobytes()
+
+    monkeypatch.setattr(finmat, "_transport", counted)
+    products = shift_multiply(a, [(w1(), powers)], "left", **kw)
+    assert len(calls) == 1
+    moved = apply_power(op, powers, MatrixStack.of([a] * len(powers)), **kw).split()
+    assert len(calls) == 2
+    monkeypatch.undo()
+    walk = [dict_shift_chain(dict_of(a), [(w1(), p)], "left", **kw) for p in powers]
+    assert [raw(x) for x in products] == [raw(FiniteMatrix(d)) for d in walk]
+    assert [raw(x) for x in moved] == [raw(apply_power(op, p, a, **kw)) for p in powers]
