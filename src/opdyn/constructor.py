@@ -40,6 +40,7 @@ from .finmat import (
     FiniteMatrix,
     MatrixStack,
     _made,
+    _note_errors,
     _raise_least,
     compose,
     load_finmat,
@@ -232,7 +233,7 @@ def verify_approximant_convergence(
 
         def norms(s, of=range(len(ks))):
             # op_norms of the copies of[i] of s, for ks[i], noting their errors
-            failed.update({i: s._errors[c] for i, c in enumerate(of) if c in s._errors} | failed)
+            _note_errors(failed, s, of)
             return np.take(s.op_norms(), of).tolist()
 
         for t, (row, minus) in enumerate(zip(rows, minus_pms)):

@@ -60,6 +60,7 @@ from .finmat import (
     MatrixStack,
     _distinct,
     _matches,
+    _note_errors,
     _outside,
     _quiet,
     _raise_least,
@@ -228,7 +229,7 @@ def _distances(reps: MatrixStack, target: np.ndarray, probes: TestSet) -> list[f
     non-finite probe value or difference, a pairing before a difference;
     the least copy that has one raises it."""
     step = max(1, _PAIRED_CELLS // len(probes.probes))
-    dists, errors = [], {}
+    dists, errors = [], _note_errors({}, reps)  # met before the pairings
     for lo in range(0, reps.count, step):
         diff = _pairings(reps.take(range(lo, min(lo + step, reps.count))), probes)
         paired = np.isfinite(diff)
@@ -237,9 +238,9 @@ def _distances(reps: MatrixStack, target: np.ndarray, probes: TestSet) -> list[f
         finite = np.isfinite(diff)
         for k in np.flatnonzero(~finite.all(axis=1)).tolist():
             what, at = ("trace pairing", paired[k]) if not paired[k].all() else ("weak-* distance", finite[k])
-            errors[lo + k] = NonFiniteEntry(f"non-finite {what} with probe {np.argmin(at)}")
+            errors.setdefault(lo + k, NonFiniteEntry(f"non-finite {what} with probe {np.argmin(at)}"))
         dists += diff.max(axis=1).tolist()
-    _raise_least({**errors, **reps._errors})
+    _raise_least(errors)
     return dists
 
 

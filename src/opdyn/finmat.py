@@ -24,7 +24,6 @@ from .lattice import (
     DEFAULT_HORIZON,
     PermutationUnitary,
     _exp,
-    _table_walk,
     shift_power_apply,
     unitary_power_apply,
 )
@@ -264,7 +263,7 @@ class MatrixStack:
         an OpdynError in place of a matrix is a failed copy."""
         mats = list(mats)
         errors = {k: a for k, a in enumerate(mats) if isinstance(a, OpdynError)}
-        mats = [_EMPTY if k in errors else a for k, a in enumerate(mats)] if errors else mats
+        mats = [FiniteMatrix() if k in errors else a for k, a in enumerate(mats)] if errors else mats
         columns = ([getattr(a, name) for a in mats] for name in ("_rows", "_cols", "_vals"))
         return cls._of(_offsets([a.nnz for a in mats]), *map(np.concatenate, columns), errors)
 
@@ -294,9 +293,7 @@ class MatrixStack:
         lo, size = self._ends[copies], self._sizes()[copies]
         ends = _offsets(size)
         at = np.arange(ends[-1]) + np.repeat(lo - ends[:-1], size)
-        errors = self._errors and {
-            i: self._errors[k] for i, k in enumerate(copies.tolist()) if k in self._errors
-        }
+        errors = _note_errors({}, self, copies.tolist())
         return MatrixStack._of(ends, self._rows[at], self._cols[at], self._vals[at], errors)
 
     def __add__(self, other: "MatrixStack") -> "MatrixStack":
@@ -308,7 +305,8 @@ class MatrixStack:
         """op_norm of every copy: a monomial copy's max |value| as one
         segmented max, which is op_norm's monomial rule; the dense copies'
         support blocks, laid out as _dense_block lays them, through one
-        LAPACK call per block shape."""
+        LAPACK call per block shape.  A call that does not converge raises
+        ConvergenceError for the whole stack: that error is not per copy."""
         if self.count == 1:  # the one-matrix route does fewer array passes
             return [op_norm(FiniteMatrix._of(self._rows, self._cols, self._vals))]
         norms, sizes = np.zeros(self.count), self._sizes()
@@ -357,13 +355,20 @@ class MatrixStack:
         return norms.tolist()
 
 
-_EMPTY = FiniteMatrix()
-
-
 def _raise_least(errors: dict) -> None:
     # the error of the least copy that has one: a walk over the copies meets it first
     if errors:
         raise errors[min(errors)]
+
+
+def _note_errors(failed: dict, s: MatrixStack, of=None) -> dict:
+    # failed (copy -> error) with the error of copy of[i] of s noted as copy
+    # i's (of: every copy), unless copy i has one: a copy keeps its first
+    if s._errors:
+        for i, c in enumerate(range(s.count) if of is None else of):
+            if c in s._errors:
+                failed.setdefault(i, s._errors[c])
+    return failed
 
 
 def _made(make, *args, **kwargs):
@@ -421,8 +426,8 @@ def _sum_by_copy_key(count, *parts) -> MatrixStack:
     not fit, each copy is summed alone.
     """
     errors = {}
-    for p in reversed(parts):
-        errors.update({k: e for e in p._errors.values() for k in range(count)} if p.count == 1 else p._errors)
+    for p in parts:
+        _note_errors(errors, p, [0] * count if p.count == 1 else None)
     (lo_r, wr), (lo_c, wc) = _span(p._rows for p in parts), _span(p._cols for p in parts)
     if count * wr * wc > _INDEX_MAX:
         def piece(p, k):
@@ -682,67 +687,32 @@ def _transport_stack(s, powers, left=None, right=None, *, horizon, window_cap):
     keeps that side), as ``_moved_alone`` moves it.
 
     The powers are Python ints, checked against the horizon before any
-    int64 conversion.  The checks run on the whole stack; when one trips,
-    the copies that may fail are flagged (``_may_fail``, then a landing
-    outside the window cap or a value that is not finite) and move alone,
-    which names the error.  A flagged copy that does not fail rejoins the
-    stack.  A one-copy stack moves alone.
+    int64 conversion.  The checks run on the whole stack: when a copy may
+    fail, as it may with entries and a power past the horizon, an index
+    that may move past int64, a landing outside the window cap or a table
+    window, or a value that is not finite, every copy moves alone, which
+    names its error.  So does a one-copy stack: the one-matrix route does
+    fewer array passes.
     """
     powers = [p if z else 0 for p, z in zip(powers, (s._sizes() > 0).tolist())]
-    kw, ends = dict(horizon=horizon, window_cap=window_cap), s._ends.tolist()
-    if s.count == 1:  # the one-matrix route does fewer array passes
-        a = FiniteMatrix._of(s._rows, s._cols, s._vals)
-        return MatrixStack.of([s._errors.get(0) or _made(_moved_alone, a, powers[0], left, right, **kw)])
     reach = max(map(abs, powers))
     step = max(abs(f.t) if isinstance(f, PermutationUnitary) else 1 for f in (left, right))
     safe = _INDEX_MAX - reach * step
-    trips = reach > horizon or safe < 0 or _beyond(safe, s._rows, s._cols)
-    alone = _may_fail(s, powers, left, right, step, horizon) if trips else np.zeros(s.count, dtype=bool)
-    try:
-        moved = _kept_moves(s, alone, powers, left, right, horizon)
-    except WindowExceeded:  # a table walk left its declared window
-        alone = _may_fail(s, powers, left, right, step, horizon)
-        moved = _kept_moves(s, alone, powers, left, right, horizon)
-    cap, rows, cols, vals = min(window_cap, _INDEX_MAX), moved._rows, moved._cols, moved._vals
-    if _beyond(cap, rows, cols) or not np.isfinite(vals).all():
-        alone[moved._copies()[_outside(rows, cap) | _outside(cols, cap) | ~np.isfinite(vals)]] = True
-        moved = _kept_moves(s, alone, powers, left, right, horizon)
-    # the moves are injective: a moved copy holds each key once
-    if not alone.any():
-        return _sum_by_copy_key(s.count, moved)
-    solo = MatrixStack.of(
-        _made(_moved_alone, FiniteMatrix._of(s._rows[lo:hi], s._cols[lo:hi], s._vals[lo:hi]), p, left, right, **kw)
-        if flagged else _EMPTY
-        for lo, hi, p, flagged in zip(ends, ends[1:], powers, alone.tolist())
+    if s.count > 1 and reach <= horizon and safe >= 0 and not _beyond(safe, s._rows, s._cols):
+        try:
+            rows, cols, vals = _stack_moves(s, np.array(powers, dtype=np.int64), left, right, horizon)
+        except WindowExceeded:  # a table walk left its declared window
+            pass
+        else:
+            if not _beyond(min(window_cap, _INDEX_MAX), rows, cols) and np.isfinite(vals).all():
+                # the moves are injective: a moved copy holds each key once
+                return _sum_by_copy_key(s.count, MatrixStack._of(s._ends, rows, cols, vals, s._errors))
+    kw = dict(horizon=horizon, window_cap=window_cap)
+    copies = MatrixStack._of(s._ends, s._rows, s._cols, s._vals).split()  # a failed one empty
+    return MatrixStack.of(
+        s._errors.get(k) or _made(_moved_alone, a, p, left, right, **kw)
+        for k, (a, p) in enumerate(zip(copies, powers))
     )
-    return _sum_by_copy_key(s.count, moved, solo)
-
-
-def _may_fail(s, powers, left, right, step, horizon) -> np.ndarray:
-    """The copies of s that may fail before they land: those with a power
-    past the horizon, an index within |power| * step of the int64 ends, or
-    an index whose table walk leaves its declared window."""
-    safe = [_INDEX_MAX - abs(p) * step if abs(p) <= horizon else -1 for p in powers]
-    alone = np.array([x < 0 for x in safe])
-    at = np.repeat(np.array([max(x, 0) for x in safe], dtype=np.int64), s._sizes())
-    out = _outside(s._rows, at) | _outside(s._cols, at)
-    p = np.repeat(np.array([p if x >= 0 else 0 for p, x in zip(powers, safe)], dtype=np.int64), s._sizes())
-    for f, idx, q in ((left, s._rows, p), (right, s._cols, -p)):
-        if isinstance(f, PermutationUnitary) and f.kind == "table":
-            _, length, pos, off = _table_walk(f, q, idx)
-            out |= off | (pos >= length)
-    alone[s._copies()[out]] = True
-    return alone
-
-
-def _kept_moves(s, alone, powers, left, right, horizon) -> MatrixStack:
-    # the copies of s that do not move alone, moved as one stack, the
-    # others emptied; s's failed copies keep their errors
-    ps = np.array([0 if a else p for p, a in zip(powers, alone.tolist())], dtype=np.int64)
-    if alone.any():
-        keep, sizes = np.repeat(~alone, s._sizes()), np.where(alone, 0, s._sizes())
-        s = MatrixStack._of(_offsets(sizes), s._rows[keep], s._cols[keep], s._vals[keep], s._errors)
-    return MatrixStack._of(s._ends, *_stack_moves(s, ps, left, right, horizon), s._errors)
 
 
 def _stack_moves(s, powers, left, right, horizon):

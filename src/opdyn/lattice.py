@@ -252,18 +252,6 @@ def shift_star_power_apply(
     return shift_power_apply(shift.star(), n, idx, horizon=horizon)
 
 
-def _table_walk(unitary: PermutationUnitary, n, idx: np.ndarray):
-    """Each j of idx on a table's orbits: the orbit's first slot and length,
-    the position n steps on (past the length: the walk left the window), and
-    whether j is off the table."""
-    nodes = unitary._nodes
-    if not len(nodes):
-        return (np.zeros(len(idx), dtype=np.int64),) * 3 + (np.ones(len(idx), dtype=bool),)
-    at = np.minimum(np.searchsorted(nodes, idx), len(nodes) - 1)
-    first, modulus, length, pos = unitary._info[at].T
-    return first, length, (pos + n) % modulus, nodes[at] != idx
-
-
 def unitary_power_apply(
     unitary: PermutationUnitary, n: int, idx: np.ndarray, *, horizon: int
 ) -> np.ndarray:
@@ -287,11 +275,16 @@ def unitary_power_apply(
         return (idx.view(np.uint64) + step).view(np.int64)
     if (one and n == 0) or not len(idx):
         return idx
-    first, length, pos, off = _table_walk(unitary, n, idx)
-    bad = off | (pos >= length)
+    nodes = unitary._nodes
+    if not len(nodes):
+        raise WindowExceeded(f"index {idx[0]} left the declared permutation window")
+    at = np.minimum(np.searchsorted(nodes, idx), len(nodes) - 1)
+    first, modulus, length, pos = unitary._info[at].T
+    pos = (pos + n) % modulus
+    bad = (nodes[at] != idx) | (pos >= length)
     if bad.any():
         k = int(np.argmax(bad))
-        if off[k]:
+        if nodes[at[k]] != idx[k]:
             gone = idx[k]
         else:
             # a path is left at its start walking back, at its end forward

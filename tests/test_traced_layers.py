@@ -86,8 +86,8 @@ def test_traced_layers_are_the_ones_the_run_calls(tmp_path, workload):
 
 def test_the_dual_witness_families_take_the_batched_walk(tmp_path, monkeypatch):
     # the seed-0 dual workload's witness families: P_m moved by each chain at
-    # every n_k in one call.  A copy flagged in the batched walk would move
-    # alone through _transport, which raises here.
+    # every n_k in one call.  A trip of the batched walk's checks would move
+    # each copy alone through _transport, which raises here.
     spec = load("workloads").generate("dual", 0, str(tmp_path))
     scenario = load_scenario(spec.scenario)
     inst = _dual_instance(scenario)
